@@ -42,7 +42,7 @@ void Report() {
   session.engine().ResetStats();
   MustOk(session.EvaluateCanvas("demanded").status(), "lazy");
   uint64_t lazy_fired = session.engine().stats().boxes_fired;
-  session.engine().InvalidateAll();
+  ClearMemo(session.engine(), session.graph());
   session.engine().ResetStats();
   MustOk(session.engine().EvaluateAll(session.graph()), "eager");
   uint64_t eager_fired = session.engine().stats().boxes_fired;
@@ -55,7 +55,7 @@ void Report() {
               static_cast<double>(eager_fired) / static_cast<double>(lazy_fired));
 
   // Incremental feedback: edit one box, recompute.
-  session.engine().InvalidateAll();
+  ClearMemo(session.engine(), session.graph());
   MustOk(session.EvaluateCanvas("demanded").status(), "warm");
   session.engine().ResetStats();
   MustOk(session.EvaluateCanvas("demanded").status(), "memo");
@@ -70,7 +70,7 @@ void BM_LazyDemandedOnly(benchmark::State& state) {
   BuildBranchy(&env, static_cast<int>(state.range(0)));
   ui::Session& session = env.session();
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("demanded"));
   }
   state.counters["idle_branches"] = static_cast<double>(state.range(0));
@@ -83,7 +83,7 @@ void BM_EagerWholeProgram(benchmark::State& state) {
   BuildBranchy(&env, static_cast<int>(state.range(0)));
   ui::Session& session = env.session();
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     MustOk(session.engine().EvaluateAll(session.graph()), "eager");
   }
   state.counters["idle_branches"] = static_cast<double>(state.range(0));
@@ -144,7 +144,7 @@ void BM_IncrementalEditCold(benchmark::State& state) {
                tail, "Restrict",
                {{"predicate", (flip++ % 2) == 0 ? "altitude >= 0" : "true"}}),
            "edit");
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("deep"));
   }
   state.counters["chain_depth"] = static_cast<double>(state.range(0));

@@ -1,12 +1,13 @@
-// Parallel-runtime claim: evaluating a multi-layer visualization through
-// runtime::ParallelEngine is faster than the serial engine, with
-// bit-identical results (runtime_determinism_test asserts the equality; this
-// bench measures the speedup and exports it to bench_out/).
+// Parallel-runtime claim: evaluating a multi-layer visualization with the
+// engine fanning boxes out across a ThreadPool (ExecPolicy::runner) is
+// faster than inline evaluation, with bit-identical results
+// (runtime_determinism_test asserts the equality; this bench measures the
+// speedup and exports it to bench_out/).
 //
 // The program is Figure 7 *as drawn*: three independent layers — Dots,
 // Labels, and the Louisiana map — each with its own source-to-display chain,
-// overlaid at the end. The serial engine walks the layers one after another;
-// the parallel engine fires them concurrently, bounded by the heaviest
+// overlaid at the end. Inline, the engine walks the layers one after
+// another; fanned out, it fires them concurrently, bounded by the heaviest
 // single chain.
 
 #include "bench/bench_common.h"
@@ -17,7 +18,6 @@
 #include <thread>
 
 #include "runtime/metrics.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 
@@ -80,6 +80,13 @@ std::string BuildFig7AsDrawn(Environment* env) {
   return overlay2;
 }
 
+/// Lends `engine` `pool`, so independent boxes fan out across it.
+void LendRunner(dataflow::Engine* engine, runtime::ThreadPool* pool) {
+  db::ExecPolicy policy = db::DefaultExecPolicy();
+  policy.runner = pool;
+  engine->set_exec_policy(policy);
+}
+
 /// Best-of-`reps` cold-cache evaluation time in microseconds.
 template <typename Invalidate, typename Evaluate>
 double BestColdMicros(int reps, Invalidate invalidate, Evaluate evaluate) {
@@ -106,7 +113,7 @@ void Report() {
   const int reps = 5;
 
   double serial_us = BestColdMicros(
-      reps, [&] { session.engine().InvalidateAll(); },
+      reps, [&] { ClearMemo(session.engine(), session.graph()); },
       [&] {
         Must(session.engine().Evaluate(session.graph(), target, 0), "serial");
       });
@@ -120,10 +127,11 @@ void Report() {
   bool identical = true;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     runtime::ThreadPool pool(threads);
-    runtime::ParallelEngine engine(&env.catalog(), &pool, nullptr,
-                                   threads == 4 ? &metrics : nullptr);
+    dataflow::Engine engine(&env.catalog());
+    LendRunner(&engine, &pool);
+    if (threads == 4) engine.set_observer(&metrics);
     parallel_us[threads] = BestColdMicros(
-        reps, [&] { engine.InvalidateAll(); },
+        reps, [&] { ClearMemo(engine, session.graph()); },
         [&] { Must(engine.Evaluate(session.graph(), target, 0), "parallel"); });
     identical =
         identical &&
@@ -179,7 +187,7 @@ void BM_SerialColdEval(benchmark::State& state) {
   std::string target = BuildFig7AsDrawn(&env);
   ui::Session& session = env.session();
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(
         session.engine().Evaluate(session.graph(), target, 0));
   }
@@ -192,9 +200,10 @@ void BM_ParallelColdEval(benchmark::State& state) {
   MustOk(env.LoadDemoData(4000, kNumDays), "load");
   std::string target = BuildFig7AsDrawn(&env);
   runtime::ThreadPool pool(static_cast<size_t>(state.range(0)));
-  runtime::ParallelEngine engine(&env.catalog(), &pool);
+  dataflow::Engine engine(&env.catalog());
+  LendRunner(&engine, &pool);
   for (auto _ : state) {
-    engine.InvalidateAll();
+    ClearMemo(engine, env.session().graph());
     benchmark::DoNotOptimize(
         engine.Evaluate(env.session().graph(), target, 0));
   }

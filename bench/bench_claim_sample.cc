@@ -57,7 +57,7 @@ void Report() {
     double best_ms = 1e18;
     size_t drawn = 0;
     for (int run = 0; run < 3; ++run) {
-      fresh.session().engine().InvalidateAll();
+      ClearMemo(fresh.session().engine(), fresh.session().graph());
       fb.Clear(draw::kWhite);
       auto start = std::chrono::steady_clock::now();
       MustOk(viewer->Refresh(), "refresh");
@@ -82,7 +82,7 @@ void BM_EndToEndBySampleProbability(benchmark::State& state) {
   render::Framebuffer fb(640, 480);
   render::RasterSurface surface(&fb);
   for (auto _ : state) {
-    env.session().engine().InvalidateAll();
+    ClearMemo(env.session().engine(), env.session().graph());
     fb.Clear(draw::kWhite);
     MustOk(viewer->Refresh(), "refresh");
     benchmark::DoNotOptimize(viewer->RenderTo(&surface));

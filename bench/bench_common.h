@@ -34,6 +34,11 @@ inline void MustOk(Status status, const char* what) {
   }
 }
 
+/// Drops every memoized box output of `engine` (cold-cache timings).
+inline void ClearMemo(dataflow::Engine& engine, const dataflow::Graph& graph) {
+  Must(engine.Invalidate(graph, dataflow::Invalidation::All()), "invalidate");
+}
+
 /// Directory for rendered artifacts; created on first use.
 inline std::string OutDir() {
   std::error_code ec;

@@ -64,7 +64,7 @@ void BM_EvaluateCold(benchmark::State& state) {
   MustOk(session.Connect(stations, 0, restrict, 0), "connect");
   Must(session.AddViewer(restrict, 0, "fig1"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("fig1"));
   }
   state.counters["stations"] = static_cast<double>(state.range(0)) + 15;

@@ -175,7 +175,7 @@ void BM_OverlayEdit(benchmark::State& state) {
   MustOk(session.Connect(b, 0, overlay, 1), "w");
   Must(session.AddViewer(overlay, 0, "ov"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("ov"));
   }
 }

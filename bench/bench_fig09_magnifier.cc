@@ -112,7 +112,7 @@ void BM_SwapDisplayAttribute(benchmark::State& state) {
   chain("SwapAttributes", {{"a", "a"}, {"b", "b"}});
   Must(session.AddViewer(previous, 0, "swapped"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("swapped"));
   }
 }

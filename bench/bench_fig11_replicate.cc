@@ -86,7 +86,7 @@ void BM_ReplicateByPartitionCount(benchmark::State& state) {
   MustOk(session.Connect(employees, 0, replicate, 0), "w");
   Must(session.AddViewer(replicate, 0, "bands"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("bands"));
   }
   state.counters["partitions"] = static_cast<double>(n);
@@ -108,7 +108,7 @@ void BM_ReplicateTabularGrid(benchmark::State& state) {
   MustOk(session.Connect(employees, 0, replicate, 0), "w");
   Must(session.AddViewer(replicate, 0, "grid"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    ClearMemo(session.engine(), session.graph());
     benchmark::DoNotOptimize(session.EvaluateCanvas("grid"));
   }
 }

@@ -33,7 +33,6 @@
 
 #include "db/morsel.h"
 #include "db/operators.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
@@ -150,9 +149,10 @@ bool Fig7StampsIdentical() {
   build(&env);
   ui::Session& session = env.session();
   runtime::ThreadPool pool(8);
-  runtime::ParallelEngine engine(session.catalog(), &pool);
+  dataflow::Engine engine(session.catalog());
   db::ExecPolicy policy;
   policy.morsel_rows = 4096;
+  policy.runner = &pool;
   engine.set_exec_policy(policy);
   MustOk(engine.EvaluateAll(session.graph()), "morsel");
 

@@ -143,8 +143,9 @@ BENCHMARK(BM_UpdateThenRecompute)->Arg(100)->Arg(1000);
 void BM_InvalidationScope(benchmark::State& state) {
   // Ablation for the §8 invalidation policy: after a single-table update,
   // ClickUpdate evicts only the boxes downstream of the edited table
-  // (InvalidateDownstreamOf), so canvases over other tables stay memoized.
-  // arg 0 = targeted invalidation, arg 1 = the old InvalidateAll behavior.
+  // (Invalidation::DownstreamOf), so canvases over other tables stay
+  // memoized. arg 0 = targeted invalidation, arg 1 = clearing the whole
+  // memo cache (Invalidation::All).
   Environment env;
   MustOk(env.LoadDemoData(2000, 5), "load");
   SetUpStore(&env, 1000);
@@ -161,9 +162,11 @@ void BM_InvalidationScope(benchmark::State& state) {
                .status(),
            "update");
     if (targeted) {
-      session.engine().InvalidateDownstreamOf(session.graph(), "Inventory");
+      Must(session.engine().Invalidate(
+               session.graph(), dataflow::Invalidation::DownstreamOf("Inventory")),
+           "invalidate");
     } else {
-      session.engine().InvalidateAll();
+      ClearMemo(session.engine(), session.graph());
     }
     benchmark::DoNotOptimize(session.EvaluateCanvas("store"));
     benchmark::DoNotOptimize(session.EvaluateCanvas("stations"));

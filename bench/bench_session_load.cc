@@ -171,8 +171,8 @@ struct RunReport {
   runtime::LatencyHistogram latency;
   std::map<std::string, runtime::LatencyHistogram> classes;
   /// Summed over every session's engine after the replay (the server-side
-  /// Metrics only sees ParallelEngine fires, not the per-session serial
-  /// engines).
+  /// Metrics is not attached as the session engines' BoxObserver, so it
+  /// sees no box counts).
   uint64_t boxes_fired = 0;
   uint64_t engine_cache_hits = 0;
   uint64_t engine_shared_hits = 0;

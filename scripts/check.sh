@@ -2,10 +2,11 @@
 # The single verification entry point (see README "Verifying a change"):
 #   1. tier 1 — build everything and run the full test suite;
 #   2. tsan   — rebuild with ThreadSanitizer and run the concurrency tests
-#               (runtime scheduler, session server, determinism, parallel
-#               delta propagation, and the morsel fan-out suite in
-#               batch_eval_test — morsel bodies run concurrently on pool
-#               workers, so their result-slot hand-off must be race-free);
+#               (the engine's box-level fan-out across a runner, session
+#               server, determinism, fanned-out delta propagation, and the
+#               morsel fan-out suite in batch_eval_test — morsel bodies run
+#               concurrently on pool workers, so their result-slot hand-off
+#               must be race-free);
 #   3. asan   — rebuild with Address+UB sanitizers and run the columnar /
 #               batch-evaluation / aggregates tests (the paths that index raw
 #               column vectors through selection vectors and dictionary
@@ -50,6 +51,13 @@
 #               reader threads, asserting 8-thread throughput holds parity
 #               with 1 thread (readers must never re-serialize) and that
 #               epoch pins were actually taken; then validates the JSON.
+#  11. bench-smoke — 3-second runs of the interaction benchmark
+#               (interaction_bench/run.py) for drill, serve, and navigate,
+#               built against the current src/: an engine API change that
+#               breaks the benchmark fails here, and each run must report
+#               "correct": true with at least one edit, canvas, or frame
+#               compared against the scalar oracle. Seed 5, because seed 1's
+#               first sampled drill edit lies beyond a 3-second run.
 # The epoch-reclamation tests (epoch_test, incl. the reader/retire torture
 # case) run in the tsan, asan, AND ubsan passes: reclaim-while-pinned is a
 # use-after-free asan turns into a hard failure, and pin/advance ordering
@@ -72,6 +80,7 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo "== load-smoke: session-server load harness, small N =="
+mkdir -p bench_out  # the smoke benches' --out paths below write into it
 cmake --build build -j --target bench_session_load
 build/bench/bench_session_load --smoke --out=bench_out/session_load_smoke.json
 if command -v python3 >/dev/null 2>&1; then
@@ -102,7 +111,24 @@ else
   grep -q '"catalog_resolve"' bench_out/lock_contention.json
 fi
 
-echo "== tsan: runtime + session server + epoch + morsel fan-out tests =="
+echo "== bench-smoke: interaction benchmark, 3 s per workload =="
+for workload in drill serve navigate; do
+  out=$(python3 interaction_bench/run.py --workload "$workload" --seed 5 \
+    --seconds 3 --trace 0)
+  printf '%s\n' "$out" | grep "output check:"
+  printf '%s\n' "$out" | python3 -c '
+import json, re, sys
+lines = sys.stdin.read().splitlines()
+checks = [re.search(r"output check: (\d+)", l) for l in lines]
+compared = max([int(m.group(1)) for m in checks if m] or [0])
+correct = json.loads(lines[-1]).get("correct")
+if correct is not True or compared < 1:
+    sys.exit("bench-smoke %s: correct=%s, compared=%d"
+             % (sys.argv[1], correct, compared))
+' "$workload"
+done
+
+echo "== tsan: engine fan-out + session server + epoch + morsel fan-out tests =="
 cmake -B build-tsan -S . -DTIOGA2_TSAN=ON >/dev/null
 cmake --build build-tsan -j --target \
   runtime_test session_server_test runtime_determinism_test delta_update_test \

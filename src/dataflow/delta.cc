@@ -80,8 +80,7 @@ Result<InvalidationResult> PropagateDelta(
     // Evicts this box's entry (if any) and marks it broken, which makes
     // every downstream affected box fall back in turn.
     auto fall_back = [&]() {
-      if (cache.Get(id) != nullptr) {
-        cache.Erase(id);
+      if (cache.Erase(id)) {
         ++result.entries_evicted;
         ++result.delta_fallbacks;
       }
@@ -102,7 +101,6 @@ Result<InvalidationResult> PropagateDelta(
       }
     }
 
-    // Fold input stamps in port order, exactly as Engine::EvaluateBox does.
     uint64_t s_old = sig_old;
     uint64_t s_new = sig_new;
     bool known = true;
@@ -125,12 +123,8 @@ Result<InvalidationResult> PropagateDelta(
         known = false;
         break;
       }
-      s_old = HashCombine(s_old, up->second.s_old);
-      s_old = HashCombine(s_old, edge->from_port);
-      s_old = HashCombine(s_old, port);
-      s_new = HashCombine(s_new, up->second.s_new);
-      s_new = HashCombine(s_new, edge->from_port);
-      s_new = HashCombine(s_new, port);
+      s_old = FoldInputStamp(s_old, up->second.s_old, edge->from_port, port);
+      s_new = FoldInputStamp(s_new, up->second.s_new, edge->from_port, port);
       in_refs.push_back(InRef{&up->second, edge->from_box, edge->from_port});
     }
     st.known = known;

@@ -76,9 +76,10 @@ std::vector<PortType> EncapsulatedBox::OutputTypes() const {
 
 Result<std::vector<BoxValue>> EncapsulatedBox::Fire(const std::vector<BoxValue>& inputs,
                                                     const ExecContext& ctx) const {
-  // Evaluate the inner program with a nested engine; the outer inputs bind
-  // to the InputStubs.
+  // Evaluate the inner program with a nested engine under the caller's
+  // policy; the outer inputs bind to the InputStubs.
   Engine engine(ctx.catalog, &inputs);
+  engine.set_exec_policy(ctx.policy);
   std::vector<BoxValue> results;
   results.reserve(outputs_.size());
   for (const auto& [box_id, port] : outputs_) {

@@ -1,62 +1,102 @@
 #include "dataflow/engine.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "dataflow/stamp.h"
+#include "db/morsel.h"
 
 namespace tioga2::dataflow {
 
-Result<MemoCache::EntryPtr> Engine::EvaluateBox(
-    const Graph& graph, const std::string& box_id,
-    std::vector<std::string>* eval_stack) {
-  if (std::find(eval_stack->begin(), eval_stack->end(), box_id) != eval_stack->end()) {
-    return Status::Internal("cycle through box '" + box_id + "' during evaluation");
+/// One evaluation's demanded closure: every box once, in DFS post-order, so
+/// each node's inputs precede it. Box ids live once, as keys of `index`.
+struct Engine::Plan {
+  static constexpr size_t kVisiting = std::numeric_limits<size_t>::max();
+
+  struct Input {
+    size_t node;       // upstream plan node
+    size_t from_port;  // its output feeding this input
+  };
+  struct Node {
+    const std::string* id = nullptr;  // key in `index`
+    const Box* box = nullptr;
+    std::vector<PortType> input_types;
+    std::vector<Input> inputs;  // port order
+    // Written by Resolve.
+    MemoCache::EntryPtr entry;  // non-null once resolved
+    BoxOutcome outcome = BoxOutcome::kHit;
+    double fire_micros = 0;
+    std::vector<std::string> warnings;
+  };
+
+  /// Plans `id` after its unplanned inputs, depth first in port order — the
+  /// order the errors below are found in. Returns the node's index.
+  Result<size_t> Add(const Graph& graph, std::string id);
+
+  std::unordered_map<std::string, size_t> index;  // kVisiting while on the DFS stack
+  std::vector<Node> nodes;
+};
+
+Result<size_t> Engine::Plan::Add(const Graph& graph, std::string id) {
+  auto [it, inserted] = index.try_emplace(std::move(id), kVisiting);
+  const std::string& key = it->first;  // element references survive rehashing
+  if (!inserted) {
+    if (it->second == kVisiting) {
+      return Status::Internal("cycle through box '" + key + "' during evaluation");
+    }
+    return it->second;
   }
-  TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(box_id));
-
-  ExecContext ctx;
-  ctx.catalog = catalog_;
-  ctx.encap_inputs = encap_inputs_;
-  ctx.policy = policy_.value_or(db::DefaultExecPolicy());
-
-  // Evaluate inputs first (depth first), accumulating the stamp.
-  eval_stack->push_back(box_id);
-  uint64_t stamp = BoxSignature(*box, ctx);
-  std::vector<PortType> input_types = box->InputTypes();
-  std::vector<MemoCache::EntryPtr> upstream_entries;
-  std::vector<size_t> upstream_ports;
-  upstream_entries.reserve(input_types.size());
-  for (size_t port = 0; port < input_types.size(); ++port) {
-    std::optional<Edge> edge = graph.IncomingEdge(box_id, port);
+  size_t* slot = &it->second;
+  TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(key));
+  Node node;
+  node.id = &key;
+  node.box = box;
+  node.input_types = box->InputTypes();
+  node.inputs.reserve(node.input_types.size());
+  for (size_t port = 0; port < node.input_types.size(); ++port) {
+    std::optional<Edge> edge = graph.IncomingEdge(key, port);
     if (!edge.has_value()) {
-      eval_stack->pop_back();
-      return Status::FailedPrecondition("box '" + box_id + "' (" + box->type_name() +
+      return Status::FailedPrecondition("box '" + key + "' (" + box->type_name() +
                                         ") input " + std::to_string(port) +
                                         " is not connected");
     }
-    Result<MemoCache::EntryPtr> upstream = EvaluateBox(graph, edge->from_box, eval_stack);
-    if (!upstream.ok()) {
-      eval_stack->pop_back();
-      return upstream.status();
-    }
-    MemoCache::EntryPtr entry = std::move(upstream).value();
-    stamp = HashCombine(stamp, entry->stamp);
-    stamp = HashCombine(stamp, edge->from_port);
-    stamp = HashCombine(stamp, port);
-    if (edge->from_port >= entry->outputs.size()) {
-      eval_stack->pop_back();
-      return Status::Internal("box '" + edge->from_box + "' produced no output " +
-                              std::to_string(edge->from_port));
-    }
-    upstream_entries.push_back(std::move(entry));
-    upstream_ports.push_back(edge->from_port);
+    TIOGA2_ASSIGN_OR_RETURN(size_t from, Add(graph, std::move(edge->from_box)));
+    node.inputs.push_back(Input{from, edge->from_port});
   }
-  eval_stack->pop_back();
+  *slot = nodes.size();
+  nodes.push_back(std::move(node));
+  return *slot;
+}
 
-  if (MemoCache::EntryPtr cached = cache_->Lookup(box_id, stamp)) {
-    ++stats_.cache_hits;
-    return cached;
+Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) const {
+  Plan::Node& node = plan->nodes[index];
+  ExecContext ctx;
+  ctx.catalog = catalog_;
+  ctx.encap_inputs = encap_inputs_;
+  ctx.policy = policy;
+
+  uint64_t stamp = BoxSignature(*node.box, ctx);
+  for (size_t port = 0; port < node.inputs.size(); ++port) {
+    const Plan::Input& in = node.inputs[port];
+    const Plan::Node& up = plan->nodes[in.node];
+    if (in.from_port >= up.entry->outputs.size()) {
+      return Status::Internal("box '" + *up.id + "' produced no output " +
+                              std::to_string(in.from_port));
+    }
+    stamp = FoldInputStamp(stamp, up.entry->stamp, in.from_port, port);
+  }
+
+  if ((node.entry = cache_->Lookup(*node.id, stamp)) != nullptr) {
+    node.outcome = BoxOutcome::kHit;
+    return Status::OK();
   }
   // Local miss: another session may have evaluated an identical subgraph —
   // stamps are content-addressed, so a shared-tier entry under this stamp is
@@ -64,44 +104,187 @@ Result<MemoCache::EntryPtr> Engine::EvaluateBox(
   // cache (sharing the allocation) instead of firing.
   if (shared_cache_ != nullptr) {
     if (MemoCache::EntryPtr shared = shared_cache_->Lookup(stamp)) {
-      ++stats_.cache_hits;
-      ++stats_.shared_hits;
-      return cache_->InsertEntry(box_id, std::move(shared));
+      node.entry = cache_->InsertEntry(*node.id, std::move(shared));
+      node.outcome = BoxOutcome::kAdopted;
+      return Status::OK();
     }
   }
 
   // Cache miss: coerce the inputs and fire.
   std::vector<BoxValue> inputs;
-  inputs.reserve(input_types.size());
-  for (size_t port = 0; port < input_types.size(); ++port) {
+  inputs.reserve(node.inputs.size());
+  for (size_t port = 0; port < node.inputs.size(); ++port) {
+    const Plan::Input& in = node.inputs[port];
     TIOGA2_ASSIGN_OR_RETURN(
         BoxValue coerced,
-        CoerceBoxValue(upstream_entries[port]->outputs[upstream_ports[port]],
-                       input_types[port]));
+        CoerceBoxValue(plan->nodes[in.node].entry->outputs[in.from_port],
+                       node.input_types[port]));
     inputs.push_back(std::move(coerced));
   }
-  Result<std::vector<BoxValue>> outputs = box->Fire(inputs, ctx);
-  for (std::string& warning : ctx.warnings) warnings_.push_back(std::move(warning));
+  const auto start = std::chrono::steady_clock::now();
+  Result<std::vector<BoxValue>> outputs = node.box->Fire(inputs, ctx);
+  node.fire_micros = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  node.warnings = std::move(ctx.warnings);
   TIOGA2_RETURN_IF_ERROR(outputs.status());
-  ++stats_.boxes_fired;
-  if (outputs->size() != box->OutputTypes().size()) {
-    return Status::Internal("box '" + box_id + "' (" + box->type_name() + ") fired " +
-                            std::to_string(outputs->size()) + " outputs, declared " +
-                            std::to_string(box->OutputTypes().size()));
+  const size_t declared = node.box->OutputTypes().size();
+  if (outputs->size() != declared) {
+    return Status::Internal("box '" + *node.id + "' (" + node.box->type_name() +
+                            ") fired " + std::to_string(outputs->size()) +
+                            " outputs, declared " + std::to_string(declared));
   }
-  MemoCache::EntryPtr stored =
-      cache_->Insert(box_id, stamp, std::move(outputs).value());
-  if (shared_cache_ != nullptr) shared_cache_->Insert(stored);
-  return stored;
+  node.entry = cache_->Insert(*node.id, stamp, std::move(outputs).value());
+  if (shared_cache_ != nullptr) shared_cache_->Insert(node.entry);
+  node.outcome = BoxOutcome::kFired;
+  return Status::OK();
+}
+
+namespace {
+
+/// Scheduler state of one fanned-out run, shared by the calling thread and
+/// the runner's help tickets. Held by shared_ptr because a ticket may run
+/// after the run returned; it then finds `ready` empty and touches nothing
+/// else. `resolve` and `runner` are only used by a thread holding a claimed
+/// node, and the run waits for every claimed node to finish.
+struct FanOut {
+  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<size_t> ready;
+  size_t running = 0;
+  std::vector<size_t> pending;                  // unresolved inputs per node
+  std::vector<std::vector<size_t>> dependents;  // one entry per consuming edge
+  size_t failed = kNone;                        // earliest failed node
+  Status error;
+  std::function<Status(size_t)> resolve;
+  db::MorselRunner* runner = nullptr;
+};
+
+/// Resolves claimed node `node`, then releases the dependents it made ready
+/// with one help ticket each. A failure stops the release of new nodes; the
+/// error kept is the one earliest in post-order, as an inline run reports.
+void ResolveClaimed(const std::shared_ptr<FanOut>& state, size_t node);
+
+/// A help ticket: claims one ready node, if any, and resolves it.
+void Help(const std::shared_ptr<FanOut>& state) {
+  size_t node;
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (state->ready.empty()) return;
+    node = state->ready.front();
+    state->ready.pop_front();
+    ++state->running;
+  }
+  ResolveClaimed(state, node);
+}
+
+void ResolveClaimed(const std::shared_ptr<FanOut>& state, size_t node) {
+  Status status = state->resolve(node);
+  size_t released = 0;
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (!status.ok()) {
+      if (node < state->failed) {
+        state->failed = node;
+        state->error = std::move(status);
+      }
+      state->ready.clear();
+    } else if (state->failed == FanOut::kNone) {
+      for (size_t dependent : state->dependents[node]) {
+        if (--state->pending[dependent] > 0) continue;
+        state->ready.push_back(dependent);
+        ++released;
+      }
+    }
+  }
+  // Submitted while this node still counts as running, so the run cannot
+  // return (and its runner go away) first.
+  for (size_t i = 0; i < released; ++i) {
+    state->runner->Submit([state] { Help(state); });
+  }
+  std::lock_guard<std::mutex> lock(state->mu);
+  --state->running;
+  state->cv.notify_all();
+}
+
+}  // namespace
+
+Status Engine::RunFanOut(Plan* plan, const db::ExecPolicy& policy,
+                         db::MorselRunner* runner) const {
+  auto state = std::make_shared<FanOut>();
+  const size_t num_nodes = plan->nodes.size();
+  state->pending.resize(num_nodes);
+  state->dependents.resize(num_nodes);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const std::vector<Plan::Input>& inputs = plan->nodes[i].inputs;
+    state->pending[i] = inputs.size();
+    for (const Plan::Input& in : inputs) state->dependents[in.node].push_back(i);
+    if (inputs.empty()) state->ready.push_back(i);
+  }
+  state->resolve = [this, plan, &policy](size_t node) {
+    return Resolve(plan, node, policy);
+  };
+  state->runner = runner;
+
+  // The calling thread drains the ready queue itself; tickets only add
+  // width, so the run completes even if no ticket ever gets a worker.
+  const size_t initially_ready = state->ready.size();
+  for (size_t i = 1; i < initially_ready; ++i) {
+    runner->Submit([state] { Help(state); });
+  }
+  std::unique_lock<std::mutex> lock(state->mu);
+  for (;;) {
+    state->cv.wait(lock, [&state] {
+      return !state->ready.empty() || state->running == 0;
+    });
+    if (state->ready.empty()) break;  // nothing ready and nothing running
+    size_t node = state->ready.front();
+    state->ready.pop_front();
+    ++state->running;
+    lock.unlock();
+    ResolveClaimed(state, node);
+    lock.lock();
+  }
+  return state->failed == FanOut::kNone ? Status::OK() : state->error;
+}
+
+Status Engine::Run(Plan* plan) {
+  const db::ExecPolicy policy = policy_.value_or(db::DefaultExecPolicy());
+  Status status;
+  db::MorselRunner* runner = db::FanOutRunner(policy);
+  if (runner != nullptr && plan->nodes.size() > 1) {
+    status = RunFanOut(plan, policy, runner);
+  } else {
+    for (size_t i = 0; i < plan->nodes.size() && status.ok(); ++i) {
+      status = Resolve(plan, i, policy);
+    }
+  }
+  for (Plan::Node& node : plan->nodes) {
+    for (std::string& warning : node.warnings) warnings_.push_back(std::move(warning));
+    if (node.entry == nullptr) continue;  // the run stopped before this node
+    if (node.outcome == BoxOutcome::kFired) {
+      ++stats_.boxes_fired;
+    } else {
+      ++stats_.cache_hits;
+      if (node.outcome == BoxOutcome::kAdopted) ++stats_.shared_hits;
+    }
+    if (observer_ != nullptr) {
+      observer_->OnBoxResolved(*node.box, node.outcome, node.fire_micros);
+    }
+  }
+  return status;
 }
 
 Result<BoxValue> Engine::Evaluate(const Graph& graph, const std::string& box_id,
                                   size_t output_port) {
   ++stats_.evaluations;
   warnings_.clear();
-  std::vector<std::string> eval_stack;
-  TIOGA2_ASSIGN_OR_RETURN(MemoCache::EntryPtr entry,
-                          EvaluateBox(graph, box_id, &eval_stack));
+  Plan plan;
+  TIOGA2_RETURN_IF_ERROR(plan.Add(graph, box_id).status());
+  TIOGA2_RETURN_IF_ERROR(Run(&plan));
+  const MemoCache::EntryPtr& entry = plan.nodes.back().entry;  // the target
   if (output_port >= entry->outputs.size()) {
     return Status::OutOfRange("box '" + box_id + "' has no output " +
                               std::to_string(output_port));
@@ -115,37 +298,34 @@ Status Engine::EvaluateAll(const Graph& graph) {
   TIOGA2_ASSIGN_OR_RETURN(std::vector<std::string> order, graph.TopologicalOrder());
   // Skip boxes that transitively depend on a dangling input — reported via
   // stats().boxes_skipped and a warning per box, not silently dropped.
-  std::vector<std::string> dangling = graph.BoxesWithDanglingInputs();
-  std::vector<std::string> blocked = dangling;
-  for (const std::string& id : order) {
-    if (std::find(blocked.begin(), blocked.end(), id) != blocked.end()) {
-      ++stats_.boxes_skipped;
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
-                          "' (dangling input, cannot fire)");
-      continue;
-    }
-    bool upstream_blocked = false;
-    std::vector<PortType> input_types;
-    TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(id));
-    input_types = box->InputTypes();
-    for (size_t port = 0; port < input_types.size(); ++port) {
-      std::optional<Edge> edge = graph.IncomingEdge(id, port);
-      if (edge.has_value() &&
-          std::find(blocked.begin(), blocked.end(), edge->from_box) != blocked.end()) {
-        upstream_blocked = true;
+  std::vector<std::string> blocked = graph.BoxesWithDanglingInputs();
+  auto is_blocked = [&blocked](const std::string& id) {
+    return std::find(blocked.begin(), blocked.end(), id) != blocked.end();
+  };
+  Plan plan;
+  for (std::string& id : order) {
+    const char* skipped = nullptr;
+    if (is_blocked(id)) {
+      skipped = "dangling input, cannot fire";
+    } else {
+      TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(id));
+      const size_t num_inputs = box->InputTypes().size();
+      for (size_t port = 0; port < num_inputs && skipped == nullptr; ++port) {
+        std::optional<Edge> edge = graph.IncomingEdge(id, port);
+        if (edge.has_value() && is_blocked(edge->from_box)) {
+          skipped = "upstream of it has a dangling input";
+          blocked.push_back(id);
+        }
       }
     }
-    if (upstream_blocked) {
-      blocked.push_back(id);
+    if (skipped != nullptr) {
       ++stats_.boxes_skipped;
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
-                          "' (upstream of it has a dangling input)");
+      warnings_.push_back("EvaluateAll: skipped box '" + id + "' (" + skipped + ")");
       continue;
     }
-    std::vector<std::string> eval_stack;
-    TIOGA2_RETURN_IF_ERROR(EvaluateBox(graph, id, &eval_stack).status());
+    TIOGA2_RETURN_IF_ERROR(plan.Add(graph, std::move(id)).status());
   }
-  return Status::OK();
+  return Run(&plan);
 }
 
 std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
@@ -174,17 +354,6 @@ std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
   return std::vector<std::string>(affected.begin(), affected.end());
 }
 
-size_t Engine::InvalidateDownstreamOf(const Graph& graph, const std::string& table) {
-  size_t evicted = 0;
-  for (const std::string& id : BoxesDownstreamOfTable(graph, table)) {
-    if (cache_->StampOf(id).has_value()) {
-      cache_->Erase(id);
-      ++evicted;
-    }
-  }
-  return evicted;
-}
-
 Result<InvalidationResult> Engine::Invalidate(const Graph& graph,
                                               const Invalidation& inv) {
   InvalidationResult result;
@@ -194,7 +363,10 @@ Result<InvalidationResult> Engine::Invalidate(const Graph& graph,
       cache_->Clear();
       return result;
     case Invalidation::Scope::kDownstreamOf:
-      result.entries_evicted = InvalidateDownstreamOf(graph, inv.table());
+      // Only dependent entries go; the rest of the memo cache stays warm.
+      for (const std::string& id : BoxesDownstreamOfTable(graph, inv.table())) {
+        if (cache_->Erase(id)) ++result.entries_evicted;
+      }
       return result;
     case Invalidation::Scope::kDelta: {
       TIOGA2_ASSIGN_OR_RETURN(

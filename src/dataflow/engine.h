@@ -85,6 +85,27 @@ struct InvalidationResult {
   std::vector<std::string> warnings;
 };
 
+/// How an evaluation resolved one box.
+enum class BoxOutcome {
+  kHit,      // the engine's memo cache held the box's stamp
+  kAdopted,  // the cross-session shared tier held it
+  kFired,    // neither did, so the box fired
+};
+
+/// Per-box hook of an evaluation: a layer seam like db::MorselRunner, so the
+/// runtime can record box timings without dataflow depending on it
+/// (runtime::Metrics implements it). The engine calls it on the evaluating
+/// thread, after the run, once per box the run resolved, in post-order, so
+/// an implementation sees the same sequence inline and fanned out.
+class BoxObserver {
+ public:
+  virtual ~BoxObserver() = default;
+
+  /// `fire_micros` is the wall time of Box::Fire for kFired, 0 otherwise.
+  virtual void OnBoxResolved(const Box& box, BoxOutcome outcome,
+                             double fire_micros) = 0;
+};
+
 /// Demand-driven, memoizing evaluator for boxes-and-arrows programs.
 ///
 /// "Execution is lazy, evaluating only what is required to produce the
@@ -94,11 +115,21 @@ struct InvalidationResult {
 /// state it reads (table versions); an edit to one box therefore re-fires
 /// only the boxes downstream of the edit.
 ///
-/// The memo cache lives in a MemoCache that may be shared with other
-/// evaluators (notably runtime::ParallelEngine, which keys entries with the
-/// same stamps — see dataflow/stamp.h). The Engine itself is not
-/// thread-safe: one Engine serves one caller at a time, and concurrency is
-/// layered on top by runtime::SessionServer.
+/// An evaluation first plans the demanded closure — each box once, in DFS
+/// post-order with inputs in port order — then resolves every plan node by
+/// one step: stamp fold, memo lookup, shared-tier adoption, coercion, Fire,
+/// arity check, insert and publish. Inline, the calling thread resolves the
+/// nodes in post-order and stops at the first failure. When the execution
+/// policy lends a runner that may fan out (db::FanOutRunner: vectorized
+/// policy, at least two workers), independent nodes resolve concurrently on
+/// a dependency-counting scheduler whose ready queue the calling thread
+/// drains too; runner tickets only add width, so a run makes progress (and
+/// cannot deadlock) even when every worker is busy. Both modes produce the
+/// same stamps, outputs, counters, and warnings.
+///
+/// The memo cache may be shared with other engines (MemoCache is
+/// thread-safe). The Engine itself serves one caller at a time; concurrency
+/// across clients is layered on top by runtime::SessionServer.
 class Engine {
  public:
   /// `catalog` must outlive the engine; may be null for graphs without
@@ -117,10 +148,10 @@ class Engine {
   Result<BoxValue> Evaluate(const Graph& graph, const std::string& box_id,
                             size_t output_port);
 
-  /// Evaluates every output of every box in topological order (the eager
-  /// baseline for the ablation benchmark). Boxes with dangling inputs (and
-  /// boxes downstream of them) cannot fire; they are counted in
-  /// stats().boxes_skipped and reported through warnings().
+  /// Evaluates every output of every box (the eager baseline for the
+  /// ablation benchmark). Boxes with dangling inputs (and boxes downstream
+  /// of them) cannot fire; they are counted in stats().boxes_skipped and
+  /// reported through warnings(), ahead of any fire warnings.
   Status EvaluateAll(const Graph& graph);
 
   /// The unified invalidation entry point: dispatches on the request's
@@ -133,24 +164,15 @@ class Engine {
   Result<InvalidationResult> Invalidate(const Graph& graph,
                                         const Invalidation& inv);
 
-  /// Drops all cached outputs. DEPRECATED: use
-  /// Invalidate(graph, Invalidation::All()); kept for existing callers.
-  void InvalidateAll() { cache_->Clear(); }
-
-  /// Drops the cached outputs of every box downstream of a source box
-  /// reading `table` (including the source itself) — the §8 update path:
-  /// after a single-table edit only dependent entries need evicting, the
-  /// rest of the memo cache stays warm. Returns the number of entries
-  /// evicted. DEPRECATED: use Invalidate(graph,
-  /// Invalidation::DownstreamOf(table)).
-  size_t InvalidateDownstreamOf(const Graph& graph, const std::string& table);
-
+  /// Counters, folded in on the calling thread after each run. A box
+  /// reached along several paths of one evaluation counts once.
   const EngineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EngineStats{}; }
 
   /// Per-engine execution policy. When unset the engine resolves
-  /// db::DefaultExecPolicy() at each firing (db::SetDefaultExecPolicy is the
-  /// process-wide default for callers that never opt in).
+  /// db::DefaultExecPolicy() at each evaluation (db::SetDefaultExecPolicy is
+  /// the process-wide default for callers that never opt in). The policy's
+  /// runner, when it may fan out, also spreads independent boxes.
   void set_exec_policy(db::ExecPolicy policy) { policy_ = policy; }
   const std::optional<db::ExecPolicy>& exec_policy() const { return policy_; }
 
@@ -163,27 +185,40 @@ class Engine {
   void set_shared_cache(SharedMemoCache* shared) { shared_cache_ = shared; }
   SharedMemoCache* shared_cache() const { return shared_cache_; }
 
+  /// Attaches a per-box observer (null detaches). Non-owning.
+  void set_observer(BoxObserver* observer) { observer_ = observer; }
+
   /// The memo cache (shared or owned). Exposed so callers can share it with
-  /// a runtime::ParallelEngine or inspect stamps.
+  /// another engine or inspect stamps.
   MemoCache& cache() { return *cache_; }
   const MemoCache& cache() const { return *cache_; }
 
   /// Warnings raised by boxes during the most recent evaluation (e.g. the
-  /// Overlay dimension-mismatch warning of §6.1).
+  /// Overlay dimension-mismatch warning of §6.1), in plan post-order.
   const std::vector<std::string>& warnings() const { return warnings_; }
 
  private:
-  /// Evaluates all outputs of a box, via the cache. Returns the immutable
-  /// cache entry holding the outputs and the box's stamp.
-  Result<MemoCache::EntryPtr> EvaluateBox(const Graph& graph,
-                                          const std::string& box_id,
-                                          std::vector<std::string>* eval_stack);
+  struct Plan;
+
+  /// Resolves plan node `node`, whose inputs are resolved. Writes only that
+  /// node and the (thread-safe) caches, so fanned-out nodes may run
+  /// concurrently.
+  Status Resolve(Plan* plan, size_t node, const db::ExecPolicy& policy) const;
+
+  /// Resolves every node of `plan`, inline or fanned out, then folds the
+  /// run's counters, warnings, and observer calls in post-order.
+  Status Run(Plan* plan);
+
+  /// Resolves `plan` on `runner` plus the calling thread.
+  Status RunFanOut(Plan* plan, const db::ExecPolicy& policy,
+                   db::MorselRunner* runner) const;
 
   const db::Catalog* catalog_;
   const std::vector<BoxValue>* encap_inputs_ = nullptr;
   MemoCache owned_cache_;
   MemoCache* cache_;  // owned_cache_ or an external shared cache
   SharedMemoCache* shared_cache_ = nullptr;  // optional cross-session tier
+  BoxObserver* observer_ = nullptr;
   EngineStats stats_;
   std::vector<std::string> warnings_;
   std::optional<db::ExecPolicy> policy_;
@@ -191,7 +226,7 @@ class Engine {
 
 /// Ids of the source boxes reading `table` plus their transitive downstream
 /// closure — the set of boxes whose cached outputs a single-table edit can
-/// invalidate. Shared by Engine and runtime::ParallelEngine.
+/// invalidate.
 std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
                                                 const std::string& table);
 
@@ -200,9 +235,10 @@ std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
 /// falling back to eviction for boxes that decline (or whose cached entry
 /// does not match the pre-update program). Maintained entries are re-keyed
 /// under their post-update stamps, so a subsequent Evaluate sees a warm
-/// cache and serial/parallel byte-identity is preserved. Shared by
-/// Engine::Invalidate and runtime::ParallelEngine::Invalidate. `catalog`
-/// must already reflect the post-update state (delta.new_version installed).
+/// cache and byte-identity with a full recompute is preserved. Runs on the
+/// calling thread for Engine::Invalidate; a box it re-fires may still fan
+/// morsels out across `policy.runner`. `catalog` must already reflect the
+/// post-update state (delta.new_version installed).
 Result<InvalidationResult> PropagateDelta(
     const Graph& graph, const db::Catalog* catalog, const db::TableDelta& delta,
     MemoCache& cache, const db::ExecPolicy& policy,

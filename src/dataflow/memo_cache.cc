@@ -44,9 +44,9 @@ MemoCache::EntryPtr MemoCache::Get(const std::string& box_id) const {
   return it == entries_.end() ? nullptr : it->second;
 }
 
-void MemoCache::Erase(const std::string& box_id) {
+bool MemoCache::Erase(const std::string& box_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(box_id);
+  return entries_.erase(box_id) > 0;
 }
 
 void MemoCache::Clear() {

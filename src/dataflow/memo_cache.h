@@ -15,10 +15,10 @@ namespace tioga2::dataflow {
 
 /// Thread-safe memo store for box outputs, keyed by box id and guarded by a
 /// stamp (see dataflow/stamp.h). Extracted from Engine so that one cache can
-/// be shared between a serial Engine, a runtime::ParallelEngine, and any
-/// number of worker threads: entries are immutable and handed out as
-/// shared_ptr, so a reader holding an entry is never invalidated by a
-/// concurrent insert or eviction.
+/// be shared between engines and with the runner threads an engine fans
+/// boxes out across: entries are immutable and handed out as shared_ptr, so
+/// a reader holding an entry is never invalidated by a concurrent insert or
+/// eviction.
 ///
 /// The cache holds at most one entry per box id — a re-fire after an edit or
 /// a table-version bump overwrites the stale entry — so its footprint is
@@ -72,8 +72,8 @@ class MemoCache {
   /// *pre-update* program before trusting the outputs.
   EntryPtr Get(const std::string& box_id) const;
 
-  /// Drops one box's entry. Idempotent.
-  void Erase(const std::string& box_id);
+  /// Drops one box's entry; true iff there was one. Idempotent.
+  bool Erase(const std::string& box_id);
 
   /// Drops everything.
   void Clear();

@@ -1,6 +1,7 @@
 #ifndef TIOGA2_DATAFLOW_STAMP_H_
 #define TIOGA2_DATAFLOW_STAMP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -8,17 +9,18 @@
 
 namespace tioga2::dataflow {
 
-// The stamp algebra shared by the serial Engine and runtime::ParallelEngine.
-// Both evaluators MUST key their memo-cache entries with the exact same
-// stamps so that a cache populated by one is valid for the other, and so
-// that serial and parallel evaluation are bit-identical (asserted by
-// runtime_determinism_test).
+// The stamp algebra shared by the Engine (inline or fanned out across a
+// runner) and delta propagation. Every path MUST key memo-cache entries with
+// the exact same stamps so that a cache populated by one is valid for the
+// others, and so that inline and fanned-out evaluation are bit-identical
+// (asserted by runtime_determinism_test).
 //
 // The stamp/memoization contract (see also DESIGN.md "The stamp contract"):
 //
-//   stamp(box) = HashCombine(BoxSignature(box, ctx),
-//                            stamp(input_1), ..., stamp(input_n))
-//   with inputs folded in port order by the engines.
+//   stamp(box) = FoldInputStamp(... FoldInputStamp(BoxSignature(box, ctx),
+//                                                   input_1 ...) ...,
+//                               input_n ...)
+//   with inputs folded in port order.
 //
 // 1. A stamp is a pure function of the *program*: box type, parameters,
 //    catalog state the box declares via CacheSalt (e.g. table versions),
@@ -36,6 +38,17 @@ namespace tioga2::dataflow {
 /// 64-bit variant of boost::hash_combine.
 inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9E3779B97F4A7C15ULL + (seed << 12) + (seed >> 4));
+}
+
+/// Folds one input into a box's stamp: the upstream box's stamp, the
+/// upstream output port the value leaves from, and the input port it enters.
+/// The engine and PropagateDelta both fold through this one definition, so
+/// their stamps agree by construction.
+inline uint64_t FoldInputStamp(uint64_t stamp, uint64_t input_stamp,
+                               size_t from_port, size_t to_port) {
+  stamp = HashCombine(stamp, input_stamp);
+  stamp = HashCombine(stamp, from_port);
+  return HashCombine(stamp, to_port);
 }
 
 /// FNV-1a.

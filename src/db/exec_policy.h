@@ -73,13 +73,14 @@ struct ExecPolicy {
   /// inputs still split across 8 workers.
   size_t morsel_rows = 32768;
 
-  /// Worker pool the vectorized operators may fan morsels out across;
-  /// nullptr (the default) runs every morsel on the calling thread.
-  /// Non-owning — the pool must outlive any evaluation run under the
-  /// policy. runtime::ParallelEngine lends boxes its own ThreadPool through
-  /// this field; see ForEachMorsel (db/morsel.h) for why that cannot
-  /// deadlock the inter-box scheduler. Ignored when `vectorized` is false:
-  /// the scalar oracle stays strictly sequential.
+  /// Worker pool that independent boxes (dataflow::Engine) and the
+  /// vectorized operators' morsels may fan out across; nullptr (the
+  /// default) runs everything on the calling thread. Non-owning — the pool
+  /// must outlive any evaluation run under the policy. Boxes running on the
+  /// pool fan their morsels out across the same pool; see ForEachMorsel
+  /// (db/morsel.h) for why that cannot deadlock the engine's scheduler.
+  /// Ignored when `vectorized` is false (the scalar oracle stays strictly
+  /// sequential) or when the pool has a single worker (FanOutRunner).
   MorselRunner* runner = nullptr;
 };
 

@@ -32,6 +32,12 @@ class MorselRunner {
   virtual size_t num_threads() const = 0;
 };
 
+/// The runner `policy` lets work fan out across, or null: fan-out needs the
+/// vectorized policy (the scalar oracle stays strictly sequential) and a
+/// runner with at least two workers. The one rule shared by ForEachMorsel
+/// and the dataflow engine's box-level fan-out.
+MorselRunner* FanOutRunner(const ExecPolicy& policy);
+
 /// Rows per morsel under `policy` (never zero; a zero knob clamps to 1).
 size_t MorselRows(const ExecPolicy& policy);
 
@@ -48,21 +54,21 @@ using MorselBody = std::function<Status(size_t morsel, size_t begin, size_t end)
 
 /// Runs `body` over every morsel of [0, num_rows).
 ///
-/// Serial mode — no runner attached, `policy.vectorized` is false (the
-/// scalar oracle never parallelizes), the runner has fewer than two workers,
-/// or there are fewer than two morsels — calls the body in morsel order on
-/// the calling thread and returns the first failure immediately, exactly
-/// like the pre-morsel loops it replaces.
+/// Serial mode — FanOutRunner(policy) is null, or there are fewer than two
+/// morsels — calls the body in morsel order on the calling thread and
+/// returns the first failure immediately, exactly like the pre-morsel loops
+/// it replaces.
 ///
 /// Parallel mode fans the morsels out: up to num_threads() help tickets are
 /// submitted to the runner and the *calling thread drains the group too*.
 /// Workers (caller included) claim morsels from a shared atomic cursor until
 /// none remain, so evaluation completes even if no ticket ever runs — the
 /// caller never blocks waiting for pool capacity, which is what makes it
-/// safe for a box already running on a pool worker (ParallelEngine) to fan
-/// morsels out across the same pool without deadlocking the inter-box
-/// scheduler. Every morsel runs (no early abort), and the error returned is
-/// the lowest-indexed morsel's — deterministic regardless of interleaving.
+/// safe for a box already running on a pool worker (the engine's box-level
+/// fan-out, dataflow/engine.h) to fan morsels out across the same pool
+/// without deadlocking the inter-box scheduler. Every morsel runs (no early
+/// abort), and the error returned is the lowest-indexed morsel's —
+/// deterministic regardless of interleaving.
 ///
 /// Determinism: which thread runs a morsel is scheduling-dependent, but
 /// morsel boundaries depend only on (num_rows, policy.morsel_rows) and

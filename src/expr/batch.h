@@ -123,7 +123,7 @@ class RelationBatchSource : public BatchSource {
 
 /// Process-wide counters for the vectorized path, surfaced through
 /// runtime::Metrics::ToJson under "batch_eval". Counters are atomic so
-/// concurrent box firings under the ParallelEngine can record freely;
+/// concurrent box firings under an engine's fan-out can record freely;
 /// Reset() zeroes them (runtime::Metrics::Reset calls it).
 struct BatchMetrics {
   std::atomic<uint64_t> restrict_batches{0};

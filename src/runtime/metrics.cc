@@ -96,35 +96,26 @@ std::string LatencyHistogram::ToJson() const {
   return json;
 }
 
-void Metrics::RecordBoxFire(const std::string& box_type, double micros) {
-  std::lock_guard<std::mutex> lock(mu_);
-  box_fires_[box_type].Record(micros);
-  ++counters_.boxes_fired;
-}
-
-void Metrics::RecordCacheHit() {
+void Metrics::OnBoxResolved(const dataflow::Box& box, dataflow::BoxOutcome outcome,
+                            double fire_micros) {
+  if (outcome == dataflow::BoxOutcome::kFired) {
+    RecordBoxFire(box.type_name(), fire_micros);
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   ++counters_.cache_hits;
 }
 
-void Metrics::RecordCacheMiss() {
+void Metrics::RecordBoxFire(const std::string& box_type, double micros) {
   std::lock_guard<std::mutex> lock(mu_);
+  box_fires_[box_type].Record(micros);
+  ++counters_.boxes_fired;
   ++counters_.cache_misses;
 }
 
 void Metrics::RecordQueueDepth(size_t depth) {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.max_queue_depth = std::max(counters_.max_queue_depth, depth);
-}
-
-void Metrics::RecordDeltaApplied(uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.deltas_applied += count;
-}
-
-void Metrics::RecordDeltaFallback(uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.delta_fallbacks += count;
 }
 
 void Metrics::RecordRequestComplete(double micros, const std::string& tag) {
@@ -229,9 +220,6 @@ std::string Metrics::ToJson() const {
   }
   json += ",\"queue\":{\"max_depth\":" +
           std::to_string(counters_.max_queue_depth) + "}";
-  json += ",\"invalidation\":{\"deltas_applied\":" +
-          std::to_string(counters_.deltas_applied) +
-          ",\"delta_fallbacks\":" + std::to_string(counters_.delta_fallbacks) + "}";
   json += ",\"box_fires\":{";
   bool first = true;
   for (const auto& [type, histogram] : box_fires_) {

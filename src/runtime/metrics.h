@@ -7,9 +7,7 @@
 #include <mutex>
 #include <string>
 
-namespace tioga2::dataflow {
-class SharedMemoCache;  // dataflow/shared_memo_cache.h
-}
+#include "dataflow/engine.h"
 
 namespace tioga2::runtime {
 
@@ -69,10 +67,6 @@ struct MetricsSnapshot {
   uint64_t shared_cache_inserts = 0;
   uint64_t shared_cache_evictions = 0;
   size_t shared_cache_entries = 0;
-  // Delta propagation outcomes (see dataflow::PropagateDelta): boxes whose
-  // cached outputs were maintained in place vs. evicted for recompute.
-  uint64_t deltas_applied = 0;
-  uint64_t delta_fallbacks = 0;
   size_t max_queue_depth = 0;
   // Vectorized execution counters, copied from expr::BatchMetrics::Global()
   // at snapshot time (they are process-wide, not per-Metrics; see below).
@@ -108,19 +102,20 @@ struct MetricsSnapshot {
 /// The observability surface of the runtime: per-box-type fire latency
 /// histograms, memo-cache hit/miss counters, request outcomes, and queue
 /// depth. All methods are thread-safe; benches export ToJson() into
-/// bench_out/.
-class Metrics {
+/// bench_out/. Box counters arrive through the dataflow::BoxObserver seam:
+/// attach a Metrics to an engine with Engine::set_observer.
+class Metrics : public dataflow::BoxObserver {
  public:
   Metrics() = default;
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
+  /// A hit or adoption counts as a cache hit; a fire goes to RecordBoxFire.
+  void OnBoxResolved(const dataflow::Box& box, dataflow::BoxOutcome outcome,
+                     double fire_micros) override;
+  /// One fire (a cache miss) of a `box_type` box, taking `micros`.
   void RecordBoxFire(const std::string& box_type, double micros);
-  void RecordCacheHit();
-  void RecordCacheMiss();
   void RecordQueueDepth(size_t depth);
-  void RecordDeltaApplied(uint64_t count = 1);
-  void RecordDeltaFallback(uint64_t count = 1);
   /// Records a completed request's latency. A nonempty `tag` (the request
   /// class from SessionServer::Request::tag) additionally lands in that
   /// class's own histogram, serialized under "requests"."classes" in the

@@ -174,16 +174,6 @@ std::future<Status> SessionServer::Submit(const std::string& session_id,
   return future;
 }
 
-std::future<Status> SessionServer::Submit(const std::string& session_id,
-                                          Handler handler, Access access,
-                                          std::chrono::milliseconds deadline) {
-  Request request;
-  request.handler = std::move(handler);
-  request.access = access;
-  request.deadline = deadline;
-  return Submit(session_id, std::move(request));
-}
-
 Result<display::Displayable> SessionServer::EvaluateCanvas(
     const std::string& session_id, const std::string& canvas_name) {
   auto result = std::make_shared<Result<display::Displayable>>(

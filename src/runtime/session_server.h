@@ -150,15 +150,6 @@ class SessionServer {
   /// cannot consume queue slots and spuriously reject valid traffic.
   std::future<Status> Submit(const std::string& session_id, Request request);
 
-  /// DEPRECATED positional overload, kept for one release: forwards to the
-  /// Request overload with default priority and no tag. New code should
-  /// submit a Request — it is the only signature that carries priority and
-  /// the request-class tag.
-  std::future<Status> Submit(const std::string& session_id, Handler handler,
-                             Access access = Access::kRead,
-                             std::chrono::milliseconds deadline =
-                                 std::chrono::milliseconds{0});
-
   /// Blocking convenience: evaluates the displayable on `canvas_name` in
   /// `session_id` through the session's engine.
   Result<display::Displayable> EvaluateCanvas(const std::string& session_id,

@@ -27,11 +27,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

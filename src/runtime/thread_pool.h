@@ -14,10 +14,10 @@
 namespace tioga2::runtime {
 
 /// A fixed-size worker pool with a FIFO task queue. Tasks may submit further
-/// tasks (the ParallelEngine schedules a box's dependents from the worker
-/// that finished it). Destruction drains the queue: every task submitted
-/// before the destructor runs is executed before the workers join, so
-/// callers never lose queued work.
+/// tasks (an engine fanning boxes out schedules a box's dependents from the
+/// worker that finished it). Destruction drains the queue: every task
+/// submitted before the destructor runs is executed before the workers join,
+/// so callers never lose queued work.
 ///
 /// Implements db::MorselRunner, so the same pool that fires boxes also
 /// serves intra-operator morsel fan-out (ExecPolicy::runner). Morsel help
@@ -39,13 +39,10 @@ class ThreadPool : public db::MorselRunner {
 
   size_t num_threads() const override { return workers_.size(); }
 
-  /// Tasks queued but not yet claimed by a worker.
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;

@@ -1,8 +1,8 @@
 // Delta propagation equivalence: after randomized single-tuple §8 edits,
 // every figure program evaluates to bit-identical outputs and stamps whether
 // the engine maintained its memo cache incrementally (Invalidation::Delta)
-// or recomputed from scratch — through both the serial Engine and the
-// ParallelEngine. This is the guarantee that makes the delta fast path
+// or recomputed from scratch — through the Engine both inline and fanned
+// out across a runner. This is the guarantee that makes the delta fast path
 // invisible: same fingerprints, same stamps, only less work.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "boxes/relational_boxes.h"
 #include "render/framebuffer.h"
 #include "render/raster_surface.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
@@ -203,7 +202,10 @@ TEST(DeltaUpdateTest, ParallelDeltaMatchesFullRecomputeOnEveryFigProgram) {
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
       runtime::ThreadPool pool(num_threads);
-      runtime::ParallelEngine engine(session.catalog(), &pool);
+      dataflow::Engine engine(session.catalog());
+      db::ExecPolicy policy = db::DefaultExecPolicy();
+      policy.runner = &pool;
+      engine.set_exec_policy(policy);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();

@@ -59,7 +59,10 @@ TEST(DeterminismTest, SampleBoxStableAcrossEvaluations) {
   ASSERT_TRUE(session.Connect(stations, 0, sample, 0).ok());
   ASSERT_TRUE(session.AddViewer(sample, 0, "sampled").ok());
   auto first = display::AsRelation(session.EvaluateCanvas("sampled").value()).value();
-  session.engine().InvalidateDownstreamOf(session.graph(), "Stations");
+  ASSERT_TRUE(session.engine()
+                  .Invalidate(session.graph(),
+                              dataflow::Invalidation::DownstreamOf("Stations"))
+                  .ok());
   auto second = display::AsRelation(session.EvaluateCanvas("sampled").value()).value();
   EXPECT_TRUE(db::RelationEquals(*first.base(), *second.base()));
 }

@@ -7,6 +7,7 @@
 #include "dataflow/encapsulate.h"
 #include "dataflow/engine.h"
 #include "db/relation.h"
+#include "expr/batch.h"
 
 namespace tioga2::dataflow {
 namespace {
@@ -175,6 +176,43 @@ TEST_F(EncapsulateTest, NestedEncapsulation) {
   ASSERT_TRUE(program.Connect(src, 0, box, 0).ok());
   Engine engine(&catalog_);
   EXPECT_EQ(RowsOf(&engine, program, box).value(), 3u);  // v in {3,4,5}
+}
+
+TEST_F(EncapsulateTest, InnerBoxesRunUnderTheCallersPolicy) {
+  // A scalar-pinned engine must stay scalar inside §4.1 boxes too: the
+  // nested engine inherits the caller's policy, so a wrapped Restrict runs
+  // no vectorized batch, exactly like a plain one.
+  Graph region;
+  std::string inner_src = region.AddBox(std::make_unique<TableBox>("T")).value();
+  std::string inner = region.AddBox(std::make_unique<RestrictBox>("v > 2")).value();
+  ASSERT_TRUE(region.Connect(inner_src, 0, inner, 0).ok());
+  auto encap = EncapsulateSubgraph(region, {inner}, {}, "filter");
+  ASSERT_TRUE(encap.ok()) << encap.status().ToString();
+
+  Graph plain;
+  std::string plain_src = plain.AddBox(std::make_unique<TableBox>("T")).value();
+  std::string plain_tail =
+      plain.AddBox(std::make_unique<RestrictBox>("v > 2")).value();
+  ASSERT_TRUE(plain.Connect(plain_src, 0, plain_tail, 0).ok());
+  Graph wrapped;
+  std::string wrapped_src = wrapped.AddBox(std::make_unique<TableBox>("T")).value();
+  std::string wrapped_tail = wrapped.AddBox((*encap)->Clone()).value();
+  ASSERT_TRUE(wrapped.Connect(wrapped_src, 0, wrapped_tail, 0).ok());
+
+  db::ExecPolicy scalar;
+  scalar.vectorized = false;
+  scalar.simd = db::SimdLevel::kScalar;
+  const std::atomic<uint64_t>& batches =
+      expr::BatchMetrics::Global().restrict_batches;
+  for (const auto& [graph, tail] :
+       {std::pair<const Graph*, std::string>{&plain, plain_tail},
+        std::pair<const Graph*, std::string>{&wrapped, wrapped_tail}}) {
+    Engine engine(&catalog_);
+    engine.set_exec_policy(scalar);
+    uint64_t before = batches.load();
+    EXPECT_EQ(RowsOf(&engine, *graph, tail).value(), 3u);  // v in {3,4,5}
+    EXPECT_EQ(batches.load(), before) << tail;
+  }
 }
 
 TEST_F(EncapsulateTest, InputStubOutsideEncapsulationFails) {

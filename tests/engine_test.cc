@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boxes/composite_boxes.h"
 #include "boxes/relational_boxes.h"
 #include "dataflow/engine.h"
 #include "dataflow/t_box.h"
@@ -179,7 +180,10 @@ TEST_F(EngineTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   ASSERT_TRUE(RowsOf(&engine, u_tail).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
   // Evicts exactly U's chain: the table box and its downstream restrict.
-  EXPECT_EQ(engine.InvalidateDownstreamOf(graph_, "U"), 2u);
+  EXPECT_EQ(engine.Invalidate(graph_, Invalidation::DownstreamOf("U"))
+                .value()
+                .entries_evicted,
+            2u);
   ASSERT_TRUE(RowsOf(&engine, u_tail).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // u + u_tail re-fired
   ASSERT_TRUE(RowsOf(&engine, t_tail).ok());
@@ -190,10 +194,35 @@ TEST_F(EngineTest, InvalidateAllForcesRecompute) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   Engine engine(&catalog_);
   ASSERT_TRUE(RowsOf(&engine, table).ok());
-  engine.InvalidateAll();
+  EXPECT_EQ(engine.Invalidate(graph_, Invalidation::All()).value().entries_evicted,
+            1u);
   ASSERT_TRUE(RowsOf(&engine, table).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
   EXPECT_EQ(engine.stats().cache_hits, 0u);
+}
+
+TEST_F(EngineTest, DiamondCountsEachBoxOncePerEvaluation) {
+  // table -> {a, b} -> overlay: the table is reached along two paths, but
+  // one evaluation resolves it once.
+  std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
+  std::string a = graph_.AddBox(std::make_unique<RestrictBox>("v > 1")).value();
+  std::string b = graph_.AddBox(std::make_unique<RestrictBox>("v > 2")).value();
+  std::string overlay =
+      graph_.AddBox(std::make_unique<boxes::OverlayBox>(std::vector<double>{}))
+          .value();
+  ASSERT_TRUE(graph_.Connect(table, 0, a, 0).ok());
+  ASSERT_TRUE(graph_.Connect(table, 0, b, 0).ok());
+  ASSERT_TRUE(graph_.Connect(a, 0, overlay, 0).ok());
+  ASSERT_TRUE(graph_.Connect(b, 0, overlay, 1).ok());
+  Engine engine(&catalog_);
+  ASSERT_TRUE(engine.Evaluate(graph_, overlay, 0).ok());
+  EXPECT_EQ(engine.stats().boxes_fired, 4u);
+  EXPECT_EQ(engine.stats().cache_hits, 0u);
+  // Warm: every box of the closure hits exactly once.
+  engine.ResetStats();
+  ASSERT_TRUE(engine.Evaluate(graph_, overlay, 0).ok());
+  EXPECT_EQ(engine.stats().boxes_fired, 0u);
+  EXPECT_EQ(engine.stats().cache_hits, 4u);
 }
 
 TEST_F(EngineTest, SampleSeedChangesStamp) {

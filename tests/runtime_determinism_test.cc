@@ -1,8 +1,9 @@
-// Serial/parallel equivalence over the full figure suite: every figure
-// program evaluates to bit-identical outputs and stamps whether it runs
-// through the serial dataflow::Engine or the ParallelEngine at 1, 2, or 8
-// threads. This is the guarantee that lets SessionServer schedule work on a
-// pool without changing what any user sees.
+// Inline/fan-out equivalence over the full figure suite: every figure
+// program evaluates to bit-identical outputs and stamps whether the
+// dataflow::Engine resolves boxes inline or fans them out across a runner of
+// 1, 2, or 8 threads (one thread stays inline: db::FanOutRunner). This is
+// the guarantee that lets an evaluation use a pool without changing what any
+// user sees.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 
 #include "boxes/relational_boxes.h"
 #include "runtime/epoch.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
@@ -41,6 +41,13 @@ std::vector<Target> TargetsOf(const dataflow::Graph& graph) {
   return targets;
 }
 
+/// Lends `engine` `pool`, so independent boxes and morsels fan out across it.
+void LendRunner(dataflow::Engine* engine, runtime::ThreadPool* pool,
+                db::ExecPolicy policy = db::DefaultExecPolicy()) {
+  policy.runner = pool;
+  engine->set_exec_policy(policy);
+}
+
 /// Builds `program` into a fresh environment.
 std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   auto env = std::make_unique<Environment>();
@@ -51,7 +58,7 @@ std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   return env;
 }
 
-TEST(RuntimeDeterminismTest, ParallelMatchesSerialOnEveryFigProgram) {
+TEST(RuntimeDeterminismTest, FanOutMatchesInlineOnEveryFigProgram) {
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
     // Serial reference: evaluate every canvas target through the session's
@@ -75,11 +82,12 @@ TEST(RuntimeDeterminismTest, ParallelMatchesSerialOnEveryFigProgram) {
     for (size_t num_threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(num_threads));
       // A fresh environment regenerates identical demo data (seeded), so
-      // the parallel run starts from the same tables and versions.
+      // the fanned-out run starts from the same tables and versions.
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
       runtime::ThreadPool pool(num_threads);
-      runtime::ParallelEngine engine(session.catalog(), &pool);
+      dataflow::Engine engine(session.catalog());
+      LendRunner(&engine, &pool);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -99,9 +107,9 @@ TEST(RuntimeDeterminismTest, ParallelMatchesSerialOnEveryFigProgram) {
 // parallelism forced on. Small pinned morsel sizes split every operator in
 // each figure program into many concurrently-evaluated morsels (including
 // sizes that do NOT align with expr::kBatchSize, so inner batch boundaries
-// differ from the serial sweep), and a size larger than every input
+// differ from the inline sweep), and a size larger than every input
 // degenerates to one morsel. Outputs and stamps must stay bit-identical to
-// the serial dataflow::Engine in all cases.
+// inline evaluation in all cases.
 TEST(RuntimeDeterminismTest, MorselFanOutMatchesSerialOnEveryFigProgram) {
   struct Config {
     size_t threads;
@@ -136,13 +144,13 @@ TEST(RuntimeDeterminismTest, MorselFanOutMatchesSerialOnEveryFigProgram) {
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
       runtime::ThreadPool pool(config.threads);
-      runtime::ParallelEngine engine(session.catalog(), &pool);
+      dataflow::Engine engine(session.catalog());
       db::ExecPolicy policy;
       policy.morsel_rows = config.morsel_rows;
-      // No runner set here: FireBox lends the engine's own pool, so boxes
-      // running ON pool workers fan morsels out ACROSS the same workers —
-      // the nested-use case the deadlock-avoidance design exists for.
-      engine.set_exec_policy(policy);
+      // One runner for both levels: boxes running ON pool workers fan
+      // morsels out ACROSS the same workers — the nested-use case the
+      // deadlock-avoidance design exists for.
+      LendRunner(&engine, &pool, policy);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -160,10 +168,10 @@ TEST(RuntimeDeterminismTest, MorselFanOutMatchesSerialOnEveryFigProgram) {
 
 // Cross-session sharing: a stamp-keyed SharedMemoCache populated by one
 // environment's engine serves another environment's engine byte-identical
-// entries — in both directions between the serial Engine and the
-// ParallelEngine. An adopting serial engine fires ZERO boxes: every value
-// arrives through the shared tier, which is the §7 many-viewers convergence
-// claim in its strongest form. Demo data is seeded, so distinct
+// entries — in both directions between an inline engine and an engine
+// fanning out across 8 threads. An adopting engine fires ZERO boxes: every
+// value arrives through the shared tier, which is the §7 many-viewers
+// convergence claim in its strongest form. Demo data is seeded, so distinct
 // environments carry identical tables at identical versions and therefore
 // identical stamps.
 TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
@@ -218,12 +226,13 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
           << id;
     }
 
-    // Parallel adopter: the pool-driven engine adopts the same entries.
+    // Fanned-out adopter: the pool-driven engine adopts the same entries.
     {
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
       runtime::ThreadPool pool(8);
-      runtime::ParallelEngine engine(session.catalog(), &pool);
+      dataflow::Engine engine(session.catalog());
+      LendRunner(&engine, &pool);
       engine.set_shared_cache(&shared);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
@@ -238,14 +247,15 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
       }
     }
 
-    // Reverse direction: a ParallelEngine populates a fresh shared tier and
-    // a serial engine adopts its entries without firing anything.
+    // Reverse direction: a fanned-out engine populates a fresh shared tier
+    // and an inline engine adopts its entries without firing anything.
     dataflow::SharedMemoCache reverse(4096);
     auto par_env = BuildEnv(program);
     {
       ui::Session& session = par_env->session();
       runtime::ThreadPool pool(8);
-      runtime::ParallelEngine engine(session.catalog(), &pool);
+      dataflow::Engine engine(session.catalog());
+      LendRunner(&engine, &pool);
       engine.set_shared_cache(&reverse);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);

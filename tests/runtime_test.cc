@@ -1,18 +1,21 @@
 // Tests for the concurrent evaluation runtime: the ThreadPool, and the
-// ParallelEngine's equivalence with the serial dataflow::Engine (same
-// results, same stamps, same error messages — only the schedule differs).
+// dataflow::Engine fanning boxes out across a pool — equivalent to inline
+// evaluation (same results, stamps, counters, warnings, and error messages;
+// only the schedule differs).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "boxes/relational_boxes.h"
 #include "dataflow/engine.h"
 #include "db/relation.h"
 #include "runtime/metrics.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 
 namespace tioga2::runtime {
@@ -57,7 +60,7 @@ TEST(ThreadPoolTest, AtLeastOneWorker) {
   EXPECT_EQ(pool.num_threads(), 1u);
 }
 
-class ParallelEngineTest : public ::testing::Test {
+class EngineFanOutTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto table = db::MakeRelation({Column{"v", DataType::kInt}},
@@ -76,6 +79,13 @@ class ParallelEngineTest : public ::testing::Test {
     return restrict;
   }
 
+  /// Lends `engine` the fixture's pool, so independent boxes fan out.
+  void FanOut(Engine* engine) {
+    db::ExecPolicy policy = db::DefaultExecPolicy();
+    policy.runner = &pool_;
+    engine->set_exec_policy(policy);
+  }
+
   static Result<size_t> RowsOf(Result<BoxValue> value) {
     TIOGA2_ASSIGN_OR_RETURN(BoxValue v, std::move(value));
     TIOGA2_ASSIGN_OR_RETURN(display::Displayable d, dataflow::AsDisplayable(v));
@@ -88,10 +98,11 @@ class ParallelEngineTest : public ::testing::Test {
   ThreadPool pool_{4};
 };
 
-TEST_F(ParallelEngineTest, MatchesSerialResultsAndStamps) {
+TEST_F(EngineFanOutTest, MatchesInlineResultsAndStamps) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
-  ParallelEngine parallel(&catalog_, &pool_);
+  Engine parallel(&catalog_);
+  FanOut(&parallel);
   EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(), 3u);
   EXPECT_EQ(RowsOf(parallel.Evaluate(graph_, tail, 0)).value(), 3u);
   // Identical stamp algebra: both caches hold the same stamps per box.
@@ -102,9 +113,9 @@ TEST_F(ParallelEngineTest, MatchesSerialResultsAndStamps) {
   }
 }
 
-TEST_F(ParallelEngineTest, WideFanOutMatchesSerial) {
-  // One table feeding 16 restricts feeding nothing — all 16 fire
-  // concurrently; results must match the serial engine box for box.
+TEST_F(EngineFanOutTest, WideFanOutMatchesInline) {
+  // One table feeding 16 restricts feeding nothing — EvaluateAll fires all
+  // 16 concurrently; results must match the inline engine box for box.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::vector<std::string> tails;
   for (int i = 0; i < 16; ++i) {
@@ -116,7 +127,10 @@ TEST_F(ParallelEngineTest, WideFanOutMatchesSerial) {
     tails.push_back(r);
   }
   Engine serial(&catalog_);
-  ParallelEngine parallel(&catalog_, &pool_);
+  Engine parallel(&catalog_);
+  FanOut(&parallel);
+  ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
+  EXPECT_EQ(parallel.stats().boxes_fired, 17u);
   for (const std::string& tail : tails) {
     EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(),
               RowsOf(parallel.Evaluate(graph_, tail, 0)).value())
@@ -125,37 +139,40 @@ TEST_F(ParallelEngineTest, WideFanOutMatchesSerial) {
   }
 }
 
-TEST_F(ParallelEngineTest, SharesCacheWithSerialEngine) {
+TEST_F(EngineFanOutTest, SharesCacheWithInlineEngine) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
-  // Parallel engine memoizing into the serial engine's cache.
-  ParallelEngine parallel(&catalog_, &pool_, &serial.cache());
+  // A fanned-out engine memoizing into the inline engine's cache.
+  Engine parallel(&catalog_, nullptr, &serial.cache());
+  FanOut(&parallel);
   ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(parallel.stats().boxes_fired, 2u);
-  // The serial engine finds everything memoized: zero fires, two hits.
+  // The inline engine finds everything memoized: zero fires, two hits.
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(serial.stats().boxes_fired, 0u);
   EXPECT_GE(serial.stats().cache_hits, 1u);
-  // And the reverse direction: serial work is visible to the parallel engine.
-  serial.InvalidateAll();
+  // And the reverse direction: inline work is visible to the fanned-out
+  // engine.
+  ASSERT_TRUE(serial.Invalidate(graph_, dataflow::Invalidation::All()).ok());
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   parallel.ResetStats();
   ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(parallel.stats().boxes_fired, 0u);
 }
 
-TEST_F(ParallelEngineTest, ErrorMessagesMatchSerial) {
+TEST_F(EngineFanOutTest, ErrorMessagesMatchInline) {
   std::string lone =
       graph_.AddBox(std::make_unique<RestrictBox>("v > 0")).value();
   Engine serial(&catalog_);
-  ParallelEngine parallel(&catalog_, &pool_);
+  Engine parallel(&catalog_);
+  FanOut(&parallel);
   Status serial_status = serial.Evaluate(graph_, lone, 0).status();
   Status parallel_status = parallel.Evaluate(graph_, lone, 0).status();
   EXPECT_TRUE(serial_status.IsFailedPrecondition());
   EXPECT_TRUE(parallel_status.IsFailedPrecondition());
   EXPECT_EQ(serial_status.message(), parallel_status.message());
 
-  // Missing table, bad output port, unknown box: same codes as serial.
+  // Missing table, bad output port, unknown box: same codes as inline.
   std::string bad = graph_.AddBox(std::make_unique<TableBox>("Nope")).value();
   EXPECT_TRUE(parallel.Evaluate(graph_, bad, 0).status().IsNotFound());
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
@@ -166,7 +183,7 @@ TEST_F(ParallelEngineTest, ErrorMessagesMatchSerial) {
   EXPECT_TRUE(parallel.Evaluate(graph_, "missing", 0).status().IsNotFound());
 }
 
-TEST_F(ParallelEngineTest, EvaluateAllSkipsDanglingLikeSerial) {
+TEST_F(EngineFanOutTest, EvaluateAllSkipsDanglingLikeInline) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::string a = graph_.AddBox(std::make_unique<RestrictBox>("v > 1")).value();
   std::string dangling =
@@ -177,7 +194,8 @@ TEST_F(ParallelEngineTest, EvaluateAllSkipsDanglingLikeSerial) {
   ASSERT_TRUE(graph_.Connect(dangling, 0, downstream, 0).ok());
   Engine serial(&catalog_);
   ASSERT_TRUE(serial.EvaluateAll(graph_).ok());
-  ParallelEngine parallel(&catalog_, &pool_);
+  Engine parallel(&catalog_);
+  FanOut(&parallel);
   ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
   EXPECT_EQ(parallel.stats().boxes_fired, serial.stats().boxes_fired);
   EXPECT_EQ(parallel.stats().boxes_skipped, serial.stats().boxes_skipped);
@@ -185,9 +203,10 @@ TEST_F(ParallelEngineTest, EvaluateAllSkipsDanglingLikeSerial) {
   EXPECT_EQ(parallel.warnings(), serial.warnings());
 }
 
-TEST_F(ParallelEngineTest, MemoizesAcrossEvaluations) {
+TEST_F(EngineFanOutTest, MemoizesAcrossEvaluations) {
   std::string tail = BuildChain();
-  ParallelEngine engine(&catalog_, &pool_);
+  Engine engine(&catalog_);
+  FanOut(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
@@ -195,7 +214,7 @@ TEST_F(ParallelEngineTest, MemoizesAcrossEvaluations) {
   EXPECT_GE(engine.stats().cache_hits, 1u);
 }
 
-TEST_F(ParallelEngineTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
+TEST_F(EngineFanOutTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   auto other = db::MakeRelation({Column{"w", DataType::kInt}},
                                 {{Value::Int(10)}, {Value::Int(20)}})
                    .value();
@@ -205,21 +224,27 @@ TEST_F(ParallelEngineTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   std::string u_tail =
       graph_.AddBox(std::make_unique<RestrictBox>("w > 5")).value();
   ASSERT_TRUE(graph_.Connect(u, 0, u_tail, 0).ok());
-  ParallelEngine engine(&catalog_, &pool_);
+  Engine engine(&catalog_);
+  FanOut(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
-  EXPECT_EQ(engine.InvalidateDownstreamOf(graph_, "U"), 2u);
+  EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
+                .value()
+                .entries_evicted,
+            2u);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // U's chain re-fired
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // T's chain stayed memoized
 }
 
-TEST_F(ParallelEngineTest, RecordsMetrics) {
+TEST_F(EngineFanOutTest, RecordsMetrics) {
   std::string tail = BuildChain();
   Metrics metrics;
-  ParallelEngine engine(&catalog_, &pool_, nullptr, &metrics);
+  Engine engine(&catalog_);
+  FanOut(&engine);
+  engine.set_observer(&metrics);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   MetricsSnapshot snap = metrics.snapshot();
@@ -248,6 +273,65 @@ TEST_F(ParallelEngineTest, RecordsMetrics) {
   EXPECT_NE(json.find("\"dict_simd_batches\""), std::string::npos);
   EXPECT_NE(json.find("\"dict_remap_fallbacks\""), std::string::npos);
   EXPECT_NE(json.find("\"sparse_gathers\""), std::string::npos);
+}
+
+/// Passes its first input through and raises one warning naming itself.
+class WarnBox : public dataflow::Box {
+ public:
+  WarnBox(std::string label, size_t num_inputs)
+      : label_(std::move(label)), num_inputs_(num_inputs) {}
+  std::string type_name() const override { return "Warn"; }
+  std::vector<dataflow::PortType> InputTypes() const override {
+    return std::vector<dataflow::PortType>(num_inputs_,
+                                           dataflow::PortType::Relation());
+  }
+  std::vector<dataflow::PortType> OutputTypes() const override {
+    return {dataflow::PortType::Relation()};
+  }
+  Result<std::vector<BoxValue>> Fire(const std::vector<BoxValue>& inputs,
+                                     const dataflow::ExecContext& ctx) const override {
+    ctx.warnings.push_back("warning from " + label_);
+    return std::vector<BoxValue>{inputs[0]};
+  }
+  std::map<std::string, std::string> Params() const override {
+    return {{"label", label_}};
+  }
+  std::unique_ptr<dataflow::Box> Clone() const override {
+    return std::make_unique<WarnBox>(label_, num_inputs_);
+  }
+
+ private:
+  std::string label_;
+  size_t num_inputs_;
+};
+
+TEST_F(EngineFanOutTest, WarningsKeepPostOrderWhenFannedOut) {
+  // T -> {z, a} -> m. Post-order fires z, a, m; box-id order is a, m, z.
+  // z and a fire concurrently under fan-out, yet every run reports the
+  // warnings in post-order, exactly as inline evaluation does.
+  std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
+  ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("z", 1), "z").ok());
+  ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("a", 1), "a").ok());
+  ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("m", 2), "m").ok());
+  ASSERT_TRUE(graph_.Connect(table, 0, "z", 0).ok());
+  ASSERT_TRUE(graph_.Connect(table, 0, "a", 0).ok());
+  ASSERT_TRUE(graph_.Connect("z", 0, "m", 0).ok());
+  ASSERT_TRUE(graph_.Connect("a", 0, "m", 1).ok());
+  const std::vector<std::string> expected = {
+      "warning from z", "warning from a", "warning from m"};
+
+  Engine serial(&catalog_);
+  ASSERT_TRUE(serial.Evaluate(graph_, "m", 0).ok());
+  EXPECT_EQ(serial.warnings(), expected);
+  ThreadPool pool(8);
+  db::ExecPolicy policy = db::DefaultExecPolicy();
+  policy.runner = &pool;
+  for (int round = 0; round < 20; ++round) {
+    Engine parallel(&catalog_);
+    parallel.set_exec_policy(policy);
+    ASSERT_TRUE(parallel.Evaluate(graph_, "m", 0).ok());
+    EXPECT_EQ(parallel.warnings(), serial.warnings()) << "round " << round;
+  }
 }
 
 TEST(LatencyHistogramTest, QuantilesAndCounts) {

@@ -24,7 +24,6 @@
 
 #include "boxes/relational_boxes.h"
 #include "runtime/metrics.h"
-#include "runtime/parallel_engine.h"
 #include "runtime/thread_pool.h"
 #include "storage/fault_fs.h"
 #include "storage/format.h"
@@ -673,7 +672,10 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
     ASSERT_TRUE(env.session().LoadProgram("fig").ok());
     if (parallel) {
       runtime::ThreadPool pool(4);
-      runtime::ParallelEngine engine(env.session().catalog(), &pool);
+      dataflow::Engine engine(env.session().catalog());
+      db::ExecPolicy policy = db::DefaultExecPolicy();
+      policy.runner = &pool;
+      engine.set_exec_policy(policy);
       for (const Target& t : TargetsOf(env.session().graph())) {
         auto value = engine.Evaluate(env.session().graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();

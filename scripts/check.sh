@@ -9,13 +9,16 @@
 #               must be race-free);
 #   3. asan   — rebuild with Address+UB sanitizers and run the columnar /
 #               batch-evaluation / aggregates tests (the paths that index raw
-#               column vectors through selection vectors and dictionary
-#               codes);
+#               column vectors through selection vectors, row maps and
+#               dictionary codes) and determinism_test, whose drill chain
+#               groups a Sample view through its composed row map under
+#               every policy;
 #   4. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
 #               asan pass it traps on the first finding instead of
-#               recovering) and run the join/operator tests — the class of
-#               bug this catches mechanically is the old HashKey
-#               out-of-range double->int64 cast;
+#               recovering) and run the join/operator/aggregates tests and
+#               determinism_test — the class of bug this catches
+#               mechanically is the old HashKey out-of-range double->int64
+#               cast;
 #   5. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread
@@ -136,21 +139,23 @@ cmake --build build-tsan -j --target \
 (cd build-tsan && ctest --output-on-failure \
   -R 'runtime|session_server|delta_update|batch_eval|epoch')
 
-echo "== asan: columnar + batch evaluation + aggregates + epoch tests =="
+# ^determinism_test$ is anchored so the filter skips runtime_determinism_test,
+# which these two passes do not build.
+echo "== asan: columnar + batch evaluation + aggregates + determinism + epoch tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
 cmake --build build-asan -j --target \
   columnar_test batch_eval_test operators_test display_relation_test \
-  aggregates_test epoch_test
+  aggregates_test determinism_test epoch_test
 (cd build-asan && ctest --output-on-failure \
-  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|epoch_test')
+  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|^determinism_test$|epoch_test')
 
-echo "== ubsan: join + operator + aggregates + epoch tests =="
+echo "== ubsan: join + operator + aggregates + determinism + epoch tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
-  epoch_test
+  determinism_test epoch_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|epoch_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|^determinism_test$|epoch_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j --target storage_test

@@ -28,10 +28,9 @@ BoxValue WrapRelation(DisplayRelation relation) {
 
 Result<std::vector<BoxValue>> GroupByBox::Fire(const std::vector<BoxValue>& inputs,
                                                const ExecContext& ctx) const {
-  (void)ctx;
   TIOGA2_ASSIGN_OR_RETURN(DisplayRelation input, InputRelation(inputs[0]));
   TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr grouped,
-                          db::GroupBy(input.base(), keys_, aggs_));
+                          db::GroupBy(input.base(), keys_, aggs_, ctx.policy));
   TIOGA2_ASSIGN_OR_RETURN(
       DisplayRelation output,
       DisplayRelation::WithDefaults(input.name() + "_by", std::move(grouped)));
@@ -153,9 +152,9 @@ Result<std::optional<DeltaFire>> SortBox::ApplyDelta(
 
 Result<std::vector<BoxValue>> LimitBox::Fire(const std::vector<BoxValue>& inputs,
                                              const ExecContext& ctx) const {
-  (void)ctx;
   TIOGA2_ASSIGN_OR_RETURN(DisplayRelation input, InputRelation(inputs[0]));
-  TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr limited, db::Limit(input.base(), limit_));
+  TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr limited,
+                          db::Limit(input.base(), limit_, ctx.policy));
   TIOGA2_ASSIGN_OR_RETURN(DisplayRelation output, input.WithBase(std::move(limited)));
   return std::vector<BoxValue>{WrapRelation(std::move(output))};
 }

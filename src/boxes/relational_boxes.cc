@@ -253,9 +253,9 @@ Result<std::optional<DeltaFire>> ProjectBox::ApplyDelta(
 
 Result<std::vector<BoxValue>> SampleBox::Fire(const std::vector<BoxValue>& inputs,
                                               const ExecContext& ctx) const {
-  (void)ctx;
   TIOGA2_ASSIGN_OR_RETURN(DisplayRelation input, InputRelation(inputs[0]));
-  TIOGA2_ASSIGN_OR_RETURN(DisplayRelation output, input.Sample(probability_, seed_));
+  TIOGA2_ASSIGN_OR_RETURN(DisplayRelation output,
+                          input.Sample(probability_, seed_, ctx.policy));
   return std::vector<BoxValue>{WrapRelation(std::move(output))};
 }
 

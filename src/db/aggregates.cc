@@ -1,11 +1,14 @@
 #include "db/aggregates.h"
 
+#include <cstdint>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/str_util.h"
 #include "db/columnar.h"
+#include "expr/batch.h"
 
 namespace tioga2::db {
 
@@ -105,6 +108,11 @@ DataType AggResultType(const AggSpec& spec, DataType column_type) {
 // in the same row order with the same double arithmetic, and min/max track
 // the winning *row* so the output Value round-trips bit-identically through
 // ColumnVector::ValueAt.
+//
+// A selection view is grouped through its composed row map instead of its
+// own (gathered) columns. Eligibility is decided on the base's columns; a
+// gathered string column shares the base's dictionary (GatherColumn), so the
+// verdict is the one the view's own columns would get.
 
 inline uint64_t MixHash64(uint64_t x) {
   x ^= x >> 30;
@@ -241,7 +249,58 @@ int CompareCells(const ColumnVector& col, size_t a, size_t b) {
   return 0;
 }
 
-Result<RelationPtr> GroupByColumnar(const RelationPtr& input,
+/// Open-addressing table from a group key to its group index: power-of-two
+/// slots, linear probing, doubling at half load. Each slot keeps the key's
+/// full hash, so a probe compares keys only on a hash match and growth
+/// re-slots without rehashing a key.
+class GroupTable {
+ public:
+  /// The group whose key `same_key(group)` confirms among the groups hashed
+  /// to `hash`; when there is none, records `new_group` under `hash` and
+  /// returns it.
+  template <typename SameKey>
+  uint32_t FindOrAdd(uint64_t hash, uint32_t new_group, SameKey same_key) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.group == kEmpty) {
+        slot = Slot{hash, new_group};
+        if (++used_ * 2 > slots_.size()) Grow();
+        return new_group;
+      }
+      if (slot.hash == hash && same_key(slot.group)) return slot.group;
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t group = kEmpty;
+  };
+
+  void Grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.group == kEmpty) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].group != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(16);
+  size_t used_ = 0;
+};
+
+/// Groups `input` through its composed row map (Relation::ComposedSelection):
+/// view row k is base row rows[k], and every hash, key comparison and
+/// aggregate reads the base's columns at that row, so a selection view is
+/// never gathered first. `key_cols` are the base's key columns. Group
+/// representatives and min/max winners are base row ids.
+Result<RelationPtr> GroupByColumnar(const Relation& input, const Relation::RowMap& map,
                                     const std::vector<const ColumnVector*>& key_cols,
                                     const std::vector<AggSpec>& aggs,
                                     const std::vector<size_t>& agg_columns,
@@ -249,44 +308,34 @@ Result<RelationPtr> GroupByColumnar(const RelationPtr& input,
   struct ColAggState {
     int64_t count = 0;
     double sum = 0;
-    uint32_t extreme_row = 0;  // row holding the min/max so far
-  };
-  struct ColGroup {
-    uint32_t rep = 0;  // first row of the group (key values read from here)
-    std::vector<ColAggState> states;
+    uint32_t extreme_row = 0;  // base row holding the min/max so far
   };
 
   std::vector<const ColumnVector*> agg_cols(aggs.size(), nullptr);
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].fn != AggFn::kCount) {
-      agg_cols[a] = &input->columnar().column(agg_columns[a]);
+      agg_cols[a] = &map.base->columnar().column(agg_columns[a]);
     }
   }
 
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  std::vector<ColGroup> groups;
-  const size_t num_rows = input->num_rows();
-  for (size_t r = 0; r < num_rows; ++r) {
-    const uint64_t h = HashKeyRow(key_cols, r);
-    std::vector<size_t>& chain = buckets[h];
-    size_t gi = SIZE_MAX;
-    for (size_t g : chain) {
-      if (KeysEqualRows(key_cols, r, groups[g].rep)) {
-        gi = g;
-        break;
-      }
+  GroupTable table;
+  std::vector<uint32_t> reps;  // per group: first base row (keys read here)
+  std::vector<ColAggState> states;  // per group: aggs.size() states
+  const size_t num_rows = input.num_rows();
+  for (size_t k = 0; k < num_rows; ++k) {
+    const uint32_t r = static_cast<uint32_t>(map[k]);
+    const uint32_t next = static_cast<uint32_t>(reps.size());
+    const uint32_t gi =
+        table.FindOrAdd(HashKeyRow(key_cols, r), next, [&](uint32_t g) {
+          return KeysEqualRows(key_cols, r, reps[g]);
+        });
+    if (gi == next) {
+      reps.push_back(r);
+      states.resize(states.size() + aggs.size());
     }
-    if (gi == SIZE_MAX) {
-      gi = groups.size();
-      chain.push_back(gi);
-      ColGroup group;
-      group.rep = static_cast<uint32_t>(r);
-      group.states.resize(aggs.size());
-      groups.push_back(std::move(group));
-    }
-    ColGroup& group = groups[gi];
+    ColAggState* group_states = states.data() + gi * aggs.size();
     for (size_t a = 0; a < aggs.size(); ++a) {
-      ColAggState& state = group.states[a];
+      ColAggState& state = group_states[a];
       if (aggs[a].fn == AggFn::kCount) {
         ++state.count;
         continue;
@@ -304,12 +353,12 @@ Result<RelationPtr> GroupByColumnar(const RelationPtr& input,
         case AggFn::kMin:
         case AggFn::kMax: {
           if (state.count == 0) {
-            state.extreme_row = static_cast<uint32_t>(r);
+            state.extreme_row = r;
           } else {
             const int cmp = CompareCells(col, r, state.extreme_row);
             if ((aggs[a].fn == AggFn::kMin && cmp < 0) ||
                 (aggs[a].fn == AggFn::kMax && cmp > 0)) {
-              state.extreme_row = static_cast<uint32_t>(r);
+              state.extreme_row = r;
             }
           }
           ++state.count;
@@ -322,15 +371,15 @@ Result<RelationPtr> GroupByColumnar(const RelationPtr& input,
   }
 
   RelationBuilder builder(std::move(out_schema));
-  builder.Reserve(groups.size());
-  for (const ColGroup& group : groups) {
+  builder.Reserve(reps.size());
+  for (size_t g = 0; g < reps.size(); ++g) {
     Tuple row;
     row.reserve(key_cols.size() + aggs.size());
     for (const ColumnVector* col : key_cols) {
-      row.push_back(col->ValueAt(group.rep));
+      row.push_back(col->ValueAt(reps[g]));
     }
     for (size_t a = 0; a < aggs.size(); ++a) {
-      const ColAggState& state = group.states[a];
+      const ColAggState& state = states[g * aggs.size() + a];
       switch (aggs[a].fn) {
         case AggFn::kCount:
           row.push_back(Value::Int(state.count));
@@ -397,12 +446,14 @@ Result<RelationPtr> GroupBy(const RelationPtr& input,
   TIOGA2_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(std::move(out_columns)));
 
   if (policy.vectorized) {
+    const Relation::RowMap map = input->ComposedSelection();
     std::vector<const ColumnVector*> key_cols;
-    if (ColumnarGroupKeysEligible(*input, key_columns, &key_cols)) {
-      return GroupByColumnar(input, key_cols, aggs, agg_columns,
+    if (ColumnarGroupKeysEligible(*map.base, key_columns, &key_cols)) {
+      return GroupByColumnar(*input, map, key_cols, aggs, agg_columns,
                              std::make_shared<const Schema>(std::move(out_schema)));
     }
   }
+  expr::BatchMetrics::Global().group_by_scalar_rows += input->num_rows();
 
   struct Group {
     Tuple key_values;

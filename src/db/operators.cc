@@ -138,12 +138,27 @@ Result<RelationPtr> Restrict(const RelationPtr& input,
   return Restrict(input, predicate, policy);
 }
 
-Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_t seed) {
+Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_t seed,
+                           const ExecPolicy& policy) {
   if (probability < 0.0 || probability > 1.0) {
     return Status::InvalidArgument("sampling probability must be in [0, 1], got " +
                                    std::to_string(probability));
   }
+  // One draw per input row, in input order, on either path: the draw
+  // sequence defines the output, so the loop stays serial.
   Rng rng(seed);
+  if (policy.vectorized) {
+    // The kept rows become a selection view, like Restrict's survivors: the
+    // upstream row store is never built, and a consumer reads the base's
+    // columns through the composed row map.
+    const size_t n = input->num_rows();
+    std::vector<uint32_t> kept;
+    kept.reserve(static_cast<size_t>(probability * static_cast<double>(n)));
+    for (size_t r = 0; r < n; ++r) {
+      if (rng.NextDouble() < probability) kept.push_back(static_cast<uint32_t>(r));
+    }
+    return Relation::MakeSelectionView(input, std::move(kept));
+  }
   RelationBuilder builder(input->schema());
   for (size_t r = 0; r < input->num_rows(); ++r) {
     if (rng.NextDouble() < probability) builder.AddRowShared(input->row_ptr(r));
@@ -790,9 +805,15 @@ Result<RelationPtr> Sort(const RelationPtr& input, const std::string& column,
   return builder.Build();
 }
 
-Result<RelationPtr> Limit(const RelationPtr& input, size_t n) {
+Result<RelationPtr> Limit(const RelationPtr& input, size_t n,
+                          const ExecPolicy& policy) {
+  const size_t count = std::min(n, input->num_rows());
+  if (policy.vectorized) {
+    std::vector<uint32_t> prefix(count);
+    std::iota(prefix.begin(), prefix.end(), 0u);
+    return Relation::MakeSelectionView(input, std::move(prefix));
+  }
   RelationBuilder builder(input->schema());
-  size_t count = std::min(n, input->num_rows());
   builder.Reserve(count);
   for (size_t i = 0; i < count; ++i) builder.AddRowShared(input->row_ptr(i));
   return builder.Build();

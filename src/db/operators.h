@@ -54,8 +54,12 @@ Result<bool> PredicateKeeps(const expr::CompiledExpr& predicate,
 
 /// Bernoulli sample: each tuple is retained independently with
 /// `probability` (§4.2: "each input is retained with a user-specified
-/// probability"). Deterministic for a given seed.
-Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_t seed);
+/// probability"). Deterministic for a given seed: both paths make one draw
+/// per input row, in input order. The vectorized path emits a selection view
+/// of the kept rows; the scalar path (`policy.vectorized == false`) copies
+/// them into a row store. Both produce value-identical relations.
+Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_t seed,
+                           const ExecPolicy& policy = DefaultExecPolicy());
 
 /// The join algorithm actually used by Join (reported for benchmarks).
 enum class JoinAlgorithm { kHash, kNestedLoop };
@@ -104,8 +108,10 @@ Result<RelationPtr> Sort(const RelationPtr& input, const std::string& column,
                          bool ascending = true,
                          const ExecPolicy& policy = DefaultExecPolicy());
 
-/// Keeps the first `n` tuples.
-Result<RelationPtr> Limit(const RelationPtr& input, size_t n);
+/// Keeps the first `n` tuples: a selection view of the prefix under the
+/// vectorized policy, a row store under the scalar one (value-identical).
+Result<RelationPtr> Limit(const RelationPtr& input, size_t n,
+                          const ExecPolicy& policy = DefaultExecPolicy());
 
 /// The schema a Join over these inputs produces (left then right, right
 /// collisions suffixed "_2"). Exposed so callers can compile predicates.

@@ -51,7 +51,8 @@ void Relation::EnsureRows() const {
   });
 }
 
-void Relation::EnsureComposedSelection() const {
+Relation::RowMap Relation::ComposedSelection() const {
+  if (!is_view() || right_parent_ != nullptr) return RowMap{this, nullptr};
   std::call_once(compose_once_, [this] {
     const Relation* base = left_parent_.get();
     if (base->is_view() && base->right_parent_ == nullptr) {
@@ -69,6 +70,7 @@ void Relation::EnsureComposedSelection() const {
     }
     compose_base_ = base;
   });
+  return RowMap{compose_base_, compose_rows_};
 }
 
 ColumnVector Relation::BuildColumn(size_t c) const {
@@ -77,8 +79,8 @@ ColumnVector Relation::BuildColumn(size_t c) const {
   if (right_parent_ == nullptr) {
     // Selection view: gather once from the deepest non-selection ancestor's
     // columns, skipping every intermediate view's columnar image.
-    EnsureComposedSelection();
-    return GatherColumn(compose_base_->columnar().column(c), *compose_rows_);
+    const RowMap map = ComposedSelection();
+    return GatherColumn(map.base->columnar().column(c), *map.rows);
   }
   if (c < left_width_) {
     return GatherColumn(left_parent_->columnar().column(c), left_rows_);

@@ -18,9 +18,10 @@ namespace tioga2::db {
 using Tuple = std::vector<types::Value>;
 
 /// Shared immutable row. Tuples are never mutated after a relation is built,
-/// so operators that keep a surviving row (Restrict, Sort, Limit, Sample,
-/// the delta splice helpers) share the pointer instead of copying the
-/// values — copying a demo-station row costs two string allocations, sharing
+/// so code that keeps a surviving row shares the pointer instead of copying
+/// the values: the scalar paths of Restrict, Sort, Limit and Sample, the
+/// delta splice helpers, and a selection view that materializes its row
+/// store. Copying a demo-station row costs two string allocations, sharing
 /// it costs one refcount bump (ROADMAP "Cheaper tuple materialization").
 using TuplePtr = std::shared_ptr<const Tuple>;
 
@@ -39,9 +40,10 @@ using RelationPtr = std::shared_ptr<const Relation>;
 ///     RelationBuilder produces and what every scalar (`policy.vectorized ==
 ///     false`) operator path emits; it is the byte-identity oracle the
 ///     vectorized paths are property-tested against.
-///   * **View** — a selection over one parent (Restrict's vectorized path:
-///     the surviving row ids) or a gather over two parents (the columnar
-///     hash/nested-loop join: aligned left/right row ids, output row k being
+///   * **View** — a selection over one parent (the vectorized paths of
+///     Restrict, Sample and Limit: the kept row ids; Sort: a permutation)
+///     or a gather over two parents (the columnar hash/nested-loop join:
+///     aligned left/right row ids, output row k being
 ///     left[left_rows[k]] ++ right[right_rows[k]]). Views hold their parents
 ///     alive via shared_ptr and materialize a row store lazily, on first
 ///     row-wise access: a single-parent view shares the parent's TuplePtrs
@@ -120,6 +122,24 @@ class Relation {
   /// boxes a Value and never touches the row store.
   const ColumnarTable& columnar() const;
 
+  /// Where this relation's rows live: row k is row `map[k]` of `base`.
+  /// `rows == nullptr` is the identity map (`base` is this relation).
+  struct RowMap {
+    const Relation* base;
+    const std::vector<uint32_t>* rows;
+
+    size_t operator[](size_t k) const { return rows == nullptr ? k : (*rows)[k]; }
+  };
+
+  /// The composed selection of a chain of selection views (Sample over
+  /// Restrict over Sort, ...): `base` is the deepest ancestor that is not
+  /// itself a selection view, `rows` the row maps folded into one. Any other
+  /// relation returns itself with the identity map. Computed once
+  /// (thread-safe); `base` lives as long as this relation. Lets a consumer
+  /// read the base's columns through one row map instead of gathering every
+  /// column first.
+  RowMap ComposedSelection() const;
+
   /// A table rendering ("name | name\n----\nv | v ..."), the shape produced
   /// by a "terminal monitor" (§5.2); used for debugging and golden tests.
   std::string ToString(size_t max_rows = 20) const;
@@ -131,14 +151,6 @@ class Relation {
   /// Builds column `c` for the ColumnarTable: materialized relations scan
   /// the row store, views gather through the selection.
   ColumnVector BuildColumn(size_t c) const;
-
-  /// Resolves the composed selection of a chain of selection views: fills
-  /// compose_base_/compose_rows_ so that this view's row k is
-  /// compose_base_->row((*compose_rows_)[k]) with compose_base_ the deepest
-  /// ancestor that is not itself a selection view. Lets a view-of-a-view
-  /// gather its columns once from the base columns instead of materializing
-  /// every intermediate columnar image. Only meaningful for selection views.
-  void EnsureComposedSelection() const;
 
   /// Fills a view's row store (no-op for materialized relations).
   void EnsureRows() const;
@@ -160,9 +172,10 @@ class Relation {
   mutable std::once_flag columnar_once_;
   mutable std::unique_ptr<const ColumnarTable> columnar_;
 
-  /// Composed-selection cache (see EnsureComposedSelection). compose_base_
-  /// stays alive through the parent shared_ptr chain; compose_rows_ points
-  /// at left_rows_ when no composition was needed (chain depth 1).
+  /// Composed-selection cache of a selection view (see ComposedSelection).
+  /// compose_base_ stays alive through the parent shared_ptr chain;
+  /// compose_rows_ points at left_rows_ when no composition was needed
+  /// (chain depth 1).
   mutable std::once_flag compose_once_;
   mutable const Relation* compose_base_ = nullptr;
   mutable const std::vector<uint32_t>* compose_rows_ = nullptr;

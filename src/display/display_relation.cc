@@ -780,8 +780,10 @@ Result<DisplayRelation> DisplayRelation::Project(
   return out;
 }
 
-Result<DisplayRelation> DisplayRelation::Sample(double probability, uint64_t seed) const {
-  TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr sampled, db::Sample(base_, probability, seed));
+Result<DisplayRelation> DisplayRelation::Sample(double probability, uint64_t seed,
+                                                const db::ExecPolicy& policy) const {
+  TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr sampled,
+                          db::Sample(base_, probability, seed, policy));
   DisplayRelation out = *this;
   out.base_ = std::move(sampled);
   return out;

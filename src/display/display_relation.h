@@ -219,7 +219,10 @@ class DisplayRelation {
   Result<DisplayRelation> Project(const std::vector<std::string>& columns) const;
 
   /// Sample: Bernoulli over base rows; computed attributes are preserved.
-  Result<DisplayRelation> Sample(double probability, uint64_t seed) const;
+  /// The policy picks db::Sample's selection-view or row-store path.
+  Result<DisplayRelation> Sample(
+      double probability, uint64_t seed,
+      const db::ExecPolicy& policy = db::DefaultExecPolicy()) const;
 
   /// Replaces the base relation with one of identical schema (used when a
   /// §8 update installs new values).

@@ -110,6 +110,7 @@ void BatchMetrics::Reset() {
   restrict_batches = 0;
   restrict_rows = 0;
   restrict_scalar_rows = 0;
+  group_by_scalar_rows = 0;
   sort_key_batches = 0;
   sort_scalar_fallbacks = 0;
   display_attr_batches = 0;

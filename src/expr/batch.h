@@ -129,6 +129,9 @@ struct BatchMetrics {
   std::atomic<uint64_t> restrict_batches{0};
   std::atomic<uint64_t> restrict_rows{0};
   std::atomic<uint64_t> restrict_scalar_rows{0};
+  // Rows grouped by the TupleKey row loop (the scalar policy, or keys the
+  // columnar group-by declines).
+  std::atomic<uint64_t> group_by_scalar_rows{0};
   std::atomic<uint64_t> sort_key_batches{0};
   std::atomic<uint64_t> sort_scalar_fallbacks{0};
   std::atomic<uint64_t> display_attr_batches{0};

@@ -234,6 +234,8 @@ std::string Metrics::ToJson() const {
   json += ",\"restrict_rows\":" + std::to_string(batch.restrict_rows.load());
   json += ",\"restrict_scalar_rows\":" +
           std::to_string(batch.restrict_scalar_rows.load());
+  json += ",\"group_by_scalar_rows\":" +
+          std::to_string(batch.group_by_scalar_rows.load());
   json += ",\"sort_key_batches\":" + std::to_string(batch.sort_key_batches.load());
   json += ",\"sort_scalar_fallbacks\":" +
           std::to_string(batch.sort_scalar_fallbacks.load());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -11,6 +13,8 @@
 #include "dataflow/engine.h"
 #include "db/aggregates.h"
 #include "db/catalog.h"
+#include "db/operators.h"
+#include "expr/batch.h"
 #include "types/date.h"
 
 namespace tioga2::db {
@@ -131,6 +135,24 @@ ExecPolicy VectorizedPolicy() {
 
 constexpr size_t kEveryRow = 1u << 20;
 
+/// Cell-by-cell Describe identity rather than RelationEquals: NaN aggregate
+/// results never compare Equals-equal to themselves, but both paths must
+/// produce the same runtime type, text, and nullness in every cell.
+void ExpectSameCells(const Relation& scalar, const Relation& vectorized) {
+  EXPECT_EQ(scalar.schema()->ToString(), vectorized.schema()->ToString());
+  ASSERT_EQ(scalar.num_rows(), vectorized.num_rows());
+  for (size_t r = 0; r < scalar.num_rows(); ++r) {
+    for (size_t c = 0; c < scalar.num_columns(); ++c) {
+      const Value& a = scalar.at(r, c);
+      const Value& b = vectorized.at(r, c);
+      ASSERT_EQ(a.is_null(), b.is_null()) << "row " << r << " col " << c;
+      if (a.is_null()) continue;
+      EXPECT_EQ(a.type(), b.type()) << "row " << r << " col " << c;
+      EXPECT_EQ(a.ToString(), b.ToString()) << "row " << r << " col " << c;
+    }
+  }
+}
+
 void ExpectGroupByPathsAgree(const RelationPtr& input,
                              const std::vector<std::string>& keys,
                              const std::vector<AggSpec>& aggs) {
@@ -139,21 +161,7 @@ void ExpectGroupByPathsAgree(const RelationPtr& input,
   ASSERT_EQ(scalar.ok(), vectorized.ok()) << scalar.status().ToString() << " / "
                                           << vectorized.status().ToString();
   if (!scalar.ok()) return;
-  // Cell-by-cell Describe identity rather than RelationEquals: NaN aggregate
-  // results never compare Equals-equal to themselves, but both paths must
-  // produce the same runtime type, text, and nullness in every cell.
-  EXPECT_EQ((*scalar)->schema()->ToString(), (*vectorized)->schema()->ToString());
-  ASSERT_EQ((*scalar)->num_rows(), (*vectorized)->num_rows());
-  for (size_t r = 0; r < (*scalar)->num_rows(); ++r) {
-    for (size_t c = 0; c < (*scalar)->num_columns(); ++c) {
-      const Value& a = (*scalar)->at(r, c);
-      const Value& b = (*vectorized)->at(r, c);
-      ASSERT_EQ(a.is_null(), b.is_null()) << "row " << r << " col " << c;
-      if (a.is_null()) continue;
-      EXPECT_EQ(a.type(), b.type()) << "row " << r << " col " << c;
-      EXPECT_EQ(a.ToString(), b.ToString()) << "row " << r << " col " << c;
-    }
-  }
+  ExpectSameCells(**scalar, **vectorized);
 }
 
 TEST(GroupByColumnarTest, DictStringAndTypedKeysMatchScalarOracle) {
@@ -241,6 +249,141 @@ TEST(GroupByColumnarTest, FloatKeysAndUnencodedStringsStayOnTheScalarPath) {
   ExpectGroupByPathsAgree(plain, {"region", "product"},
                           {AggSpec{AggFn::kCount, "", "n"},
                            AggSpec{AggFn::kSum, "units", "total"}});
+}
+
+// ---- Group-by through a selection view's row map ----------------------------
+// A vectorized Sample over a Restrict or Sort view is itself a selection
+// view; the columnar group-by reads the base's columns through the composed
+// row map. Each chain runs twice — all views with the columnar group-by, and
+// all row stores with the TupleKey loop — and the outputs must agree cell
+// for cell.
+
+/// 200k rows: a near-distinct int key (nulls every 97th row, and a run of
+/// ints above 2^53 that round onto one double), low-cardinality bool, date
+/// and string keys with nulls, and float/int/string aggregate inputs with
+/// nulls and NaN.
+RelationPtr WideKeys() {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::string cats[] = {"north", "south", "", "\xc3\xa9t\xc3\xa9", "west"};
+  std::vector<Tuple> rows;
+  rows.reserve(200000);
+  for (size_t r = 0; r < 200000; ++r) {
+    Value key = r % 97 == 96 ? Value::Null() : Value::Int(static_cast<int64_t>(r));
+    // k2To53 and k2To53 + 1 are distinct ints with one double image.
+    if (r % 1000 == 500 || r % 1000 == 501) {
+      key = Value::Int(k2To53 + static_cast<int64_t>(r % 2));
+    }
+    rows.push_back(
+        {key, r % 13 == 12 ? Value::Null() : Value::Bool(r % 3 == 0),
+         r % 17 == 16 ? Value::Null()
+                      : Value::DateVal(types::Date(static_cast<int32_t>(r % 29))),
+         r % 11 == 10 ? Value::Null() : Value::String(cats[r % 5]),
+         r % 7 == 6    ? Value::Null()
+         : r % 23 == 4 ? Value::Float(kNaN)
+                       : Value::Float(static_cast<double>(r % 1013) * 0.125 - 40.0),
+         r % 5 == 4 ? Value::Null() : Value::Int(static_cast<int64_t>(r % 31) - 15)});
+  }
+  return MakeRelation({Column{"k", DataType::kInt}, Column{"b", DataType::kBool},
+                       Column{"d", DataType::kDate}, Column{"s", DataType::kString},
+                       Column{"v", DataType::kFloat}, Column{"w", DataType::kInt}},
+                      rows)
+      .value();
+}
+
+TEST(GroupByRowMapTest, SampledChainsMatchTheScalarChain) {
+  const RelationPtr base = WideKeys();
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggFn::kCount, "", "n"},    AggSpec{AggFn::kSum, "v", "sum_v"},
+      AggSpec{AggFn::kAvg, "w", "avg_w"}, AggSpec{AggFn::kMin, "v", "min_v"},
+      AggSpec{AggFn::kMax, "s", "max_s"}, AggSpec{AggFn::kMin, "d", "min_d"}};
+  using Chain = std::function<RelationPtr(const ExecPolicy&)>;
+  const std::vector<std::pair<std::string, Chain>> chains = {
+      {"restrict>sample",
+       [&](const ExecPolicy& policy) {
+         RelationPtr kept = Restrict(base, "w > -12 or b", policy).value();
+         return Sample(kept, 0.8, 7, policy).value();
+       }},
+      {"sort>sample", [&](const ExecPolicy& policy) {
+         RelationPtr sorted = Sort(base, "w", false, policy).value();
+         return Sample(sorted, 0.6, 11, policy).value();
+       }}};
+  for (const auto& [name, chain] : chains) {
+    const RelationPtr view = chain(VectorizedPolicy());
+    const RelationPtr rows = chain(ScalarPolicy());
+    ASSERT_TRUE(view->is_view());
+    ASSERT_FALSE(rows->is_view());
+    for (const std::vector<std::string>& keys :
+         std::vector<std::vector<std::string>>{{"k"}, {"s"}, {"b", "d"}, {"s", "b", "d"}}) {
+      SCOPED_TRACE(name + " keys " + keys.front());
+      const uint64_t scalar_rows0 =
+          expr::BatchMetrics::Global().group_by_scalar_rows.load();
+      auto vectorized = GroupBy(view, keys, aggs, VectorizedPolicy());
+      ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
+      // Every key set here is columnar-eligible: the TupleKey loop never ran.
+      EXPECT_EQ(expr::BatchMetrics::Global().group_by_scalar_rows.load(), scalar_rows0);
+      auto scalar = GroupBy(rows, keys, aggs, ScalarPolicy());
+      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+      ExpectSameCells(**scalar, **vectorized);
+      if (keys.front() == "k") {
+        // The table grew well past its 16 initial slots.
+        EXPECT_GT((*vectorized)->num_rows(), 100000u);
+      }
+    }
+  }
+}
+
+TEST(GroupByRowMapTest, IntsThatRoundToOneDoubleShareAGroup) {
+  // TupleKey formats an int's double image, so 2^53 and 2^53 + 1 group
+  // together; the flat table must hash and compare the same image.
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  RelationPtr rel =
+      MakeRelation({Column{"k", DataType::kInt}},
+                   {{Value::Int(k2To53)}, {Value::Int(k2To53 + 1)}, {Value::Int(3)},
+                    {Value::Int(k2To53 + 1)}, {Value::Int(k2To53 + 2)}})
+          .value();
+  for (const ExecPolicy& policy : {ScalarPolicy(), VectorizedPolicy()}) {
+    RelationPtr input = Sample(rel, 1.0, 1, policy).value();
+    auto grouped = GroupBy(input, {"k"}, {AggSpec{AggFn::kCount, "", "n"}}, policy);
+    ASSERT_TRUE(grouped.ok());
+    ASSERT_EQ((*grouped)->num_rows(), 3u);
+    EXPECT_EQ((*grouped)->at(0, 0).int_value(), k2To53);
+    EXPECT_EQ((*grouped)->at(0, 1).int_value(), 3);
+    EXPECT_EQ((*grouped)->at(1, 0).int_value(), 3);
+    EXPECT_EQ((*grouped)->at(2, 0).int_value(), k2To53 + 2);
+  }
+}
+
+TEST(GroupByBoxPolicyTest, ScalarEngineRunsTheTupleKeyLoop) {
+  Catalog catalog;
+  RelationPtr keys = MakeRelation({Column{"k", DataType::kInt}},
+                                  {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(1)}})
+                         .value();
+  ASSERT_TRUE(catalog.RegisterTable("Keys", keys).ok());
+  dataflow::Graph graph;
+  std::string table =
+      graph.AddBox(boxes::MakeBox("Table", {{"table", "Keys"}}).value()).value();
+  std::string group =
+      graph
+          .AddBox(boxes::MakeBox("GroupBy", {{"keys", "k"}, {"aggs", "count::n"}})
+                      .value())
+          .value();
+  ASSERT_TRUE(graph.Connect(table, 0, group, 0).ok());
+  std::atomic<uint64_t>& counter = expr::BatchMetrics::Global().group_by_scalar_rows;
+
+  ExecPolicy scalar = ScalarPolicy();
+  scalar.simd = SimdLevel::kScalar;
+  dataflow::Engine scalar_engine(&catalog);
+  scalar_engine.set_exec_policy(scalar);
+  const uint64_t before_scalar = counter.load();
+  ASSERT_TRUE(scalar_engine.Evaluate(graph, group, 0).ok());
+  EXPECT_EQ(counter.load() - before_scalar, keys->num_rows());
+
+  dataflow::Engine vectorized_engine(&catalog);
+  vectorized_engine.set_exec_policy(VectorizedPolicy());
+  const uint64_t before_vectorized = counter.load();
+  ASSERT_TRUE(vectorized_engine.Evaluate(graph, group, 0).ok());
+  EXPECT_EQ(counter.load(), before_vectorized);
 }
 
 TEST(DistinctTest, RemovesDuplicatesKeepsFirst) {

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
+#include "data/generators.h"
+#include "db/exec_policy.h"
+#include "testing/fig_programs.h"
 #include "tioga2/environment.h"
+#include "types/date.h"
 
 namespace tioga2 {
 namespace {
@@ -65,6 +72,104 @@ TEST(DeterminismTest, SampleBoxStableAcrossEvaluations) {
                   .ok());
   auto second = display::AsRelation(session.EvaluateCanvas("sampled").value()).value();
   EXPECT_TRUE(db::RelationEquals(*first.base(), *second.base()));
+}
+
+/// Pins the process-default execution policy for a scope. Engines without
+/// their own policy, and every columnar image built inside the scope
+/// (dict_encode), follow it.
+class PolicyGuard {
+ public:
+  explicit PolicyGuard(const db::ExecPolicy& policy) : saved_(db::DefaultExecPolicy()) {
+    db::SetDefaultExecPolicy(policy);
+  }
+  ~PolicyGuard() { db::SetDefaultExecPolicy(saved_); }
+
+ private:
+  db::ExecPolicy saved_;
+};
+
+struct DrillOutcome {
+  size_t joined_rows = 0;
+  std::string fingerprint;
+  std::map<std::string, std::optional<uint64_t>> stamps;
+  bool sample_is_view = false;
+};
+
+/// Evaluates the drill chain — Observations -> AddAttribute -> Restrict ->
+/// Sample -> GroupBy -> Join Stations — over freshly generated tables under
+/// `policy`.
+DrillOutcome EvaluateDrillChain(const db::ExecPolicy& policy) {
+  PolicyGuard guard(policy);
+  Environment env;
+  db::RelationPtr stations = data::MakeStations(100, 3).value();
+  db::RelationPtr observations =
+      data::MakeObservations(*stations, types::Date::FromYmd(1985, 4, 1), 60, 4)
+          .value();
+  EXPECT_TRUE(env.catalog().RegisterTable("Stations", stations).ok());
+  EXPECT_TRUE(env.catalog().RegisterTable("Observations", observations).ok());
+  ui::Session& session = env.session();
+  std::string previous = session.AddTable("Observations").value();
+  auto chain = [&](const std::string& type,
+                   const std::map<std::string, std::string>& params) {
+    std::string id = session.AddBox(type, params).value();
+    EXPECT_TRUE(session.Connect(previous, 0, id, 0).ok());
+    previous = id;
+    return id;
+  };
+  chain("AddAttribute",
+        {{"name", "celsius"}, {"definition", "(temperature - 32.0) * 5.0 / 9.0"}});
+  chain("Restrict", {{"predicate", "temperature > 50.0"}});
+  const std::string sample = chain("Sample", {{"probability", "0.8"}, {"seed", "7"}});
+  const std::string grouped = chain(
+      "GroupBy", {{"keys", "station_id"},
+                  {"aggs", "avg:temperature:avg_t;count::n;max:precipitation:max_p"}});
+  const std::string join =
+      session.AddBox("Join", {{"predicate", "station_id = station_id_2"}}).value();
+  EXPECT_TRUE(session.Connect(grouped, 0, join, 0).ok());
+  EXPECT_TRUE(session.Connect(session.AddTable("Stations").value(), 0, join, 1).ok());
+
+  DrillOutcome outcome;
+  auto joined = session.engine().Evaluate(session.graph(), join, 0);
+  EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  if (!joined.ok()) return outcome;
+  outcome.fingerprint = testing::FingerprintBoxValue(joined.value());
+  auto joined_relation = display::AsRelation(std::get<display::Displayable>(*joined));
+  if (joined_relation.ok()) outcome.joined_rows = joined_relation->num_rows();
+  for (const std::string& id : session.graph().BoxIds()) {
+    outcome.stamps[id] = session.engine().cache().StampOf(id);
+  }
+  auto sampled = session.engine().Evaluate(session.graph(), sample, 0);
+  EXPECT_TRUE(sampled.ok());
+  if (sampled.ok()) {
+    auto relation = display::AsRelation(std::get<display::Displayable>(*sampled));
+    outcome.sample_is_view = relation.ok() && relation->base()->is_view();
+  }
+  return outcome;
+}
+
+TEST(DeterminismTest, DrillChainIdenticalUnderEveryPolicy) {
+  db::ExecPolicy scalar;
+  scalar.vectorized = false;
+  scalar.simd = db::SimdLevel::kScalar;
+  db::ExecPolicy vectorized;
+  vectorized.simd = db::SimdLevel::kScalar;
+  db::ExecPolicy avx2;
+  avx2.simd = db::SimdLevel::kAVX2;  // clamps to the best level the host runs
+  db::ExecPolicy dict_off = avx2;
+  dict_off.dict_encode = false;
+
+  const DrillOutcome oracle = EvaluateDrillChain(scalar);
+  ASSERT_GT(oracle.joined_rows, 50u);  // one row per station with a kept day
+  EXPECT_FALSE(oracle.sample_is_view);
+  const std::pair<const char*, db::ExecPolicy> passes[] = {
+      {"vectorized", vectorized}, {"avx2", avx2}, {"dict-off", dict_off}};
+  for (const auto& [name, policy] : passes) {
+    SCOPED_TRACE(name);
+    const DrillOutcome outcome = EvaluateDrillChain(policy);
+    EXPECT_EQ(outcome.fingerprint, oracle.fingerprint);
+    EXPECT_EQ(outcome.stamps, oracle.stamps);
+    EXPECT_TRUE(outcome.sample_is_view);
+  }
 }
 
 TEST(DeterminismTest, RasterAndSvgBackendsAgreeOnContent) {

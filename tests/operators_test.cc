@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "db/operators.h"
+#include "types/date.h"
 
 namespace tioga2::db {
 namespace {
@@ -187,6 +191,144 @@ TEST(LimitTest, TruncatesAndClamps) {
   EXPECT_EQ(Limit(People(), 2).value()->num_rows(), 2u);
   EXPECT_EQ(Limit(People(), 0).value()->num_rows(), 0u);
   EXPECT_EQ(Limit(People(), 100).value()->num_rows(), 4u);
+}
+
+// ---- Selection-view Sample and Limit ----------------------------------------
+// Under the vectorized policy Sample and Limit emit selection views over
+// their input; the scalar policy keeps the row-store oracle. Both must hold
+// the same values, and the view's columnar image must equal the one the
+// oracle materializes from its rows.
+
+ExecPolicy ScalarPolicy() {
+  ExecPolicy policy;
+  policy.vectorized = false;
+  return policy;
+}
+
+ExecPolicy VectorizedPolicy() {
+  ExecPolicy policy;
+  policy.vectorized = true;
+  return policy;
+}
+
+/// 600 rows over every stored type, nulls on coprime periods, -0.0 floats
+/// (NaN would make RelationEquals false on any path), and a low-cardinality
+/// string column.
+RelationPtr Mixed() {
+  const std::string cats[] = {"", "west", "east", std::string("a\0b", 3),
+                              "\xc3\xa9" "clair"};
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < 600; ++r) {
+    rows.push_back(
+        {r % 11 == 10 ? Value::Null() : Value::String(cats[r % 5]),
+         r % 7 == 6 ? Value::Null() : Value::Int(static_cast<int64_t>(r % 9) - 3),
+         r % 13 == 12 ? Value::Null()
+         : r % 17 == 5 ? Value::Float(-0.0)
+                       : Value::Float(static_cast<double>(r) * 0.5 - 100.0),
+         r % 5 == 4 ? Value::Null() : Value::Bool(r % 3 == 0),
+         r % 19 == 18 ? Value::Null()
+                      : Value::DateVal(types::Date(static_cast<int32_t>(r % 40)))});
+  }
+  return MakeRelation({Column{"s", DataType::kString}, Column{"i", DataType::kInt},
+                       Column{"f", DataType::kFloat}, Column{"b", DataType::kBool},
+                       Column{"d", DataType::kDate}},
+                      rows)
+      .value();
+}
+
+/// Typed vectors and null bitmaps equal, floats compared bit for bit (so
+/// -0.0 must stay -0.0). Dictionary codes are not compared: a view shares its base's
+/// dictionary while the oracle encodes only its own rows.
+void ExpectSameColumn(const ColumnVector& view, const ColumnVector& oracle) {
+  ASSERT_EQ(view.type, oracle.type);
+  ASSERT_EQ(view.num_rows, oracle.num_rows);
+  EXPECT_EQ(view.null_bits, oracle.null_bits);
+  EXPECT_EQ(view.bools, oracle.bools);
+  EXPECT_EQ(view.ints, oracle.ints);
+  EXPECT_EQ(view.strings, oracle.strings);
+  EXPECT_EQ(view.dates, oracle.dates);
+  ASSERT_EQ(view.floats.size(), oracle.floats.size());
+  if (!view.floats.empty()) {
+    EXPECT_EQ(std::memcmp(view.floats.data(), oracle.floats.data(),
+                          view.floats.size() * sizeof(double)),
+              0);
+  }
+}
+
+/// `view` is a vectorized result over `input`, `oracle` the scalar one.
+void ExpectViewMatchesOracle(const RelationPtr& input, const RelationPtr& view,
+                             const RelationPtr& oracle) {
+  EXPECT_TRUE(view->is_view());
+  EXPECT_FALSE(oracle->is_view());
+  ASSERT_TRUE(RelationEquals(*view, *oracle));
+  for (size_t c = 0; c < view->num_columns(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    const ColumnVector& col = view->columnar().column(c);
+    ExpectSameColumn(col, oracle->columnar().column(c));
+    if (col.type == DataType::kString) {
+      ASSERT_TRUE(col.has_dict());
+      EXPECT_EQ(col.dict_values, input->columnar().column(c).dict_values);
+    }
+  }
+}
+
+/// Sample's inputs: a materialized relation and the three view shapes a
+/// vectorized chain hands it.
+std::vector<std::pair<std::string, RelationPtr>> SampleInputs() {
+  RelationPtr base = Mixed();
+  RelationPtr keys =
+      MakeRelation({Column{"k", DataType::kInt}, Column{"label", DataType::kString}},
+                   {{Value::Int(-3), Value::String("low")},
+                    {Value::Int(0), Value::String("zero")},
+                    {Value::Int(0), Value::String("nil")},
+                    {Value::Int(4), Value::Null()}})
+          .value();
+  RelationPtr restricted = Restrict(base, "i > -2", VectorizedPolicy()).value();
+  RelationPtr sorted = Sort(base, "f", false, VectorizedPolicy()).value();
+  RelationPtr joined = Join(base, keys, "i = k", VectorizedPolicy()).value().relation;
+  EXPECT_TRUE(restricted->is_view());
+  EXPECT_TRUE(sorted->is_view());
+  EXPECT_TRUE(joined->is_view());
+  return {{"materialized", base},
+          {"restrict view", restricted},
+          {"sort view", sorted},
+          {"join view", joined}};
+}
+
+TEST(SampleViewTest, VectorizedSampleIsAViewEqualToTheScalarOracle) {
+  for (const auto& [name, input] : SampleInputs()) {
+    for (double p : {0.0, 0.37, 1.0}) {
+      for (uint64_t seed : {7u, 1234u}) {
+        SCOPED_TRACE(name + " p=" + std::to_string(p) + " seed=" +
+                     std::to_string(seed));
+        RelationPtr view = Sample(input, p, seed, VectorizedPolicy()).value();
+        RelationPtr oracle = Sample(input, p, seed, ScalarPolicy()).value();
+        ExpectViewMatchesOracle(input, view, oracle);
+        if (p == 0.0) {
+          EXPECT_EQ(view->num_rows(), 0u);
+        }
+        if (p == 1.0) {
+          EXPECT_EQ(view->num_rows(), input->num_rows());
+        }
+      }
+    }
+  }
+}
+
+TEST(LimitViewTest, VectorizedLimitIsAViewEqualToTheScalarOracle) {
+  RelationPtr base = Mixed();
+  RelationPtr restricted = Restrict(base, "b", VectorizedPolicy()).value();
+  ASSERT_TRUE(restricted->is_view());
+  for (const RelationPtr& input : {base, restricted}) {
+    for (size_t n : {size_t{0}, size_t{10}, input->num_rows() + 5}) {
+      SCOPED_TRACE(std::string(input->is_view() ? "view" : "materialized") +
+                   " n=" + std::to_string(n));
+      RelationPtr view = Limit(input, n, VectorizedPolicy()).value();
+      RelationPtr oracle = Limit(input, n, ScalarPolicy()).value();
+      ExpectViewMatchesOracle(input, view, oracle);
+      EXPECT_EQ(view->num_rows(), std::min(n, input->num_rows()));
+    }
+  }
 }
 
 class SampleSweepTest : public ::testing::TestWithParam<double> {};

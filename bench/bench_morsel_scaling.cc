@@ -19,7 +19,7 @@
 // Writes bench_out/morsel_scaling.json (recorded in EXPERIMENTS.md). The
 // speedup claim is hardware-bounded: on fewer than 8 visible cores the
 // wall-clock target cannot reproduce, so the JSON carries hardware_cores
-// and the claim degrades to a low-overhead check, as in claim_parallel.
+// and the claim degrades to a low-overhead check.
 
 #include "bench/bench_common.h"
 

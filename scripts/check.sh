@@ -1,46 +1,12 @@
 #!/usr/bin/env bash
-# The single verification entry point (see README "Verifying a change"):
-#   1. tier 1 — build everything and run the full test suite;
-#   2. tsan   — rebuild with ThreadSanitizer and run the concurrency tests
-#               (the engine's box-level fan-out across a runner, session
-#               server, determinism, fanned-out delta propagation, and the
-#               morsel fan-out suite in batch_eval_test — morsel bodies run
-#               concurrently on pool workers, so their result-slot hand-off
-#               must be race-free);
-#   3. asan   — rebuild with Address+UB sanitizers and run the columnar /
-#               batch-evaluation / aggregates tests (the paths that index raw
-#               column vectors through selection vectors, row maps and
-#               dictionary codes) and determinism_test, whose drill chain
-#               groups a Sample view through its composed row map under
-#               every policy;
-#   4. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
-#               asan pass it traps on the first finding instead of
-#               recovering) and run the join/operator/aggregates tests and
-#               determinism_test — the class of bug this catches
-#               mechanically is the old HashKey out-of-range double->int64
-#               cast;
-#   5. recovery — the crash-safety gate: the storage tests (which include
-#               the nine-figure kill-and-recover snapshot/replay cycle) under
-#               ThreadSanitizer — snapshotting runs on a background thread
-#               concurrent with edits and queries — and the FaultFs
-#               crash-injection property tests under Address+UB sanitizers,
-#               where torn half-records are decoded from raw bytes;
-#   6. nosimd — rebuild with -DTIOGA2_SIMD=OFF and rerun the full suite, so
-#               the scalar fallback path (the only path on machines where the
-#               SIMD tiers are compiled out) can never rot. The sanitizer
-#               passes above inherit the default SIMD=ON build and therefore
-#               sanitize the kernels themselves;
-#   7. docs   — lint that every DESIGN.md / ARCHITECTURE.md / EXPERIMENTS.md
+# The single verification entry point (see README "Verifying a change").
+# Steps, in the order they run:
+#   1. docs   — lint that every DESIGN.md / ARCHITECTURE.md / EXPERIMENTS.md
 #               section anchor referenced from README.md (and between those
 #               documents) resolves, so renaming a heading cannot silently
 #               orphan the execution-model documentation;
-#   8. load-smoke — a small-N run of the session-server load harness
-#               (bench_session_load --smoke): replays mixed multi-session
-#               traffic with the shared memo tier on and off, asserting zero
-#               handler errors, nonzero shared-cache hits, byte-identical
-#               cross-session outputs, and convergence within 2x
-#               single-session work; then validates the emitted JSON report.
-#   9. dict-smoke — a small-N run of the dictionary-encoding ablation
+#   2. tier 1 — build everything and run the full test suite;
+#   3. dict-smoke — a small-N run of the dictionary-encoding ablation
 #               (bench_dict_strings --smoke): runs the categorical restrict /
 #               group-by / string-key join workloads scalar, vectorized
 #               without dictionaries, and vectorized with dictionaries,
@@ -48,19 +14,54 @@
 #               dict restrict actually dispatched code-lane batches, and that
 #               the dict join never fell back to string hashing; then
 #               validates the JSON.
-#  10. contention — a small-N run of the lock-contention harness
+#   4. contention — a small-N run of the lock-contention harness
 #               (bench_lock_contention --smoke): sweeps the epoch-reclaimed
 #               lock-free memo-lookup and catalog-resolution paths at 1/8/32
 #               reader threads, asserting 8-thread throughput holds parity
 #               with 1 thread (readers must never re-serialize) and that
 #               epoch pins were actually taken; then validates the JSON.
-#  11. bench-smoke — 3-second runs of the interaction benchmark
+#   5. bench-smoke — 3-second runs of the interaction benchmark
 #               (interaction_bench/run.py) for drill, serve, and navigate,
 #               built against the current src/: an engine API change that
 #               breaks the benchmark fails here, and each run must report
 #               "correct": true with at least one edit, canvas, or frame
 #               compared against the scalar oracle. Seed 5, because seed 1's
-#               first sampled drill edit lies beyond a 3-second run.
+#               first sampled drill edit lies beyond a 3-second run. The serve
+#               run also gates the session server: a failed, rejected or
+#               expired request, or a timed phase without shared-tier hits,
+#               makes "correct" false.
+#   6. tsan   — rebuild with ThreadSanitizer and run the concurrency tests
+#               (engines lending a runner to their boxes' morsel fan-out,
+#               session server, determinism, fanned-out delta propagation,
+#               epoch reclamation, and the morsel suite in batch_eval_test —
+#               morsel bodies run concurrently on pool workers, including
+#               groups started from a busy pool's own workers, so their
+#               result-slot hand-off must be race-free);
+#   7. asan   — rebuild with Address+UB sanitizers and run the columnar /
+#               batch-evaluation / aggregates tests (the paths that index raw
+#               column vectors through selection vectors, row maps and
+#               dictionary codes) and determinism_test, whose drill chain
+#               groups a Sample view through its composed row map under
+#               every policy;
+#   8. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
+#               asan pass it traps on the first finding instead of
+#               recovering) and run the join/operator/aggregates tests and
+#               determinism_test — the class of bug this catches
+#               mechanically is the old HashKey out-of-range double->int64
+#               cast;
+#   9. recovery — the crash-safety gate: the storage tests (which include
+#               the nine-figure kill-and-recover snapshot/replay cycle) under
+#               ThreadSanitizer — snapshotting runs on a background thread
+#               concurrent with edits and queries — and the FaultFs
+#               crash-injection property tests under Address+UB sanitizers,
+#               where torn half-records are decoded from raw bytes;
+#  10. nosimd — rebuild with -DTIOGA2_SIMD=OFF and rerun the full suite, so
+#               the scalar fallback path (the only path on machines where the
+#               SIMD tiers are compiled out) can never rot. The sanitizer
+#               passes above inherit the default SIMD=ON build and therefore
+#               sanitize the kernels themselves.
+# Builds run at most $(nproc) jobs each: a bare -j is unbounded under make,
+# and five build trees compile here.
 # The epoch-reclamation tests (epoch_test, incl. the reader/retire torture
 # case) run in the tsan, asan, AND ubsan passes: reclaim-while-pinned is a
 # use-after-free asan turns into a hard failure, and pin/advance ordering
@@ -74,7 +75,7 @@ scripts/lint_docs.sh
 
 echo "== tier 1: build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 if [[ "${1:-}" == "--fast" ]]; then
@@ -82,20 +83,9 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== load-smoke: session-server load harness, small N =="
 mkdir -p bench_out  # the smoke benches' --out paths below write into it
-cmake --build build -j --target bench_session_load
-build/bench/bench_session_load --smoke --out=bench_out/session_load_smoke.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool bench_out/session_load_smoke.json >/dev/null
-else
-  # Minimal structural check when python3 is unavailable.
-  grep -q '"convergence"' bench_out/session_load_smoke.json
-  grep -q '"shared_on"' bench_out/session_load_smoke.json
-fi
-
 echo "== dict-smoke: dictionary-encoded string execution ablation, small N =="
-cmake --build build -j --target bench_dict_strings
+cmake --build build -j "$(nproc)" --target bench_dict_strings
 build/bench/bench_dict_strings --smoke --out=bench_out/dict_strings_smoke.json
 if command -v python3 >/dev/null 2>&1; then
   python3 -m json.tool bench_out/dict_strings_smoke.json >/dev/null
@@ -105,7 +95,7 @@ else
 fi
 
 echo "== contention: lock-free read-path harness, small N =="
-cmake --build build -j --target bench_lock_contention
+cmake --build build -j "$(nproc)" --target bench_lock_contention
 build/bench/bench_lock_contention --smoke --out=bench_out/lock_contention.json
 if command -v python3 >/dev/null 2>&1; then
   python3 -m json.tool bench_out/lock_contention.json >/dev/null
@@ -131,9 +121,9 @@ if correct is not True or compared < 1:
 ' "$workload"
 done
 
-echo "== tsan: engine fan-out + session server + epoch + morsel fan-out tests =="
+echo "== tsan: runner + session server + determinism + epoch + morsel fan-out tests =="
 cmake -B build-tsan -S . -DTIOGA2_TSAN=ON >/dev/null
-cmake --build build-tsan -j --target \
+cmake --build build-tsan -j "$(nproc)" --target \
   runtime_test session_server_test runtime_determinism_test delta_update_test \
   batch_eval_test epoch_test
 (cd build-tsan && ctest --output-on-failure \
@@ -143,7 +133,7 @@ cmake --build build-tsan -j --target \
 # which these two passes do not build.
 echo "== asan: columnar + batch evaluation + aggregates + determinism + epoch tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
-cmake --build build-asan -j --target \
+cmake --build build-asan -j "$(nproc)" --target \
   columnar_test batch_eval_test operators_test display_relation_test \
   aggregates_test determinism_test epoch_test
 (cd build-asan && ctest --output-on-failure \
@@ -151,21 +141,21 @@ cmake --build build-asan -j --target \
 
 echo "== ubsan: join + operator + aggregates + determinism + epoch tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
-cmake --build build-ubsan -j --target \
+cmake --build build-ubsan -j "$(nproc)" --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
   determinism_test epoch_test
 (cd build-ubsan && ctest --output-on-failure \
   -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|^determinism_test$|epoch_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
-cmake --build build-tsan -j --target storage_test
+cmake --build build-tsan -j "$(nproc)" --target storage_test
 (cd build-tsan && ctest --output-on-failure -R 'storage_test')
-cmake --build build-asan -j --target storage_test storage_crash_test
+cmake --build build-asan -j "$(nproc)" --target storage_test storage_crash_test
 (cd build-asan && ctest --output-on-failure -R 'storage_test|storage_crash_test')
 
 echo "== nosimd: full suite with the SIMD tiers compiled out =="
 cmake -B build-nosimd -S . -DTIOGA2_SIMD=OFF >/dev/null
-cmake --build build-nosimd -j
+cmake --build build-nosimd -j "$(nproc)"
 (cd build-nosimd && ctest --output-on-failure -j)
 
 echo "OK"

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 
 #include "dataflow/stamp.h"
-#include "db/morsel.h"
 
 namespace tioga2::dataflow {
 
@@ -30,11 +24,7 @@ struct Engine::Plan {
     const Box* box = nullptr;
     std::vector<PortType> input_types;
     std::vector<Input> inputs;  // port order
-    // Written by Resolve.
-    MemoCache::EntryPtr entry;  // non-null once resolved
-    BoxOutcome outcome = BoxOutcome::kHit;
-    double fire_micros = 0;
-    std::vector<std::string> warnings;
+    MemoCache::EntryPtr entry;  // set by Resolve
   };
 
   /// Plans `id` after its unplanned inputs, depth first in port order — the
@@ -76,7 +66,7 @@ Result<size_t> Engine::Plan::Add(const Graph& graph, std::string id) {
   return *slot;
 }
 
-Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) const {
+Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) {
   Plan::Node& node = plan->nodes[index];
   ExecContext ctx;
   ctx.catalog = catalog_;
@@ -94,9 +84,21 @@ Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) c
     stamp = FoldInputStamp(stamp, up.entry->stamp, in.from_port, port);
   }
 
-  if ((node.entry = cache_->Lookup(*node.id, stamp)) != nullptr) {
-    node.outcome = BoxOutcome::kHit;
+  // Counts the node and reports it to the observer as it resolves, so both
+  // see the plan's post-order.
+  auto resolved = [this, &node](BoxOutcome outcome, double fire_micros) {
+    if (outcome == BoxOutcome::kFired) {
+      ++stats_.boxes_fired;
+    } else {
+      ++stats_.cache_hits;
+      if (outcome == BoxOutcome::kAdopted) ++stats_.shared_hits;
+    }
+    if (observer_ != nullptr) observer_->OnBoxResolved(*node.box, outcome, fire_micros);
     return Status::OK();
+  };
+
+  if ((node.entry = cache_->Lookup(*node.id, stamp)) != nullptr) {
+    return resolved(BoxOutcome::kHit, 0);
   }
   // Local miss: another session may have evaluated an identical subgraph —
   // stamps are content-addressed, so a shared-tier entry under this stamp is
@@ -105,8 +107,7 @@ Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) c
   if (shared_cache_ != nullptr) {
     if (MemoCache::EntryPtr shared = shared_cache_->Lookup(stamp)) {
       node.entry = cache_->InsertEntry(*node.id, std::move(shared));
-      node.outcome = BoxOutcome::kAdopted;
-      return Status::OK();
+      return resolved(BoxOutcome::kAdopted, 0);
     }
   }
 
@@ -123,10 +124,10 @@ Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) c
   }
   const auto start = std::chrono::steady_clock::now();
   Result<std::vector<BoxValue>> outputs = node.box->Fire(inputs, ctx);
-  node.fire_micros = std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  node.warnings = std::move(ctx.warnings);
+  const double fire_micros = std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  for (std::string& warning : ctx.warnings) warnings_.push_back(std::move(warning));
   TIOGA2_RETURN_IF_ERROR(outputs.status());
   const size_t declared = node.box->OutputTypes().size();
   if (outputs->size() != declared) {
@@ -136,145 +137,15 @@ Status Engine::Resolve(Plan* plan, size_t index, const db::ExecPolicy& policy) c
   }
   node.entry = cache_->Insert(*node.id, stamp, std::move(outputs).value());
   if (shared_cache_ != nullptr) shared_cache_->Insert(node.entry);
-  node.outcome = BoxOutcome::kFired;
-  return Status::OK();
-}
-
-namespace {
-
-/// Scheduler state of one fanned-out run, shared by the calling thread and
-/// the runner's help tickets. Held by shared_ptr because a ticket may run
-/// after the run returned; it then finds `ready` empty and touches nothing
-/// else. `resolve` and `runner` are only used by a thread holding a claimed
-/// node, and the run waits for every claimed node to finish.
-struct FanOut {
-  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<size_t> ready;
-  size_t running = 0;
-  std::vector<size_t> pending;                  // unresolved inputs per node
-  std::vector<std::vector<size_t>> dependents;  // one entry per consuming edge
-  size_t failed = kNone;                        // earliest failed node
-  Status error;
-  std::function<Status(size_t)> resolve;
-  db::MorselRunner* runner = nullptr;
-};
-
-/// Resolves claimed node `node`, then releases the dependents it made ready
-/// with one help ticket each. A failure stops the release of new nodes; the
-/// error kept is the one earliest in post-order, as an inline run reports.
-void ResolveClaimed(const std::shared_ptr<FanOut>& state, size_t node);
-
-/// A help ticket: claims one ready node, if any, and resolves it.
-void Help(const std::shared_ptr<FanOut>& state) {
-  size_t node;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->ready.empty()) return;
-    node = state->ready.front();
-    state->ready.pop_front();
-    ++state->running;
-  }
-  ResolveClaimed(state, node);
-}
-
-void ResolveClaimed(const std::shared_ptr<FanOut>& state, size_t node) {
-  Status status = state->resolve(node);
-  size_t released = 0;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (!status.ok()) {
-      if (node < state->failed) {
-        state->failed = node;
-        state->error = std::move(status);
-      }
-      state->ready.clear();
-    } else if (state->failed == FanOut::kNone) {
-      for (size_t dependent : state->dependents[node]) {
-        if (--state->pending[dependent] > 0) continue;
-        state->ready.push_back(dependent);
-        ++released;
-      }
-    }
-  }
-  // Submitted while this node still counts as running, so the run cannot
-  // return (and its runner go away) first.
-  for (size_t i = 0; i < released; ++i) {
-    state->runner->Submit([state] { Help(state); });
-  }
-  std::lock_guard<std::mutex> lock(state->mu);
-  --state->running;
-  state->cv.notify_all();
-}
-
-}  // namespace
-
-Status Engine::RunFanOut(Plan* plan, const db::ExecPolicy& policy,
-                         db::MorselRunner* runner) const {
-  auto state = std::make_shared<FanOut>();
-  const size_t num_nodes = plan->nodes.size();
-  state->pending.resize(num_nodes);
-  state->dependents.resize(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    const std::vector<Plan::Input>& inputs = plan->nodes[i].inputs;
-    state->pending[i] = inputs.size();
-    for (const Plan::Input& in : inputs) state->dependents[in.node].push_back(i);
-    if (inputs.empty()) state->ready.push_back(i);
-  }
-  state->resolve = [this, plan, &policy](size_t node) {
-    return Resolve(plan, node, policy);
-  };
-  state->runner = runner;
-
-  // The calling thread drains the ready queue itself; tickets only add
-  // width, so the run completes even if no ticket ever gets a worker.
-  const size_t initially_ready = state->ready.size();
-  for (size_t i = 1; i < initially_ready; ++i) {
-    runner->Submit([state] { Help(state); });
-  }
-  std::unique_lock<std::mutex> lock(state->mu);
-  for (;;) {
-    state->cv.wait(lock, [&state] {
-      return !state->ready.empty() || state->running == 0;
-    });
-    if (state->ready.empty()) break;  // nothing ready and nothing running
-    size_t node = state->ready.front();
-    state->ready.pop_front();
-    ++state->running;
-    lock.unlock();
-    ResolveClaimed(state, node);
-    lock.lock();
-  }
-  return state->failed == FanOut::kNone ? Status::OK() : state->error;
+  return resolved(BoxOutcome::kFired, fire_micros);
 }
 
 Status Engine::Run(Plan* plan) {
   const db::ExecPolicy policy = policy_.value_or(db::DefaultExecPolicy());
-  Status status;
-  db::MorselRunner* runner = db::FanOutRunner(policy);
-  if (runner != nullptr && plan->nodes.size() > 1) {
-    status = RunFanOut(plan, policy, runner);
-  } else {
-    for (size_t i = 0; i < plan->nodes.size() && status.ok(); ++i) {
-      status = Resolve(plan, i, policy);
-    }
+  for (size_t i = 0; i < plan->nodes.size(); ++i) {
+    TIOGA2_RETURN_IF_ERROR(Resolve(plan, i, policy));
   }
-  for (Plan::Node& node : plan->nodes) {
-    for (std::string& warning : node.warnings) warnings_.push_back(std::move(warning));
-    if (node.entry == nullptr) continue;  // the run stopped before this node
-    if (node.outcome == BoxOutcome::kFired) {
-      ++stats_.boxes_fired;
-    } else {
-      ++stats_.cache_hits;
-      if (node.outcome == BoxOutcome::kAdopted) ++stats_.shared_hits;
-    }
-    if (observer_ != nullptr) {
-      observer_->OnBoxResolved(*node.box, node.outcome, node.fire_micros);
-    }
-  }
-  return status;
+  return Status::OK();
 }
 
 Result<BoxValue> Engine::Evaluate(const Graph& graph, const std::string& box_id,

@@ -92,11 +92,10 @@ enum class BoxOutcome {
   kFired,    // neither did, so the box fired
 };
 
-/// Per-box hook of an evaluation: a layer seam like db::MorselRunner, so the
-/// runtime can record box timings without dataflow depending on it
-/// (runtime::Metrics implements it). The engine calls it on the evaluating
-/// thread, after the run, once per box the run resolved, in post-order, so
-/// an implementation sees the same sequence inline and fanned out.
+/// Per-box hook of an evaluation: a layer seam, so the runtime can record
+/// box timings without dataflow depending on it (runtime::Metrics
+/// implements it). The engine calls it on the evaluating thread as each box
+/// resolves, once per box, in plan post-order.
 class BoxObserver {
  public:
   virtual ~BoxObserver() = default;
@@ -116,16 +115,12 @@ class BoxObserver {
 /// only the boxes downstream of the edit.
 ///
 /// An evaluation first plans the demanded closure — each box once, in DFS
-/// post-order with inputs in port order — then resolves every plan node by
-/// one step: stamp fold, memo lookup, shared-tier adoption, coercion, Fire,
-/// arity check, insert and publish. Inline, the calling thread resolves the
-/// nodes in post-order and stops at the first failure. When the execution
-/// policy lends a runner that may fan out (db::FanOutRunner: vectorized
-/// policy, at least two workers), independent nodes resolve concurrently on
-/// a dependency-counting scheduler whose ready queue the calling thread
-/// drains too; runner tickets only add width, so a run makes progress (and
-/// cannot deadlock) even when every worker is busy. Both modes produce the
-/// same stamps, outputs, counters, and warnings.
+/// post-order with inputs in port order — then the calling thread resolves
+/// the nodes in that order, stopping at the first failure. Resolving a node
+/// is one step: stamp fold, memo lookup, shared-tier adoption, coercion,
+/// Fire, arity check, insert and publish. The only parallelism inside an
+/// evaluation is a fired box's morsel fan-out across the policy's runner
+/// (db/morsel.h).
 ///
 /// The memo cache may be shared with other engines (MemoCache is
 /// thread-safe). The Engine itself serves one caller at a time; concurrency
@@ -164,15 +159,14 @@ class Engine {
   Result<InvalidationResult> Invalidate(const Graph& graph,
                                         const Invalidation& inv);
 
-  /// Counters, folded in on the calling thread after each run. A box
-  /// reached along several paths of one evaluation counts once.
+  /// Counters, updated as each box resolves. A box reached along several
+  /// paths of one evaluation counts once.
   const EngineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EngineStats{}; }
 
   /// Per-engine execution policy. When unset the engine resolves
   /// db::DefaultExecPolicy() at each evaluation (db::SetDefaultExecPolicy is
-  /// the process-wide default for callers that never opt in). The policy's
-  /// runner, when it may fan out, also spreads independent boxes.
+  /// the process-wide default for callers that never opt in).
   void set_exec_policy(db::ExecPolicy policy) { policy_ = policy; }
   const std::optional<db::ExecPolicy>& exec_policy() const { return policy_; }
 
@@ -200,18 +194,12 @@ class Engine {
  private:
   struct Plan;
 
-  /// Resolves plan node `node`, whose inputs are resolved. Writes only that
-  /// node and the (thread-safe) caches, so fanned-out nodes may run
-  /// concurrently.
-  Status Resolve(Plan* plan, size_t node, const db::ExecPolicy& policy) const;
+  /// Resolves plan node `node`, whose inputs are resolved, and records it in
+  /// stats_, warnings_ and the observer.
+  Status Resolve(Plan* plan, size_t node, const db::ExecPolicy& policy);
 
-  /// Resolves every node of `plan`, inline or fanned out, then folds the
-  /// run's counters, warnings, and observer calls in post-order.
+  /// Resolves every node of `plan` in post-order; stops at the first failure.
   Status Run(Plan* plan);
-
-  /// Resolves `plan` on `runner` plus the calling thread.
-  Status RunFanOut(Plan* plan, const db::ExecPolicy& policy,
-                   db::MorselRunner* runner) const;
 
   const db::Catalog* catalog_;
   const std::vector<BoxValue>* encap_inputs_ = nullptr;

@@ -15,10 +15,9 @@ namespace tioga2::dataflow {
 
 /// Thread-safe memo store for box outputs, keyed by box id and guarded by a
 /// stamp (see dataflow/stamp.h). Extracted from Engine so that one cache can
-/// be shared between engines and with the runner threads an engine fans
-/// boxes out across: entries are immutable and handed out as shared_ptr, so
-/// a reader holding an entry is never invalidated by a concurrent insert or
-/// eviction.
+/// be shared between engines, including engines running on different
+/// threads: entries are immutable and handed out as shared_ptr, so a reader
+/// holding an entry is never invalidated by a concurrent insert or eviction.
 ///
 /// The cache holds at most one entry per box id — a re-fire after an edit or
 /// a table-version bump overwrites the stale entry — so its footprint is

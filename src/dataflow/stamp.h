@@ -9,11 +9,11 @@
 
 namespace tioga2::dataflow {
 
-// The stamp algebra shared by the Engine (inline or fanned out across a
-// runner) and delta propagation. Every path MUST key memo-cache entries with
-// the exact same stamps so that a cache populated by one is valid for the
-// others, and so that inline and fanned-out evaluation are bit-identical
-// (asserted by runtime_determinism_test).
+// The stamp algebra shared by the Engine and delta propagation. Both paths
+// MUST key memo-cache entries with the exact same stamps so that a cache
+// populated by one is valid for the other, and so that engines under any
+// execution policy — with or without a runner — are bit-identical (asserted
+// by runtime_determinism_test).
 //
 // The stamp/memoization contract (see also DESIGN.md "The stamp contract"):
 //

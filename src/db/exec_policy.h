@@ -73,14 +73,14 @@ struct ExecPolicy {
   /// inputs still split across 8 workers.
   size_t morsel_rows = 32768;
 
-  /// Worker pool that independent boxes (dataflow::Engine) and the
-  /// vectorized operators' morsels may fan out across; nullptr (the
-  /// default) runs everything on the calling thread. Non-owning — the pool
-  /// must outlive any evaluation run under the policy. Boxes running on the
-  /// pool fan their morsels out across the same pool; see ForEachMorsel
-  /// (db/morsel.h) for why that cannot deadlock the engine's scheduler.
-  /// Ignored when `vectorized` is false (the scalar oracle stays strictly
-  /// sequential) or when the pool has a single worker (FanOutRunner).
+  /// Worker pool the vectorized operators' morsels may fan out across
+  /// (db/morsel.h); nullptr (the default) runs everything on the calling
+  /// thread. Non-owning — the pool must outlive any evaluation run under the
+  /// policy. A caller already running on the pool may lend it too: the
+  /// caller drains its own morsel group, so a busy pool costs parallelism,
+  /// never progress (see ForEachMorsel). Ignored when `vectorized` is false
+  /// (the scalar oracle stays strictly sequential) or when the pool has a
+  /// single worker.
   MorselRunner* runner = nullptr;
 };
 

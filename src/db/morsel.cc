@@ -11,13 +11,6 @@
 
 namespace tioga2::db {
 
-MorselRunner* FanOutRunner(const ExecPolicy& policy) {
-  // The scalar oracle (vectorized == false) never fans out; a single worker
-  // could not speed anything up.
-  if (!policy.vectorized || policy.runner == nullptr) return nullptr;
-  return policy.runner->num_threads() >= 2 ? policy.runner : nullptr;
-}
-
 size_t MorselRows(const ExecPolicy& policy) {
   return policy.morsel_rows == 0 ? 1 : policy.morsel_rows;
 }
@@ -76,9 +69,11 @@ Status ForEachMorsel(const ExecPolicy& policy, size_t num_rows,
   const size_t morsel_rows = MorselRows(policy);
   expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
 
-  // A group a single morsel could not speed up stays serial too.
-  MorselRunner* runner = FanOutRunner(policy);
-  if (runner == nullptr || num_morsels < 2) {
+  // The scalar oracle (vectorized == false) never fans out, and a group a
+  // single worker or a single morsel could not speed up stays serial too.
+  MorselRunner* runner = policy.runner;
+  if (!policy.vectorized || runner == nullptr || runner->num_threads() < 2 ||
+      num_morsels < 2) {
     ++metrics.morsel_groups;
     metrics.morsels_executed += num_morsels;
     for (size_t m = 0; m < num_morsels; ++m) {

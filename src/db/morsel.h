@@ -32,12 +32,6 @@ class MorselRunner {
   virtual size_t num_threads() const = 0;
 };
 
-/// The runner `policy` lets work fan out across, or null: fan-out needs the
-/// vectorized policy (the scalar oracle stays strictly sequential) and a
-/// runner with at least two workers. The one rule shared by ForEachMorsel
-/// and the dataflow engine's box-level fan-out.
-MorselRunner* FanOutRunner(const ExecPolicy& policy);
-
 /// Rows per morsel under `policy` (never zero; a zero knob clamps to 1).
 size_t MorselRows(const ExecPolicy& policy);
 
@@ -54,19 +48,18 @@ using MorselBody = std::function<Status(size_t morsel, size_t begin, size_t end)
 
 /// Runs `body` over every morsel of [0, num_rows).
 ///
-/// Serial mode — FanOutRunner(policy) is null, or there are fewer than two
-/// morsels — calls the body in morsel order on the calling thread and
-/// returns the first failure immediately, exactly like the pre-morsel loops
-/// it replaces.
+/// Serial mode — the policy is scalar, lends no runner or a single-worker
+/// one, or there are fewer than two morsels — calls the body in morsel
+/// order on the calling thread and returns the first failure immediately,
+/// exactly like the pre-morsel loops it replaces.
 ///
 /// Parallel mode fans the morsels out: up to num_threads() help tickets are
 /// submitted to the runner and the *calling thread drains the group too*.
 /// Workers (caller included) claim morsels from a shared atomic cursor until
-/// none remain, so evaluation completes even if no ticket ever runs — the
-/// caller never blocks waiting for pool capacity, which is what makes it
-/// safe for a box already running on a pool worker (the engine's box-level
-/// fan-out, dataflow/engine.h) to fan morsels out across the same pool
-/// without deadlocking the inter-box scheduler. Every morsel runs (no early
+/// none remain, so the group completes even if no ticket ever runs. A
+/// caller that is itself a task on the runner (every worker busy, its own
+/// tickets queued behind it) therefore finishes the group alone: a busy
+/// pool costs parallelism, never progress. Every morsel runs (no early
 /// abort), and the error returned is the lowest-indexed morsel's —
 /// deterministic regardless of interleaving.
 ///

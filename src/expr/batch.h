@@ -100,7 +100,7 @@ class BatchSource {
   /// calling NamedAt per row. nullptr (the default) means "no batchable
   /// definition"; correctness never depends on this hook, only fallback
   /// counts do.
-  virtual const ExprNode* NamedExpr(const std::string& name) const {
+  virtual const ExprNode* NamedExpr(const std::string& /*name*/) const {
     return nullptr;
   }
 };
@@ -123,7 +123,7 @@ class RelationBatchSource : public BatchSource {
 
 /// Process-wide counters for the vectorized path, surfaced through
 /// runtime::Metrics::ToJson under "batch_eval". Counters are atomic so
-/// concurrent box firings under an engine's fan-out can record freely;
+/// concurrent sessions and morsel bodies on pool workers can record freely;
 /// Reset() zeroes them (runtime::Metrics::Reset calls it).
 struct BatchMetrics {
   std::atomic<uint64_t> restrict_batches{0};

@@ -119,7 +119,7 @@ class SessionServer {
     Priority priority = Priority::kInteractive;
     /// Optional request-class label ("panzoom", "edit", ...). Nonempty tags
     /// get their own latency histogram under "requests"."classes" in the
-    /// metrics JSON — the per-class breakdown bench_session_load reports.
+    /// metrics JSON.
     std::string tag;
   };
 

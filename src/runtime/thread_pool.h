@@ -14,16 +14,16 @@
 namespace tioga2::runtime {
 
 /// A fixed-size worker pool with a FIFO task queue. Tasks may submit further
-/// tasks (an engine fanning boxes out schedules a box's dependents from the
-/// worker that finished it). Destruction drains the queue: every task
-/// submitted before the destructor runs is executed before the workers join,
-/// so callers never lose queued work.
+/// tasks (a morsel group started on a worker queues its help tickets on the
+/// same pool). Destruction drains the queue: every task submitted before the
+/// destructor runs is executed before the workers join, so callers never
+/// lose queued work.
 ///
-/// Implements db::MorselRunner, so the same pool that fires boxes also
-/// serves intra-operator morsel fan-out (ExecPolicy::runner). Morsel help
-/// tickets are ordinary Submit() tasks; db::ForEachMorsel never blocks a
-/// worker on queue capacity, which is what keeps nested use (a box running
-/// ON the pool lending morsels TO the pool) deadlock-free.
+/// Implements db::MorselRunner, so a pool can serve intra-operator morsel
+/// fan-out (ExecPolicy::runner). Morsel help tickets are ordinary Submit()
+/// tasks; db::ForEachMorsel never blocks a worker on queue capacity, which
+/// is what keeps nested use (a task running ON the pool lending morsels TO
+/// the pool) deadlock-free.
 class ThreadPool : public db::MorselRunner {
  public:
   /// Spawns `num_threads` workers (at least one).

@@ -169,7 +169,7 @@ TEST(GroupByColumnarTest, DictStringAndTypedKeysMatchScalarOracle) {
   // NUL); int/bool/date keys and float aggregates carry nulls and NaN.
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const std::string cats[] = {"", "west", "east", std::string("a\0b", 3),
-                              "\xc3\xa9clair"};
+                              "\xc3\xa9" "clair"};
   std::vector<Tuple> rows;
   for (size_t r = 0; r < 300; ++r) {
     rows.push_back(

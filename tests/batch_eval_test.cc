@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <optional>
@@ -635,7 +637,7 @@ TEST(BatchEvalStampRegressionTest, VectorizationCannotChangeFingerprintsOrStamps
 /// multi-byte UTF-8 value; nulls on a period coprime with the category cycle.
 RelationPtr CategoricalRelation(size_t n) {
   const std::string cats[] = {"",     std::string("a\0b", 3), "alpha",
-                              "beta", "\xc3\xa9clair",        "omega"};
+                              "beta", "\xc3\xa9" "clair",     "omega"};
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (size_t r = 0; r < n; ++r) {
@@ -1056,6 +1058,55 @@ TEST(MorselTest, SerialModeStopsAtFirstFailureInMorselOrder) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "morsel 5");
   EXPECT_EQ(ran, 6);  // serial mode preserves the old loops' early return
+}
+
+// Nested use: each of a 2-worker pool's workers runs a task that fans a
+// 64-morsel group out across that same pool. With both workers busy, every
+// help ticket queues behind the two tasks, so each task must drain its own
+// group; both must complete with the serial run's per-morsel results.
+TEST(MorselTest, GroupsFannedOutFromBusyPoolWorkersComplete) {
+  constexpr size_t kRows = 640;
+  constexpr size_t kMorselRows = 10;
+  constexpr size_t kMorsels = kRows / kMorselRows;
+  static_assert(kMorsels >= 64);
+  auto run_group = [](const db::ExecPolicy& policy, uint64_t salt,
+                      std::vector<uint64_t>* slots) {
+    slots->assign(kMorsels, 0);
+    return db::ForEachMorsel(
+        policy, kRows, [slots, salt](size_t m, size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) (*slots)[m] += r * r + salt;
+          return Status::OK();
+        });
+  };
+  db::ExecPolicy serial;
+  serial.morsel_rows = kMorselRows;
+  std::vector<uint64_t> expected[2];
+  for (uint64_t task = 0; task < 2; ++task) {
+    ASSERT_TRUE(run_group(serial, task, &expected[task]).ok());
+  }
+
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  const uint64_t parallel_before = metrics.morsel_groups_parallel;
+  runtime::ThreadPool pool(2);
+  db::ExecPolicy policy = serial;
+  policy.runner = &pool;
+  std::latch all_workers_busy(2);
+  std::vector<uint64_t> results[2];
+  std::promise<Status> done[2];
+  std::future<Status> statuses[2] = {done[0].get_future(), done[1].get_future()};
+  for (uint64_t task = 0; task < 2; ++task) {
+    pool.Submit([&, task] {
+      all_workers_busy.arrive_and_wait();
+      done[task].set_value(run_group(policy, task, &results[task]));
+    });
+  }
+  for (uint64_t task = 0; task < 2; ++task) {
+    SCOPED_TRACE("task " + std::to_string(task));
+    Status status = statuses[task].get();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(results[task], expected[task]);
+  }
+  EXPECT_EQ(metrics.morsel_groups_parallel - parallel_before, 2u);
 }
 
 TEST(SortTest, VectorizedMatchesScalarIncludingNulls) {

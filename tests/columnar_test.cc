@@ -216,7 +216,7 @@ TEST(ColumnarDictTest, SortedUniqueValuesAndCodes) {
   const std::string with_nul("a\0b", 3);
   RelationPtr rel = StringRelation(
       {Value::String("pear"), Value::String("apple"), Value::String(""),
-       Value::String("pear"), Value::String("\xc3\xa9clair"), Value::Null(),
+       Value::String("pear"), Value::String("\xc3\xa9" "clair"), Value::Null(),
        Value::String(with_nul), Value::String("apple")});
   const ColumnVector& col = rel->columnar().column(0);
   ExpectDictConsistent(col);

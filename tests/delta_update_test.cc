@@ -1,9 +1,10 @@
 // Delta propagation equivalence: after randomized single-tuple §8 edits,
 // every figure program evaluates to bit-identical outputs and stamps whether
 // the engine maintained its memo cache incrementally (Invalidation::Delta)
-// or recomputed from scratch — through the Engine both inline and fanned
-// out across a runner. This is the guarantee that makes the delta fast path
-// invisible: same fingerprints, same stamps, only less work.
+// or recomputed from scratch — through the Engine both inline and with its
+// boxes' morsels fanned out across a runner. This is the guarantee that
+// makes the delta fast path invisible: same fingerprints, same stamps, only
+// less work.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
+#include "expr/batch.h"
 #include "render/framebuffer.h"
 #include "render/raster_surface.h"
 #include "runtime/thread_pool.h"
@@ -205,7 +207,11 @@ TEST(DeltaUpdateTest, ParallelDeltaMatchesFullRecomputeOnEveryFigProgram) {
       dataflow::Engine engine(session.catalog());
       db::ExecPolicy policy = db::DefaultExecPolicy();
       policy.runner = &pool;
+      policy.morsel_rows = 7;  // splits every table the program reads
       engine.set_exec_policy(policy);
+      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+      const uint64_t groups_before = metrics.morsel_groups;
+      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -227,6 +233,9 @@ TEST(DeltaUpdateTest, ParallelDeltaMatchesFullRecomputeOnEveryFigProgram) {
       for (const std::string& id : session.graph().BoxIds()) {
         ASSERT_EQ(ref.stamps.count(id), 1u) << id;
         EXPECT_EQ(engine.cache().StampOf(id), ref.stamps.at(id)) << id;
+      }
+      if (metrics.morsel_groups > groups_before) {
+        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
       }
     }
   }

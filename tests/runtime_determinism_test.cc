@@ -1,7 +1,7 @@
-// Inline/fan-out equivalence over the full figure suite: every figure
+// Inline/morsel-fan-out equivalence over the full figure suite: every figure
 // program evaluates to bit-identical outputs and stamps whether the
-// dataflow::Engine resolves boxes inline or fans them out across a runner of
-// 1, 2, or 8 threads (one thread stays inline: db::FanOutRunner). This is
+// dataflow::Engine runs each fired box's morsels inline or fans them out
+// across a runner of 1, 2, or 8 threads (one thread stays inline). This is
 // the guarantee that lets an evaluation use a pool without changing what any
 // user sees.
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
+#include "expr/batch.h"
 #include "runtime/epoch.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
@@ -41,7 +42,7 @@ std::vector<Target> TargetsOf(const dataflow::Graph& graph) {
   return targets;
 }
 
-/// Lends `engine` `pool`, so independent boxes and morsels fan out across it.
+/// Lends `engine` `pool`, so its boxes' morsels fan out across it.
 void LendRunner(dataflow::Engine* engine, runtime::ThreadPool* pool,
                 db::ExecPolicy policy = db::DefaultExecPolicy()) {
   policy.runner = pool;
@@ -58,7 +59,26 @@ std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   return env;
 }
 
-TEST(RuntimeDeterminismTest, FanOutMatchesInlineOnEveryFigProgram) {
+// Pinned morsel sizes that do not align with expr::kBatchSize split every
+// operator into many concurrently evaluated morsels whose inner batch
+// boundaries differ from the inline sweep; a size larger than every input
+// degenerates to one morsel. Outputs and stamps must stay bit-identical to
+// inline evaluation in all cases, and every configuration that can fan out
+// must actually have done so on each program with a morsel site.
+TEST(RuntimeDeterminismTest, MorselFanOutMatchesInlineOnEveryFigProgram) {
+  struct Config {
+    size_t threads;
+    size_t morsel_rows;
+    bool fans_out;  // whether a program with a morsel site runs one on the pool
+  };
+  const Config configs[] = {
+      {1, db::ExecPolicy{}.morsel_rows, false},  // one worker: stays inline
+      {2, 7, true},                              // unaligned, 2 workers
+      {8, 7, true},                              // unaligned, 8 workers
+      {8, 1u << 20, false},  // larger than every input: exactly one morsel
+  };
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  size_t fanned_out_runs = 0;
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
     // Serial reference: evaluate every canvas target through the session's
@@ -79,78 +99,20 @@ TEST(RuntimeDeterminismTest, FanOutMatchesInlineOnEveryFigProgram) {
       expected_stamps[id] = serial_session.engine().cache().StampOf(id);
     }
 
-    for (size_t num_threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(num_threads));
-      // A fresh environment regenerates identical demo data (seeded), so
-      // the fanned-out run starts from the same tables and versions.
-      auto env = BuildEnv(program);
-      ui::Session& session = env->session();
-      runtime::ThreadPool pool(num_threads);
-      dataflow::Engine engine(session.catalog());
-      LendRunner(&engine, &pool);
-      for (const Target& t : TargetsOf(session.graph())) {
-        auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-        ASSERT_EQ(expected.count(t.canvas), 1u);
-        EXPECT_EQ(FingerprintBoxValue(value.value()), expected.at(t.canvas))
-            << t.canvas;
-      }
-      for (const std::string& id : session.graph().BoxIds()) {
-        ASSERT_EQ(expected_stamps.count(id), 1u) << id;
-        EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
-      }
-    }
-  }
-}
-
-// Morsel-driven fan-out: the same 3-pass regression with intra-operator
-// parallelism forced on. Small pinned morsel sizes split every operator in
-// each figure program into many concurrently-evaluated morsels (including
-// sizes that do NOT align with expr::kBatchSize, so inner batch boundaries
-// differ from the inline sweep), and a size larger than every input
-// degenerates to one morsel. Outputs and stamps must stay bit-identical to
-// inline evaluation in all cases.
-TEST(RuntimeDeterminismTest, MorselFanOutMatchesSerialOnEveryFigProgram) {
-  struct Config {
-    size_t threads;
-    size_t morsel_rows;
-  };
-  const Config configs[] = {
-      {2, 4097},       // straddles the kBatchSize boundary, 2 workers
-      {8, 509},        // dozens of small unaligned morsels, 8 workers
-      {8, 1u << 20},   // larger than every input: exactly one morsel
-  };
-  for (const FigProgram& program : AllFigPrograms()) {
-    SCOPED_TRACE(program.name);
-    auto serial_env = BuildEnv(program);
-    ui::Session& serial_session = serial_env->session();
-    std::vector<Target> targets = TargetsOf(serial_session.graph());
-    ASSERT_EQ(targets.size(), program.canvases.size());
-    std::map<std::string, std::string> expected;
-    for (const Target& t : targets) {
-      auto value = serial_session.engine().Evaluate(serial_session.graph(),
-                                                    t.from, t.from_port);
-      ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-      expected[t.canvas] = FingerprintBoxValue(value.value());
-    }
-    std::map<std::string, std::optional<uint64_t>> expected_stamps;
-    for (const std::string& id : serial_session.graph().BoxIds()) {
-      expected_stamps[id] = serial_session.engine().cache().StampOf(id);
-    }
-
     for (const Config& config : configs) {
       SCOPED_TRACE("threads=" + std::to_string(config.threads) +
                    " morsel_rows=" + std::to_string(config.morsel_rows));
+      // A fresh environment regenerates identical demo data (seeded), so
+      // the run starts from the same tables and versions.
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
       runtime::ThreadPool pool(config.threads);
       dataflow::Engine engine(session.catalog());
-      db::ExecPolicy policy;
+      db::ExecPolicy policy = db::DefaultExecPolicy();
       policy.morsel_rows = config.morsel_rows;
-      // One runner for both levels: boxes running ON pool workers fan
-      // morsels out ACROSS the same workers — the nested-use case the
-      // deadlock-avoidance design exists for.
       LendRunner(&engine, &pool, policy);
+      const uint64_t groups_before = metrics.morsel_groups;
+      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -162,18 +124,23 @@ TEST(RuntimeDeterminismTest, MorselFanOutMatchesSerialOnEveryFigProgram) {
         ASSERT_EQ(expected_stamps.count(id), 1u) << id;
         EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
       }
+      const bool has_morsel_site = metrics.morsel_groups > groups_before;
+      const bool ran_on_pool = metrics.morsel_groups_parallel > parallel_before;
+      EXPECT_EQ(ran_on_pool, config.fans_out && has_morsel_site);
+      if (ran_on_pool) ++fanned_out_runs;
     }
   }
+  EXPECT_GT(fanned_out_runs, 0u);
 }
 
 // Cross-session sharing: a stamp-keyed SharedMemoCache populated by one
 // environment's engine serves another environment's engine byte-identical
-// entries — in both directions between an inline engine and an engine
-// fanning out across 8 threads. An adopting engine fires ZERO boxes: every
-// value arrives through the shared tier, which is the §7 many-viewers
-// convergence claim in its strongest form. Demo data is seeded, so distinct
-// environments carry identical tables at identical versions and therefore
-// identical stamps.
+// entries — from an inline engine, and from an engine fanning its morsels
+// out across 8 threads. An adopting engine fires ZERO boxes (so it runs no
+// morsel either): every value arrives through the shared tier, which is the
+// §7 many-viewers convergence claim in its strongest form. Demo data is
+// seeded, so distinct environments carry identical tables at identical
+// versions and therefore identical stamps.
 TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
@@ -226,41 +193,29 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
           << id;
     }
 
-    // Fanned-out adopter: the pool-driven engine adopts the same entries.
-    {
-      auto env = BuildEnv(program);
-      ui::Session& session = env->session();
-      runtime::ThreadPool pool(8);
-      dataflow::Engine engine(session.catalog());
-      LendRunner(&engine, &pool);
-      engine.set_shared_cache(&shared);
-      for (const Target& t : TargetsOf(session.graph())) {
-        auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas;
-        EXPECT_EQ(FingerprintBoxValue(value.value()), expected.at(t.canvas))
-            << t.canvas;
-      }
-      EXPECT_EQ(engine.stats().boxes_fired, 0u);
-      EXPECT_GT(engine.stats().shared_hits, 0u);
-      for (const std::string& id : session.graph().BoxIds()) {
-        EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
-      }
-    }
-
-    // Reverse direction: a fanned-out engine populates a fresh shared tier
-    // and an inline engine adopts its entries without firing anything.
+    // Reverse direction: an engine fanning its morsels out populates a fresh
+    // shared tier and an inline engine adopts its entries without firing
+    // anything.
     dataflow::SharedMemoCache reverse(4096);
     auto par_env = BuildEnv(program);
     {
       ui::Session& session = par_env->session();
       runtime::ThreadPool pool(8);
       dataflow::Engine engine(session.catalog());
-      LendRunner(&engine, &pool);
+      db::ExecPolicy policy = db::DefaultExecPolicy();
+      policy.morsel_rows = 7;  // splits every table the program reads
+      LendRunner(&engine, &pool, policy);
       engine.set_shared_cache(&reverse);
+      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+      const uint64_t groups_before = metrics.morsel_groups;
+      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas;
         EXPECT_EQ(FingerprintBoxValue(value.value()), expected.at(t.canvas));
+      }
+      if (metrics.morsel_groups > groups_before) {
+        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
       }
     }
     {

@@ -1,7 +1,7 @@
-// Tests for the concurrent evaluation runtime: the ThreadPool, and the
-// dataflow::Engine fanning boxes out across a pool — equivalent to inline
-// evaluation (same results, stamps, counters, warnings, and error messages;
-// only the schedule differs).
+// Tests for the concurrent evaluation runtime: the ThreadPool, and a
+// dataflow::Engine lending a pool to its boxes' morsel fan-out — equivalent
+// to inline evaluation (same results, stamps, counters, warnings, and error
+// messages; only the schedule differs).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "boxes/relational_boxes.h"
 #include "dataflow/engine.h"
 #include "db/relation.h"
+#include "expr/batch.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 
@@ -60,9 +61,10 @@ TEST(ThreadPoolTest, AtLeastOneWorker) {
   EXPECT_EQ(pool.num_threads(), 1u);
 }
 
-class EngineFanOutTest : public ::testing::Test {
+class EngineWithRunnerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    parallel_groups_before_ = expr::BatchMetrics::Global().morsel_groups_parallel;
     auto table = db::MakeRelation({Column{"v", DataType::kInt}},
                                   {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)},
                                    {Value::Int(4)}})
@@ -79,11 +81,19 @@ class EngineFanOutTest : public ::testing::Test {
     return restrict;
   }
 
-  /// Lends `engine` the fixture's pool, so independent boxes fan out.
-  void FanOut(Engine* engine) {
+  /// Lends `engine` the fixture's pool. One-row morsels split even the
+  /// 4-row table, so every Restrict the engine fires fans out.
+  void LendRunner(Engine* engine) {
     db::ExecPolicy policy = db::DefaultExecPolicy();
     policy.runner = &pool_;
+    policy.morsel_rows = 1;
     engine->set_exec_policy(policy);
+  }
+
+  /// Morsel groups that ran on a pool since the test started.
+  uint64_t ParallelMorselGroups() const {
+    return expr::BatchMetrics::Global().morsel_groups_parallel -
+           parallel_groups_before_;
   }
 
   static Result<size_t> RowsOf(Result<BoxValue> value) {
@@ -96,15 +106,17 @@ class EngineFanOutTest : public ::testing::Test {
   db::Catalog catalog_;
   Graph graph_;
   ThreadPool pool_{4};
+  uint64_t parallel_groups_before_ = 0;
 };
 
-TEST_F(EngineFanOutTest, MatchesInlineResultsAndStamps) {
+TEST_F(EngineWithRunnerTest, MatchesInlineResultsAndStamps) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
   Engine parallel(&catalog_);
-  FanOut(&parallel);
+  LendRunner(&parallel);
   EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(), 3u);
   EXPECT_EQ(RowsOf(parallel.Evaluate(graph_, tail, 0)).value(), 3u);
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   // Identical stamp algebra: both caches hold the same stamps per box.
   std::vector<std::string> order = graph_.TopologicalOrder().value();
   for (const std::string& id : order) {
@@ -113,9 +125,10 @@ TEST_F(EngineFanOutTest, MatchesInlineResultsAndStamps) {
   }
 }
 
-TEST_F(EngineFanOutTest, WideFanOutMatchesInline) {
+TEST_F(EngineWithRunnerTest, WideProgramMatchesInline) {
   // One table feeding 16 restricts feeding nothing — EvaluateAll fires all
-  // 16 concurrently; results must match the inline engine box for box.
+  // 16, each fanning its morsels out; results must match the inline engine
+  // box for box.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::vector<std::string> tails;
   for (int i = 0; i < 16; ++i) {
@@ -128,9 +141,10 @@ TEST_F(EngineFanOutTest, WideFanOutMatchesInline) {
   }
   Engine serial(&catalog_);
   Engine parallel(&catalog_);
-  FanOut(&parallel);
+  LendRunner(&parallel);
   ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
   EXPECT_EQ(parallel.stats().boxes_fired, 17u);
+  EXPECT_GE(ParallelMorselGroups(), 16u);
   for (const std::string& tail : tails) {
     EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(),
               RowsOf(parallel.Evaluate(graph_, tail, 0)).value())
@@ -139,20 +153,21 @@ TEST_F(EngineFanOutTest, WideFanOutMatchesInline) {
   }
 }
 
-TEST_F(EngineFanOutTest, SharesCacheWithInlineEngine) {
+TEST_F(EngineWithRunnerTest, SharesCacheWithInlineEngine) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
-  // A fanned-out engine memoizing into the inline engine's cache.
+  // An engine with a runner memoizing into the inline engine's cache.
   Engine parallel(&catalog_, nullptr, &serial.cache());
-  FanOut(&parallel);
+  LendRunner(&parallel);
   ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(parallel.stats().boxes_fired, 2u);
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   // The inline engine finds everything memoized: zero fires, two hits.
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(serial.stats().boxes_fired, 0u);
   EXPECT_GE(serial.stats().cache_hits, 1u);
-  // And the reverse direction: inline work is visible to the fanned-out
-  // engine.
+  // And the reverse direction: inline work is visible to the engine with
+  // the runner.
   ASSERT_TRUE(serial.Invalidate(graph_, dataflow::Invalidation::All()).ok());
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   parallel.ResetStats();
@@ -160,12 +175,12 @@ TEST_F(EngineFanOutTest, SharesCacheWithInlineEngine) {
   EXPECT_EQ(parallel.stats().boxes_fired, 0u);
 }
 
-TEST_F(EngineFanOutTest, ErrorMessagesMatchInline) {
+TEST_F(EngineWithRunnerTest, ErrorMessagesMatchInline) {
   std::string lone =
       graph_.AddBox(std::make_unique<RestrictBox>("v > 0")).value();
   Engine serial(&catalog_);
   Engine parallel(&catalog_);
-  FanOut(&parallel);
+  LendRunner(&parallel);
   Status serial_status = serial.Evaluate(graph_, lone, 0).status();
   Status parallel_status = parallel.Evaluate(graph_, lone, 0).status();
   EXPECT_TRUE(serial_status.IsFailedPrecondition());
@@ -183,7 +198,7 @@ TEST_F(EngineFanOutTest, ErrorMessagesMatchInline) {
   EXPECT_TRUE(parallel.Evaluate(graph_, "missing", 0).status().IsNotFound());
 }
 
-TEST_F(EngineFanOutTest, EvaluateAllSkipsDanglingLikeInline) {
+TEST_F(EngineWithRunnerTest, EvaluateAllSkipsDanglingLikeInline) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::string a = graph_.AddBox(std::make_unique<RestrictBox>("v > 1")).value();
   std::string dangling =
@@ -195,26 +210,28 @@ TEST_F(EngineFanOutTest, EvaluateAllSkipsDanglingLikeInline) {
   Engine serial(&catalog_);
   ASSERT_TRUE(serial.EvaluateAll(graph_).ok());
   Engine parallel(&catalog_);
-  FanOut(&parallel);
+  LendRunner(&parallel);
   ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   EXPECT_EQ(parallel.stats().boxes_fired, serial.stats().boxes_fired);
   EXPECT_EQ(parallel.stats().boxes_skipped, serial.stats().boxes_skipped);
   EXPECT_EQ(parallel.stats().boxes_skipped, 2u);
   EXPECT_EQ(parallel.warnings(), serial.warnings());
 }
 
-TEST_F(EngineFanOutTest, MemoizesAcrossEvaluations) {
+TEST_F(EngineWithRunnerTest, MemoizesAcrossEvaluations) {
   std::string tail = BuildChain();
   Engine engine(&catalog_);
-  FanOut(&engine);
+  LendRunner(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
   EXPECT_GE(engine.stats().cache_hits, 1u);
 }
 
-TEST_F(EngineFanOutTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
+TEST_F(EngineWithRunnerTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   auto other = db::MakeRelation({Column{"w", DataType::kInt}},
                                 {{Value::Int(10)}, {Value::Int(20)}})
                    .value();
@@ -225,10 +242,11 @@ TEST_F(EngineFanOutTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
       graph_.AddBox(std::make_unique<RestrictBox>("w > 5")).value();
   ASSERT_TRUE(graph_.Connect(u, 0, u_tail, 0).ok());
   Engine engine(&catalog_);
-  FanOut(&engine);
+  LendRunner(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
                 .value()
                 .entries_evicted,
@@ -239,14 +257,15 @@ TEST_F(EngineFanOutTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // T's chain stayed memoized
 }
 
-TEST_F(EngineFanOutTest, RecordsMetrics) {
+TEST_F(EngineWithRunnerTest, RecordsMetrics) {
   std::string tail = BuildChain();
   Metrics metrics;
   Engine engine(&catalog_);
-  FanOut(&engine);
+  LendRunner(&engine);
   engine.set_observer(&metrics);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_GT(ParallelMorselGroups(), 0u);
   MetricsSnapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.boxes_fired, 2u);
   EXPECT_EQ(snap.cache_misses, 2u);
@@ -305,10 +324,9 @@ class WarnBox : public dataflow::Box {
   size_t num_inputs_;
 };
 
-TEST_F(EngineFanOutTest, WarningsKeepPostOrderWhenFannedOut) {
+TEST_F(EngineWithRunnerTest, WarningsKeepPostOrderWithRunner) {
   // T -> {z, a} -> m. Post-order fires z, a, m; box-id order is a, m, z.
-  // z and a fire concurrently under fan-out, yet every run reports the
-  // warnings in post-order, exactly as inline evaluation does.
+  // Warnings are reported in post-order, with or without a runner.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("z", 1), "z").ok());
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("a", 1), "a").ok());
@@ -323,15 +341,10 @@ TEST_F(EngineFanOutTest, WarningsKeepPostOrderWhenFannedOut) {
   Engine serial(&catalog_);
   ASSERT_TRUE(serial.Evaluate(graph_, "m", 0).ok());
   EXPECT_EQ(serial.warnings(), expected);
-  ThreadPool pool(8);
-  db::ExecPolicy policy = db::DefaultExecPolicy();
-  policy.runner = &pool;
-  for (int round = 0; round < 20; ++round) {
-    Engine parallel(&catalog_);
-    parallel.set_exec_policy(policy);
-    ASSERT_TRUE(parallel.Evaluate(graph_, "m", 0).ok());
-    EXPECT_EQ(parallel.warnings(), serial.warnings()) << "round " << round;
-  }
+  Engine parallel(&catalog_);
+  LendRunner(&parallel);
+  ASSERT_TRUE(parallel.Evaluate(graph_, "m", 0).ok());
+  EXPECT_EQ(parallel.warnings(), serial.warnings());
 }
 
 TEST(LatencyHistogramTest, QuantilesAndCounts) {

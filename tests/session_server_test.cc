@@ -464,7 +464,7 @@ TEST_F(SessionServerTest, SharedCacheConvergesAcrossSameCanvasSessions) {
   dataflow::SharedMemoCache::Stats stats = server.shared_cache()->stats();
   EXPECT_GE(stats.hits, static_cast<uint64_t>(kSessions - 1));
   EXPECT_EQ(stats.hits, total_shared_hits);
-  // The metrics JSON surfaces the shared tier (bench_session_load reads it).
+  // The metrics JSON surfaces the shared tier.
   std::string json = server.metrics().ToJson();
   EXPECT_NE(json.find("\"shared_cache\":{\"hits\":"), std::string::npos) << json;
   MetricsSnapshot snap = server.metrics().snapshot();

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
+#include "expr/batch.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 #include "storage/fault_fs.h"
@@ -675,7 +676,11 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
       dataflow::Engine engine(env.session().catalog());
       db::ExecPolicy policy = db::DefaultExecPolicy();
       policy.runner = &pool;
+      policy.morsel_rows = 7;  // splits every table the program reads
       engine.set_exec_policy(policy);
+      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+      const uint64_t groups_before = metrics.morsel_groups;
+      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(env.session().graph())) {
         auto value = engine.Evaluate(env.session().graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -685,6 +690,9 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
       }
       for (const std::string& id : env.session().graph().BoxIds()) {
         EXPECT_EQ(engine.cache().StampOf(id), ref_stamps.at(id)) << id;
+      }
+      if (metrics.morsel_groups > groups_before) {
+        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
       }
     } else {
       for (const Target& t : TargetsOf(env.session().graph())) {

@@ -1,37 +1,27 @@
-// Lock-contention reproduction for the DESIGN.md §13 lock-free read paths:
-// sweeps shared-memo-cache lookup throughput and catalog name-resolution
-// throughput at 1 / 8 / 32 reader threads, comparing the epoch-reclaimed
-// lock-free structures against in-bench mutex/shared_mutex baselines that
-// model the pre-§13 synchronization (one mutex around the memo tier, a
-// readers-writer lock around the catalog).
+// Lock-contention harness for the epoch-pinned catalog read (DESIGN.md §13):
+// sweeps catalog name resolution — one ReadPin, then the TableVersion +
+// GetTable pair every TableBox evaluation performs — at 1 / 8 / 32 reader
+// threads, against the same reads under a std::shared_mutex reader lock,
+// the synchronization the epoch-pinned snapshot replaced. The canvas
+// registry's read path has the same copy-on-write shape; the shared memo
+// tier is a plain mutex LRU and has no lock-free path to sweep.
 //
-//   bench_lock_contention [--ops=N] [--entries=N] [--tables=N]
-//                         [--smoke] [--out=PATH]
+//   bench_lock_contention [--ops=N] [--tables=N] [--smoke] [--out=PATH]
 //
 // --smoke shrinks the op counts for CI (scripts/check.sh `contention`) and
-// turns on the gate assertions: the JSON must be written, and the 8-thread
-// lock-free throughput must hold parity with 1 thread (margin below) —
-// i.e. adding readers must not collapse the structure back to serialized.
-// On a multi-core host the lock-free sweep separates further from the mutex
-// baseline as threads grow; on a 1-core container the gate is parity, since
-// time-slicing cannot add throughput. Emits bench_out/lock_contention.json.
+// turns on the gate assertions (floors below), all read from one run, and
+// requires that epoch pins were taken. Emits bench_out/lock_contention.json.
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "dataflow/memo_cache.h"
-#include "dataflow/shared_memo_cache.h"
 #include "db/catalog.h"
 #include "db/relation.h"
 #include "runtime/epoch.h"
@@ -39,15 +29,17 @@
 namespace tioga2::bench {
 namespace {
 
-/// Parity margin for the smoke gate: on one core, T threads time-slice one
-/// structure, so aggregate throughput should match one thread; the margin
-/// absorbs scheduler noise on a loaded CI box.
-constexpr double kSmokeParityMargin = 0.75;
+/// Smoke floors for the 8-thread lock-free read. Against its own 1-thread
+/// rate: adding readers must not collapse it back to serialized; the host's
+/// cores are shared, so the floor asks for no speed-up. Against the rwlock
+/// baseline: the epoch-pinned read must at least match the lock it
+/// replaced, like for like — the reason EpochDomain is kept.
+constexpr double kMinEightVsOneThread = 0.75;
+constexpr double kMinEightVsRwlock = 1.0;
 
 struct Config {
   size_t ops_per_thread = 400000;
-  size_t entries = 4096;   // shared-cache population
-  size_t tables = 64;      // catalog population
+  size_t tables = 64;  // catalog population
   bool smoke = false;
   std::string out = "";
 };
@@ -63,8 +55,6 @@ Config ParseFlags(int argc, char** argv) {
     const char* arg = argv[i];
     if (const char* v = value_of(arg, "--ops")) {
       config.ops_per_thread = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of(arg, "--entries")) {
-      config.entries = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of(arg, "--tables")) {
       config.tables = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of(arg, "--out")) {
@@ -78,19 +68,10 @@ Config ParseFlags(int argc, char** argv) {
   }
   if (config.smoke) {
     config.ops_per_thread = 60000;
-    config.entries = 1024;
     config.tables = 32;
   }
   if (config.out.empty()) config.out = OutDir() + "/lock_contention.json";
   return config;
-}
-
-uint64_t Mix(uint64_t x) {
-  // splitmix64 finalizer: deterministic per-thread stamp sequence.
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Runs `op` ops_per_thread times on each of `threads` threads; returns
@@ -118,32 +99,6 @@ double Sweep(size_t threads, size_t ops_per_thread, Op op) {
   return seconds > 0 ? total / seconds : 0.0;
 }
 
-/// The pre-§13 memo tier in miniature: one mutex around an unordered_map,
-/// hit bookkeeping under the lock — what SharedMemoCache::Lookup used to do.
-class MutexMemoBaseline {
- public:
-  void Insert(uint64_t stamp, dataflow::MemoCache::EntryPtr entry) {
-    std::lock_guard<std::mutex> lock(mu_);
-    index_[stamp] = std::move(entry);
-  }
-  dataflow::MemoCache::EntryPtr Lookup(uint64_t stamp) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(stamp);
-    if (it == index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    return it->second;
-  }
-
- private:
-  std::mutex mu_;
-  std::unordered_map<uint64_t, dataflow::MemoCache::EntryPtr> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
 struct SweepResult {
   size_t threads = 0;
   double lockfree_ops = 0;
@@ -169,43 +124,12 @@ int Run(int argc, char** argv) {
   Config config = ParseFlags(argc, argv);
   ReportHeader("lock-contention (DESIGN.md §13)",
                "read-dominated hot paths must scale with reader threads");
-  std::printf("  ops/thread=%zu entries=%zu tables=%zu%s\n",
-              config.ops_per_thread, config.entries, config.tables,
-              config.smoke ? " (smoke)" : "");
+  std::printf("  ops/thread=%zu tables=%zu%s\n", config.ops_per_thread,
+              config.tables, config.smoke ? " (smoke)" : "");
 
   const std::vector<size_t> thread_counts = {1, 8, 32};
   runtime::EpochDomain domain(128);
 
-  // ---- Workload 1: shared-memo lookup (hot path of every box eval) ----
-  dataflow::SharedMemoCache shared(config.entries, &domain);
-  MutexMemoBaseline baseline;
-  for (size_t s = 0; s < config.entries; ++s) {
-    auto entry = std::make_shared<dataflow::MemoCache::Entry>();
-    entry->stamp = Mix(s);
-    shared.Insert(entry);
-    baseline.Insert(entry->stamp, entry);
-  }
-
-  std::vector<SweepResult> memo;
-  for (size_t threads : thread_counts) {
-    SweepResult row;
-    row.threads = threads;
-    row.lockfree_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          uint64_t stamp = Mix((t * 0x10001 + i) % config.entries);
-          return shared.Lookup(stamp) != nullptr ? 1u : 0u;
-        });
-    row.baseline_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          uint64_t stamp = Mix((t * 0x10001 + i) % config.entries);
-          return baseline.Lookup(stamp) != nullptr ? 1u : 0u;
-        });
-    std::printf("  memo    %2zu threads: lock-free %12.0f ops/s | mutex %12.0f ops/s\n",
-                threads, row.lockfree_ops, row.baseline_ops);
-    memo.push_back(row);
-  }
-
-  // ---- Workload 2: catalog name resolution (stamp + fetch per request) ----
   db::Catalog catalog;
   catalog.set_reclamation_domain(&domain);
   std::vector<std::string> names;
@@ -249,13 +173,11 @@ int Run(int argc, char** argv) {
   runtime::EpochDomain::Stats epoch = domain.stats();
   std::string json = "{\"config\":{";
   json += "\"ops_per_thread\":" + std::to_string(config.ops_per_thread);
-  json += ",\"entries\":" + std::to_string(config.entries);
   json += ",\"tables\":" + std::to_string(config.tables);
   json += ",\"smoke\":" + std::string(config.smoke ? "true" : "false");
   json += ",\"hardware_threads\":" +
           std::to_string(std::thread::hardware_concurrency());
-  json += "},\"memo_lookup\":" + SweepJson(memo);
-  json += ",\"catalog_resolve\":" + SweepJson(resolve);
+  json += "},\"catalog_resolve\":" + SweepJson(resolve);
   json += ",\"epoch\":{\"pins\":" + std::to_string(epoch.pins);
   json += ",\"advances\":" + std::to_string(epoch.advances);
   json += ",\"retired\":" + std::to_string(epoch.retired);
@@ -270,19 +192,25 @@ int Run(int argc, char** argv) {
   // Smoke assertions (scripts/check.sh `contention`).
   int failures = 0;
   if (config.smoke) {
-    auto gate = [&failures](const char* what, const std::vector<SweepResult>& rows) {
-      double one = rows[0].lockfree_ops;
-      double eight = rows[1].lockfree_ops;
-      if (eight < kSmokeParityMargin * one) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: %s 8-thread lock-free throughput %.0f < "
-                     "%.2f x 1-thread %.0f (collapsed to serialized)\n",
-                     what, eight, kSmokeParityMargin, one);
-        ++failures;
-      }
-    };
-    gate("memo_lookup", memo);
-    gate("catalog_resolve", resolve);
+    double one = resolve[0].lockfree_ops;
+    double eight = resolve[1].lockfree_ops;
+    double rwlock = resolve[1].baseline_ops;
+    std::printf("  8-thread lock-free: %.2fx 1-thread, %.2fx rwlock\n",
+                eight / one, eight / rwlock);
+    if (eight < kMinEightVsOneThread * one) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: catalog_resolve 8-thread lock-free throughput "
+                   "%.0f < %.2f x 1-thread %.0f (collapsed to serialized)\n",
+                   eight, kMinEightVsOneThread, one);
+      ++failures;
+    }
+    if (eight < kMinEightVsRwlock * rwlock) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: catalog_resolve 8-thread lock-free throughput "
+                   "%.0f < %.2f x 8-thread rwlock %.0f\n",
+                   eight, kMinEightVsRwlock, rwlock);
+      ++failures;
+    }
     if (epoch.pins == 0) {
       std::fprintf(stderr, "SMOKE FAIL: no epoch pins recorded\n");
       ++failures;

@@ -1,191 +1,57 @@
 #include "dataflow/shared_memo_cache.h"
 
-#include <algorithm>
+#include <iterator>
 
 namespace tioga2::dataflow {
 
-namespace {
-
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-size_t SharedMemoCache::ProbeStart(uint64_t stamp, size_t mask) {
-  // Fibonacci mix: stamps are already well-distributed hashes, but the low
-  // bits of related subtrees can correlate; one multiply decorrelates them.
-  stamp *= 0x9E3779B97F4A7C15ull;
-  stamp ^= stamp >> 32;
-  return static_cast<size_t>(stamp) & mask;
-}
-
-SharedMemoCache::Node* SharedMemoCache::Tombstone() {
-  // A distinguished address readers skip; never dereferenced, never freed.
-  static Node sentinel;
-  return &sentinel;
-}
-
-SharedMemoCache::SharedMemoCache(size_t capacity,
-                                 common::ReclamationDomain* domain)
-    : domain_(domain), capacity_(capacity == 0 ? 1 : capacity) {
-  // Live nodes are bounded by capacity_, so a table of 2*capacity keeps the
-  // live load factor at <= 1/2; tombstones push it toward the 7/8 rebuild
-  // threshold between compactions.
-  table_.store(new Table(NextPow2(std::max<size_t>(16, capacity_ * 2))),
-               std::memory_order_release);
-}
-
-SharedMemoCache::~SharedMemoCache() {
-  // Destruction implies quiescence: no reader is pinned inside this cache.
-  for (auto& run : deferred_) run();
-  for (Node* node : lru_) delete node;
-  delete table_.load(std::memory_order_acquire);
-}
+SharedMemoCache::SharedMemoCache(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 MemoCache::EntryPtr SharedMemoCache::Lookup(uint64_t stamp) {
-  // The pin makes every pointer loaded below safe to dereference until the
-  // guard drops, even if a writer concurrently evicts the node or replaces
-  // the whole table — both are retired through the domain, not deleted.
-  common::ReclamationDomain::Guard guard(domain_);
-  Table* table = table_.load(std::memory_order_acquire);
-  size_t index = ProbeStart(stamp, table->mask);
-  for (size_t n = 0; n <= table->mask; ++n) {
-    Node* node = table->cells[(index + n) & table->mask].load(
-        std::memory_order_acquire);
-    if (node == nullptr) break;  // end of probe chain
-    if (node == Tombstone() || node->stamp != stamp) continue;
-    // Second-chance bit instead of an LRU splice: the hit path owns no lock.
-    node->referenced.store(true, std::memory_order_relaxed);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return node->entry;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(stamp);
+  if (it == index_.end()) {
+    ++misses_;
+    return nullptr;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
+  return *it->second;
 }
 
 void SharedMemoCache::Insert(const MemoCache::EntryPtr& entry) {
   if (entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  Table* table = table_.load(std::memory_order_relaxed);  // mu_ serializes writers
-  size_t index = ProbeStart(entry->stamp, table->mask);
-  size_t cell = table->size();  // first empty cell, found during the scan
-  for (size_t n = 0; n <= table->mask; ++n) {
-    size_t i = (index + n) & table->mask;
-    Node* node = table->cells[i].load(std::memory_order_relaxed);
-    if (node == nullptr) {
-      cell = i;
-      break;
-    }
-    if (node == Tombstone()) continue;  // not reusable: keeps reader chains intact
-    if (node->stamp == entry->stamp) {
+  // Released after unlocking, so a large relation's destructor never runs
+  // under the lock.
+  Recency evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, inserted] = index_.try_emplace(entry->stamp);
+    if (!inserted) {
       // Same stamp ⇒ byte-identical outputs: keep the first publication.
-      node->referenced.store(true, std::memory_order_relaxed);
-      lru_.splice(lru_.begin(), lru_, node->lru_it);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-  }
-  Node* node = new Node;
-  node->stamp = entry->stamp;
-  node->entry = entry;
-  lru_.push_front(node);
-  node->lru_it = lru_.begin();
-  // The release store publishes the fully-built node to lock-free probes.
-  table->cells[cell].store(node, std::memory_order_release);
-  ++inserts_;
-
-  // Second-chance eviction: referenced tail nodes get moved to the front
-  // with the bit cleared; the first unreferenced tail node is the victim.
-  while (lru_.size() > capacity_) {
-    Node* victim = lru_.back();
-    if (victim->referenced.exchange(false, std::memory_order_relaxed)) {
-      lru_.splice(lru_.begin(), lru_, victim->lru_it);
-      continue;
-    }
-    size_t vindex = ProbeStart(victim->stamp, table->mask);
-    for (size_t n = 0; n <= table->mask; ++n) {
-      size_t i = (vindex + n) & table->mask;
-      if (table->cells[i].load(std::memory_order_relaxed) == victim) {
-        table->cells[i].store(Tombstone(), std::memory_order_release);
-        ++tombstones_;
-        break;
-      }
-    }
-    lru_.pop_back();
-    RetireNode(victim);
-    ++evictions_;
-  }
-  MaybeRebuildLocked();
-}
-
-void SharedMemoCache::MaybeRebuildLocked() {
-  Table* table = table_.load(std::memory_order_relaxed);
-  if ((lru_.size() + tombstones_) * 8 < table->size() * 7) return;
-  // Same size suffices: capacity_ bounds live nodes at half the table, so a
-  // rebuild exists purely to compact tombstones out of the probe chains.
-  Table* fresh = new Table(table->size());
-  for (Node* node : lru_) InstallLocked(fresh, node);
-  tombstones_ = 0;
-  table_.store(fresh, std::memory_order_release);
-  RetireTable(table);
-}
-
-void SharedMemoCache::InstallLocked(Table* table, Node* node) {
-  size_t index = ProbeStart(node->stamp, table->mask);
-  for (size_t n = 0; n <= table->mask; ++n) {
-    size_t i = (index + n) & table->mask;
-    if (table->cells[i].load(std::memory_order_relaxed) == nullptr) {
-      // Relaxed is enough pre-publication: the release store of table_
-      // itself orders every cell before any reader's acquire load.
-      table->cells[i].store(node, std::memory_order_relaxed);
-      return;
+    lru_.push_front(entry);
+    it->second = lru_.begin();
+    ++inserts_;
+    while (lru_.size() > capacity_) {
+      index_.erase(lru_.back()->stamp);
+      evicted.splice(evicted.end(), lru_, std::prev(lru_.end()));
+      ++evictions_;
     }
   }
-}
-
-void SharedMemoCache::RetireNode(Node* node) {
-  if (domain_ != nullptr) {
-    domain_->Retire([node] { delete node; });
-  } else {
-    deferred_.push_back([node] { delete node; });
-  }
-}
-
-void SharedMemoCache::RetireTable(Table* table) {
-  if (domain_ != nullptr) {
-    domain_->Retire([table] { delete table; });
-  } else {
-    deferred_.push_back([table] { delete table; });
-  }
-}
-
-void SharedMemoCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Table* table = table_.load(std::memory_order_relaxed);
-  Table* fresh = new Table(table->size());
-  table_.store(fresh, std::memory_order_release);
-  RetireTable(table);
-  for (Node* node : lru_) RetireNode(node);
-  lru_.clear();
-  tombstones_ = 0;
 }
 
 SharedMemoCache::Stats SharedMemoCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
+  Stats stats;
+  stats.hits = hits_;
+  stats.misses = misses_;
   stats.inserts = inserts_;
   stats.evictions = evictions_;
   stats.entries = lru_.size();
   return stats;
-}
-
-size_t SharedMemoCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
 }
 
 }  // namespace tioga2::dataflow

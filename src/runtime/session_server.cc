@@ -24,13 +24,13 @@ SessionServer::SessionServer(db::Catalog* catalog, Options options)
     : catalog_(catalog),
       options_(options),
       pool_(options.num_threads == 0 ? 1 : options.num_threads) {
-  // Every lock-free read structure the server touches shares the process
-  // EpochDomain: one Guard pin covers the catalog snapshot, the shared memo
-  // table, and the canvas registries alike.
+  // Both lock-free read structures the server touches share the process
+  // EpochDomain: one Guard pin covers the catalog snapshot and the canvas
+  // registries alike.
   catalog_->set_reclamation_domain(&EpochDomain::Global());
   if (options_.shared_cache_entries > 0) {
     shared_cache_ = std::make_unique<dataflow::SharedMemoCache>(
-        options_.shared_cache_entries, &EpochDomain::Global());
+        options_.shared_cache_entries);
     metrics_.AttachSharedCache(shared_cache_.get());
   }
 }

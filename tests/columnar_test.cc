@@ -74,7 +74,9 @@ TEST(ColumnarTest, NullBitmapAcrossWordBoundaries) {
     bool want_null =
         std::find(null_rows.begin(), null_rows.end(), r) != null_rows.end();
     EXPECT_EQ(col.IsNull(r), want_null) << "row " << r;
-    if (!want_null) EXPECT_EQ(col.ints[r], static_cast<int64_t>(r));
+    if (!want_null) {
+      EXPECT_EQ(col.ints[r], static_cast<int64_t>(r));
+    }
   }
 }
 

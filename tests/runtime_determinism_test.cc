@@ -14,7 +14,6 @@
 
 #include "boxes/relational_boxes.h"
 #include "expr/batch.h"
-#include "runtime/epoch.h"
 #include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
@@ -235,15 +234,13 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
   }
 }
 
-// Epoch-reclaimed shared tier parity: a deliberately tiny shared cache wired
-// to its own EpochDomain evicts on nearly every insert — retiring nodes and
-// tombstone-compacted tables through the domain, with TryAdvance reclaiming
-// them between rounds — while three successive environments evaluate every
+// Evicting shared tier parity: a deliberately tiny shared cache evicts on
+// nearly every insert while three successive environments evaluate every
 // fig program through it. Outputs and stamps must stay byte-identical to
-// the no-cache reference: eviction, retirement, and reclamation only move
-// memory, never values. This is the determinism half of the DESIGN.md §13
-// byte-identity claim (the torture half lives in session_server_test).
-TEST(RuntimeDeterminismTest, EpochReclaimedSharedCacheParityOnEveryFigProgram) {
+// the no-cache reference: eviction only drops memory, never changes values.
+// This is the determinism half of the DESIGN.md §13 byte-identity claim
+// (the torture half lives in session_server_test).
+TEST(RuntimeDeterminismTest, EvictingSharedCacheParityOnEveryFigProgram) {
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
     auto ref_env = BuildEnv(program);
@@ -261,8 +258,7 @@ TEST(RuntimeDeterminismTest, EpochReclaimedSharedCacheParityOnEveryFigProgram) {
       expected_stamps[id] = ref_session.engine().cache().StampOf(id);
     }
 
-    runtime::EpochDomain domain(8);
-    dataflow::SharedMemoCache shared(1, &domain);
+    dataflow::SharedMemoCache shared(1);
     for (int round = 0; round < 3; ++round) {
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
@@ -278,18 +274,14 @@ TEST(RuntimeDeterminismTest, EpochReclaimedSharedCacheParityOnEveryFigProgram) {
         EXPECT_EQ(session.engine().cache().StampOf(id), expected_stamps.at(id))
             << id;
       }
-      domain.TryAdvance();  // reclaim between rounds, mid-reuse
     }
     dataflow::SharedMemoCache::Stats stats = shared.stats();
     ASSERT_GT(stats.inserts, 0u);
     // Capacity 1: any program publishing more than one distinct stamp had
-    // to evict, and every eviction retires the node through the domain.
+    // to evict.
     if (stats.inserts > 1) {
       EXPECT_GT(stats.evictions, 0u);
-      EXPECT_GT(domain.stats().retired, 0u);
     }
-    while (domain.stats().pending > 0) ASSERT_TRUE(domain.TryAdvance());
-    EXPECT_EQ(domain.stats().reclaimed, domain.stats().retired);
   }
 }
 

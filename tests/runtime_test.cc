@@ -14,6 +14,7 @@
 
 #include "boxes/relational_boxes.h"
 #include "dataflow/engine.h"
+#include "dataflow/shared_memo_cache.h"
 #include "db/relation.h"
 #include "expr/batch.h"
 #include "runtime/metrics.h"
@@ -27,6 +28,8 @@ using boxes::TableBox;
 using dataflow::BoxValue;
 using dataflow::Engine;
 using dataflow::Graph;
+using dataflow::MemoCache;
+using dataflow::SharedMemoCache;
 using db::Column;
 using types::DataType;
 using types::Value;
@@ -59,6 +62,80 @@ TEST(ThreadPoolTest, TasksMaySubmitFurtherTasks) {
 TEST(ThreadPoolTest, AtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
+}
+
+MemoCache::EntryPtr StampedEntry(uint64_t stamp) {
+  auto entry = std::make_shared<MemoCache::Entry>();
+  entry->stamp = stamp;
+  return entry;
+}
+
+TEST(SharedMemoCacheTest, HitRefreshesRecency) {
+  SharedMemoCache cache(2);
+  MemoCache::EntryPtr a = StampedEntry(1);
+  MemoCache::EntryPtr b = StampedEntry(2);
+  MemoCache::EntryPtr c = StampedEntry(3);
+  cache.Insert(a);
+  cache.Insert(b);
+  EXPECT_EQ(cache.Lookup(1), a);  // a is now more recent than b
+  cache.Insert(c);
+  EXPECT_EQ(cache.Lookup(2), nullptr);
+  EXPECT_EQ(cache.Lookup(1), a);
+  EXPECT_EQ(cache.Lookup(3), c);
+}
+
+TEST(SharedMemoCacheTest, DuplicateStampKeepsFirstPublicationAndRefreshes) {
+  SharedMemoCache cache(2);
+  MemoCache::EntryPtr first = StampedEntry(1);
+  cache.Insert(first);
+  cache.Insert(StampedEntry(2));
+  cache.Insert(StampedEntry(1));  // keeps `first`, which becomes most recent
+  EXPECT_EQ(cache.stats().inserts, 2u);
+  cache.Insert(StampedEntry(3));
+  EXPECT_EQ(cache.Lookup(1), first);
+  EXPECT_EQ(cache.Lookup(2), nullptr);
+}
+
+TEST(SharedMemoCacheTest, CapacityZeroHoldsOneEntry) {
+  SharedMemoCache cache(0);
+  EXPECT_EQ(cache.capacity(), 1u);
+  MemoCache::EntryPtr b = StampedEntry(2);
+  cache.Insert(StampedEntry(1));
+  cache.Insert(b);
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(2), b);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(SharedMemoCacheTest, StatsAddUp) {
+  SharedMemoCache cache(3);
+  for (uint64_t stamp = 1; stamp <= 5; ++stamp) cache.Insert(StampedEntry(stamp));
+  cache.Insert(StampedEntry(5));
+  cache.Insert(nullptr);
+  for (uint64_t stamp = 0; stamp <= 5; ++stamp) cache.Lookup(stamp);
+  SharedMemoCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.inserts, 5u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.inserts - stats.evictions, stats.entries);
+  EXPECT_EQ(stats.hits, 3u);    // stamps 3, 4, 5
+  EXPECT_EQ(stats.misses, 3u);  // stamps 0, 1, 2
+}
+
+// An evicted entry may hold the last reference to a large relation; it is
+// released after Insert unlocks, so its destructor may even re-enter the
+// cache (under the lock this would self-deadlock).
+TEST(SharedMemoCacheTest, EvictedEntryIsReleasedOutsideTheLock) {
+  bool released = false;
+  SharedMemoCache cache(1);
+  cache.Insert(MemoCache::EntryPtr(new MemoCache::Entry{1, {}},
+                                   [&](const MemoCache::Entry* entry) {
+                                     EXPECT_EQ(cache.stats().evictions, 1u);
+                                     released = true;
+                                     delete entry;
+                                   }));
+  cache.Insert(StampedEntry(2));
+  EXPECT_TRUE(released);
 }
 
 class EngineWithRunnerTest : public ::testing::Test {

@@ -8,10 +8,12 @@
 //
 //   bench_lock_contention [--ops=N] [--tables=N] [--smoke] [--out=PATH]
 //
-// --smoke shrinks the op counts for CI (scripts/check.sh `contention`) and
-// turns on the gate assertions (floors below), all read from one run, and
-// requires that epoch pins were taken. Emits bench_out/lock_contention.json.
+// --smoke shrinks the op counts for CI (scripts/check.sh `contention`),
+// repeats every sweep and keeps its best rate, and turns on the gate
+// assertions (floors below), all read from one run, and requires that epoch
+// pins were taken. Emits bench_out/lock_contention.json.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -40,6 +42,7 @@ constexpr double kMinEightVsRwlock = 1.0;
 struct Config {
   size_t ops_per_thread = 400000;
   size_t tables = 64;  // catalog population
+  size_t repeats = 1;  // sweeps per cell; a cell reports its best rate
   bool smoke = false;
   std::string out = "";
 };
@@ -67,8 +70,12 @@ Config ParseFlags(int argc, char** argv) {
     }
   }
   if (config.smoke) {
+    // One smoke sweep lasts about 7 ms, so a single preemption can halve its
+    // rate; each cell's best of five measures the structure, not the
+    // scheduler.
     config.ops_per_thread = 60000;
     config.tables = 32;
+    config.repeats = 5;
   }
   if (config.out.empty()) config.out = OutDir() + "/lock_contention.json";
   return config;
@@ -124,8 +131,8 @@ int Run(int argc, char** argv) {
   Config config = ParseFlags(argc, argv);
   ReportHeader("lock-contention (DESIGN.md §13)",
                "read-dominated hot paths must scale with reader threads");
-  std::printf("  ops/thread=%zu tables=%zu%s\n", config.ops_per_thread,
-              config.tables, config.smoke ? " (smoke)" : "");
+  std::printf("  ops/thread=%zu tables=%zu repeats=%zu%s\n", config.ops_per_thread,
+              config.tables, config.repeats, config.smoke ? " (smoke)" : "");
 
   const std::vector<size_t> thread_counts = {1, 8, 32};
   runtime::EpochDomain domain(128);
@@ -143,37 +150,45 @@ int Run(int argc, char** argv) {
   }
   std::shared_mutex catalog_mu;  // models the old per-request reader lock
 
-  std::vector<SweepResult> resolve;
-  for (size_t threads : thread_counts) {
-    SweepResult row;
-    row.threads = threads;
-    // Lock-free: the SessionServer kRead path — one ReadPin, then the
-    // TableVersion + GetTable pair every TableBox evaluation performs.
-    row.lockfree_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          const std::string& name = names[(t + i) % names.size()];
-          db::Catalog::ReadPin pin(catalog);
-          uint64_t version = catalog.TableVersion(name).value();
-          return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
-        });
-    // Baseline: the same reads under a shared_lock, as session_server.cc
-    // took before §13.
-    row.baseline_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          const std::string& name = names[(t + i) % names.size()];
-          std::shared_lock<std::shared_mutex> lock(catalog_mu);
-          uint64_t version = catalog.TableVersion(name).value();
-          return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
-        });
+  // Each repeat sweeps every cell once, so every cell's samples spread over
+  // the whole run and its best rate comes from the quietest moment.
+  std::vector<SweepResult> resolve(thread_counts.size());
+  for (size_t repeat = 0; repeat < config.repeats; ++repeat) {
+    for (size_t c = 0; c < thread_counts.size(); ++c) {
+      SweepResult& row = resolve[c];
+      row.threads = thread_counts[c];
+      // Lock-free: the SessionServer kRead path — one ReadPin, then the
+      // TableVersion + GetTable pair every TableBox evaluation performs.
+      row.lockfree_ops = std::max(
+          row.lockfree_ops,
+          Sweep(row.threads, config.ops_per_thread, [&](size_t t, size_t i) {
+            const std::string& name = names[(t + i) % names.size()];
+            db::Catalog::ReadPin pin(catalog);
+            uint64_t version = catalog.TableVersion(name).value();
+            return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
+          }));
+      // Baseline: the same reads under a shared_lock, as session_server.cc
+      // took before §13.
+      row.baseline_ops = std::max(
+          row.baseline_ops,
+          Sweep(row.threads, config.ops_per_thread, [&](size_t t, size_t i) {
+            const std::string& name = names[(t + i) % names.size()];
+            std::shared_lock<std::shared_mutex> lock(catalog_mu);
+            uint64_t version = catalog.TableVersion(name).value();
+            return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
+          }));
+    }
+  }
+  for (const SweepResult& row : resolve) {
     std::printf("  catalog %2zu threads: lock-free %12.0f ops/s | rwlock %12.0f ops/s\n",
-                threads, row.lockfree_ops, row.baseline_ops);
-    resolve.push_back(row);
+                row.threads, row.lockfree_ops, row.baseline_ops);
   }
 
   runtime::EpochDomain::Stats epoch = domain.stats();
   std::string json = "{\"config\":{";
   json += "\"ops_per_thread\":" + std::to_string(config.ops_per_thread);
   json += ",\"tables\":" + std::to_string(config.tables);
+  json += ",\"repeats\":" + std::to_string(config.repeats);
   json += ",\"smoke\":" + std::string(config.smoke ? "true" : "false");
   json += ",\"hardware_threads\":" +
           std::to_string(std::thread::hardware_concurrency());

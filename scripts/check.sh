@@ -17,7 +17,8 @@
 #   4. contention — a small-N run of the lock-contention harness
 #               (bench_lock_contention --smoke): sweeps the epoch-pinned
 #               catalog read (ReadPin + TableVersion + GetTable) and the same
-#               reads under a shared_mutex at 1/8/32 reader threads,
+#               reads under a shared_mutex at 1/8/32 reader threads, each
+#               cell the best of five sweeps interleaved across the run,
 #               asserting from one run that the 8-thread epoch-pinned rate is
 #               at least 0.75x its 1-thread rate (readers never
 #               re-serialize) and at least 1.0x the 8-thread shared_mutex
@@ -48,10 +49,11 @@
 #               every policy;
 #   8. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
 #               asan pass it traps on the first finding instead of
-#               recovering) and run the join/operator/aggregates tests and
-#               determinism_test — the class of bug this catches
-#               mechanically is the old HashKey out-of-range double->int64
-#               cast;
+#               recovering; float-cast-overflow is named, GCC's
+#               -fsanitize=undefined leaves it out) and run the
+#               join/operator/aggregates tests and determinism_test — the
+#               class of bug this catches mechanically is an out-of-range
+#               double->integer cast, like the old HashKey one;
 #   9. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread

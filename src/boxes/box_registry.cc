@@ -37,7 +37,7 @@ Result<double> RequireDouble(const Params& params, const std::string& key) {
   TIOGA2_ASSIGN_OR_RETURN(std::string text, Require(params, key));
   char* end = nullptr;
   double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) {
+  if (end == text.c_str() || *end != '\0') {
     return Status::ParseError("box parameter '" + key + "' is not a number: " + text);
   }
   return v;

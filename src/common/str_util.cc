@@ -60,7 +60,9 @@ std::string FormatDouble(double value) {
   // Negative zero would print as "0" through the integer fast path below and
   // come back as +0.0 — a bit-level round-trip loss CSV must not have.
   if (value == 0.0 && std::signbit(value)) return "-0";
-  if (value == static_cast<long long>(value) && std::fabs(value) < 1e15) {
+  // The range test comes first: casting a double outside long long's range
+  // is undefined.
+  if (std::fabs(value) < 1e15 && value == static_cast<long long>(value)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
     return buf;

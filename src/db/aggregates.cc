@@ -249,26 +249,29 @@ int CompareCells(const ColumnVector& col, size_t a, size_t b) {
   return 0;
 }
 
-/// Open-addressing table from a group key to its group index: power-of-two
+/// Open-addressing table from a group key to its group id: power-of-two
 /// slots, linear probing, doubling at half load. Each slot keeps the key's
-/// full hash, so a probe compares keys only on a hash match and growth
-/// re-slots without rehashing a key.
+/// full hash and a `Key` (the key itself when it fits in a word, else the
+/// base row that first carried it), so a probe compares keys only on a hash
+/// match, never reads through the group list, and growth re-slots without
+/// rehashing a key.
+template <typename Key>
 class GroupTable {
  public:
-  /// The group whose key `same_key(group)` confirms among the groups hashed
-  /// to `hash`; when there is none, records `new_group` under `hash` and
-  /// returns it.
+  /// The group whose slot key `same_key` accepts among the groups hashed to
+  /// `hash`; when there is none, records `key` and `new_group` under `hash`
+  /// and returns `new_group`.
   template <typename SameKey>
-  uint32_t FindOrAdd(uint64_t hash, uint32_t new_group, SameKey same_key) {
+  uint32_t FindOrAdd(uint64_t hash, Key key, uint32_t new_group, SameKey same_key) {
     const size_t mask = slots_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
       if (slot.group == kEmpty) {
-        slot = Slot{hash, new_group};
+        slot = Slot{hash, key, new_group};
         if (++used_ * 2 > slots_.size()) Grow();
         return new_group;
       }
-      if (slot.hash == hash && same_key(slot.group)) return slot.group;
+      if (slot.hash == hash && same_key(slot.key)) return slot.group;
     }
   }
 
@@ -276,6 +279,7 @@ class GroupTable {
   static constexpr uint32_t kEmpty = UINT32_MAX;
   struct Slot {
     uint64_t hash = 0;
+    Key key{};
     uint32_t group = kEmpty;
   };
 
@@ -295,91 +299,191 @@ class GroupTable {
   size_t used_ = 0;
 };
 
+/// Calls fn(k, map[k]) for input rows k = 0, 1, ... in order, with the
+/// identity map's test taken out of the loop.
+template <typename Fn>
+void ForEachRow(const Relation::RowMap& map, size_t num_rows, Fn&& fn) {
+  if (map.rows == nullptr) {
+    for (size_t k = 0; k < num_rows; ++k) fn(k, static_cast<uint32_t>(k));
+    return;
+  }
+  const uint32_t* rows = map.rows->data();
+  for (size_t k = 0; k < num_rows; ++k) fn(k, rows[k]);
+}
+
+/// Pass 1 of the columnar group-by: a group id per input row, groups
+/// numbered in order of first appearance.
+struct GroupIds {
+  std::vector<uint32_t> of_row;  // per input row
+  std::vector<uint32_t> reps;    // per group: its first base row
+};
+
+GroupIds AssignGroups(const Relation::RowMap& map, size_t num_rows,
+                      const std::vector<const ColumnVector*>& key_cols) {
+  GroupIds ids;
+  ids.of_row.resize(num_rows);
+  auto assign = [&](size_t k, uint32_t r, uint32_t group) {
+    if (group == ids.reps.size()) ids.reps.push_back(r);
+    ids.of_row[k] = group;
+  };
+  if (key_cols.size() == 1 && key_cols[0]->type == DataType::kInt &&
+      !key_cols[0]->has_nulls()) {
+    // One non-null int key: the slot keeps the key's double image, the
+    // image KeysEqualRows compares, so a probe reads only the key array.
+    const int64_t* keys = key_cols[0]->ints.data();
+    GroupTable<double> table;
+    ForEachRow(map, num_rows, [&](size_t k, uint32_t r) {
+      const double key = static_cast<double>(keys[r]);
+      uint64_t bits = 0;
+      std::memcpy(&bits, &key, sizeof(bits));
+      const auto next = static_cast<uint32_t>(ids.reps.size());
+      assign(k, r, table.FindOrAdd(MixHash64(bits), key, next,
+                                   [key](double slot_key) { return slot_key == key; }));
+    });
+    return ids;
+  }
+  GroupTable<uint32_t> table;
+  ForEachRow(map, num_rows, [&](size_t k, uint32_t r) {
+    const auto next = static_cast<uint32_t>(ids.reps.size());
+    assign(k, r, table.FindOrAdd(HashKeyRow(key_cols, r), r, next, [&](uint32_t rep) {
+      return KeysEqualRows(key_cols, r, rep);
+    }));
+  });
+  return ids;
+}
+
+/// Running state of one aggregate within one group; min/max track the
+/// winning base row, so the output Value round-trips through ValueAt.
+struct ColAggState {
+  int64_t count = 0;
+  double sum = 0;
+  uint32_t extreme_row = 0;
+};
+
+/// Sum/avg and min/max over a numeric column without nulls: `read(r)` is
+/// base row r's double image. Each group's winner is seeded with its first
+/// row, so a later row replaces it only under CompareCells' strict < or >,
+/// and ties, ±0 and NaN keep the earlier row.
+template <typename Read>
+void AggregateNumeric(AggFn fn, Read read, const Relation::RowMap& map,
+                      const GroupIds& ids, ColAggState* states) {
+  const uint32_t* group_of = ids.of_row.data();
+  const size_t num_rows = ids.of_row.size();
+  if (fn == AggFn::kSum || fn == AggFn::kAvg) {
+    ForEachRow(map, num_rows, [&](size_t k, uint32_t r) {
+      ColAggState& state = states[group_of[k]];
+      state.sum += read(r);
+      ++state.count;
+    });
+    return;
+  }
+  std::vector<double> best(ids.reps.size());
+  for (size_t g = 0; g < ids.reps.size(); ++g) {
+    best[g] = read(ids.reps[g]);
+    states[g].extreme_row = ids.reps[g];
+  }
+  auto track = [&](auto wins) {
+    ForEachRow(map, num_rows, [&](size_t k, uint32_t r) {
+      const uint32_t g = group_of[k];
+      const double v = read(r);
+      const bool won = wins(v, best[g]);
+      best[g] = won ? v : best[g];
+      states[g].extreme_row = won ? r : states[g].extreme_row;
+      ++states[g].count;
+    });
+  };
+  if (fn == AggFn::kMin) {
+    track([](double v, double b) { return v < b; });
+  } else {
+    track([](double v, double b) { return v > b; });
+  }
+}
+
+/// Pass 2: one aggregate over (group id, base row) for every input row, in
+/// input order. `col` is the base's column (unused for count).
+std::vector<ColAggState> Aggregate(const AggSpec& spec, const ColumnVector* col,
+                                   const Relation::RowMap& map, const GroupIds& ids) {
+  std::vector<ColAggState> states(ids.reps.size());
+  const uint32_t* group_of = ids.of_row.data();
+  const size_t num_rows = ids.of_row.size();
+  if (spec.fn == AggFn::kCount) {
+    for (size_t k = 0; k < num_rows; ++k) ++states[group_of[k]].count;
+    return states;
+  }
+  if (!col->has_nulls() && col->type == DataType::kFloat) {
+    const double* values = col->floats.data();
+    AggregateNumeric(spec.fn, [values](uint32_t r) { return values[r]; }, map, ids,
+                     states.data());
+    return states;
+  }
+  if (!col->has_nulls() && col->type == DataType::kInt) {
+    const int64_t* values = col->ints.data();
+    AggregateNumeric(
+        spec.fn, [values](uint32_t r) { return static_cast<double>(values[r]); },
+        map, ids, states.data());
+    return states;
+  }
+  ForEachRow(map, num_rows, [&](size_t k, uint32_t r) {
+    if (col->IsNull(r)) return;
+    ColAggState& state = states[group_of[k]];
+    switch (spec.fn) {
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        state.sum += col->type == DataType::kInt ? static_cast<double>(col->ints[r])
+                                                 : col->floats[r];
+        break;
+      case AggFn::kMin:
+      case AggFn::kMax: {
+        if (state.count == 0) {
+          state.extreme_row = r;
+        } else {
+          const int cmp = CompareCells(*col, r, state.extreme_row);
+          if ((spec.fn == AggFn::kMin && cmp < 0) ||
+              (spec.fn == AggFn::kMax && cmp > 0)) {
+            state.extreme_row = r;
+          }
+        }
+        break;
+      }
+      case AggFn::kCount:
+        break;
+    }
+    ++state.count;
+  });
+  return states;
+}
+
 /// Groups `input` through its composed row map (Relation::ComposedSelection):
-/// view row k is base row rows[k], and every hash, key comparison and
+/// view row k is base row map[k], and every hash, key comparison and
 /// aggregate reads the base's columns at that row, so a selection view is
-/// never gathered first. `key_cols` are the base's key columns. Group
-/// representatives and min/max winners are base row ids.
+/// never gathered first. `key_cols` are the base's key columns. Pass 1
+/// assigns every row its group id; pass 2 runs each aggregate over the ids
+/// (DESIGN §14 gives why the output matches the TupleKey loop's).
 Result<RelationPtr> GroupByColumnar(const Relation& input, const Relation::RowMap& map,
                                     const std::vector<const ColumnVector*>& key_cols,
                                     const std::vector<AggSpec>& aggs,
                                     const std::vector<size_t>& agg_columns,
                                     SchemaPtr out_schema) {
-  struct ColAggState {
-    int64_t count = 0;
-    double sum = 0;
-    uint32_t extreme_row = 0;  // base row holding the min/max so far
-  };
-
+  const GroupIds ids = AssignGroups(map, input.num_rows(), key_cols);
   std::vector<const ColumnVector*> agg_cols(aggs.size(), nullptr);
+  std::vector<std::vector<ColAggState>> states(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].fn != AggFn::kCount) {
       agg_cols[a] = &map.base->columnar().column(agg_columns[a]);
     }
-  }
-
-  GroupTable table;
-  std::vector<uint32_t> reps;  // per group: first base row (keys read here)
-  std::vector<ColAggState> states;  // per group: aggs.size() states
-  const size_t num_rows = input.num_rows();
-  for (size_t k = 0; k < num_rows; ++k) {
-    const uint32_t r = static_cast<uint32_t>(map[k]);
-    const uint32_t next = static_cast<uint32_t>(reps.size());
-    const uint32_t gi =
-        table.FindOrAdd(HashKeyRow(key_cols, r), next, [&](uint32_t g) {
-          return KeysEqualRows(key_cols, r, reps[g]);
-        });
-    if (gi == next) {
-      reps.push_back(r);
-      states.resize(states.size() + aggs.size());
-    }
-    ColAggState* group_states = states.data() + gi * aggs.size();
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      ColAggState& state = group_states[a];
-      if (aggs[a].fn == AggFn::kCount) {
-        ++state.count;
-        continue;
-      }
-      const ColumnVector& col = *agg_cols[a];
-      if (col.IsNull(r)) continue;
-      switch (aggs[a].fn) {
-        case AggFn::kSum:
-        case AggFn::kAvg:
-          state.sum += col.type == DataType::kInt
-                           ? static_cast<double>(col.ints[r])
-                           : col.floats[r];
-          ++state.count;
-          break;
-        case AggFn::kMin:
-        case AggFn::kMax: {
-          if (state.count == 0) {
-            state.extreme_row = r;
-          } else {
-            const int cmp = CompareCells(col, r, state.extreme_row);
-            if ((aggs[a].fn == AggFn::kMin && cmp < 0) ||
-                (aggs[a].fn == AggFn::kMax && cmp > 0)) {
-              state.extreme_row = r;
-            }
-          }
-          ++state.count;
-          break;
-        }
-        case AggFn::kCount:
-          break;
-      }
-    }
+    states[a] = Aggregate(aggs[a], agg_cols[a], map, ids);
   }
 
   RelationBuilder builder(std::move(out_schema));
-  builder.Reserve(reps.size());
-  for (size_t g = 0; g < reps.size(); ++g) {
+  builder.Reserve(ids.reps.size());
+  for (size_t g = 0; g < ids.reps.size(); ++g) {
     Tuple row;
     row.reserve(key_cols.size() + aggs.size());
     for (const ColumnVector* col : key_cols) {
-      row.push_back(col->ValueAt(reps[g]));
+      row.push_back(col->ValueAt(ids.reps[g]));
     }
     for (size_t a = 0; a < aggs.size(); ++a) {
-      const ColAggState& state = states[g * aggs.size() + a];
+      const ColAggState& state = states[a][g];
       switch (aggs[a].fn) {
         case AggFn::kCount:
           row.push_back(Value::Int(state.count));

@@ -79,6 +79,45 @@ Result<RelationPtr> RestrictScalar(const RelationPtr& input,
   return builder.Build();
 }
 
+Result<std::vector<uint32_t>> RestrictSurvivors(const expr::BatchSource& source,
+                                                const expr::ExprNode& predicate,
+                                                const ExecPolicy& policy) {
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  metrics.restrict_rows += source.num_rows();
+  // Each morsel filters its row range with its own BatchEvaluator
+  // (kBatchSize batches inside) and appends the surviving row ids to its own
+  // slot. Shared state touched from workers — the source's lazily built
+  // columnar image and the metrics counters — is call_once / atomic.
+  std::vector<expr::Selection> survivors(NumMorsels(policy, source.num_rows()));
+  TIOGA2_RETURN_IF_ERROR(ForEachMorsel(
+      policy, source.num_rows(),
+      [&](size_t morsel, size_t begin, size_t end) -> Status {
+        expr::BatchEvaluator evaluator(source, policy);
+        expr::Selection sel;
+        for (size_t b = begin; b < end; b += expr::kBatchSize) {
+          expr::IdentitySelection(b, std::min(b + expr::kBatchSize, end), &sel);
+          TIOGA2_RETURN_IF_ERROR(
+              evaluator.FilterTrue(predicate, sel, &survivors[morsel]));
+          ++metrics.restrict_batches;
+        }
+        metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
+        metrics.nodes_fallback += evaluator.stats().fallback_nodes;
+        return Status::OK();
+      }));
+  // Row ids ascend within each morsel and morsels cover ascending ranges, so
+  // joining the slots in morsel order reproduces the serial scan. The joined
+  // list is sized exactly: a selection view holds it for as long as it is
+  // cached.
+  size_t total = 0;
+  for (const expr::Selection& s : survivors) total += s.size();
+  expr::Selection merged;
+  merged.reserve(total);
+  for (const expr::Selection& s : survivors) {
+    merged.insert(merged.end(), s.begin(), s.end());
+  }
+  return merged;
+}
+
 Result<RelationPtr> Restrict(const RelationPtr& input,
                              const expr::CompiledExpr& predicate,
                              const ExecPolicy& policy) {
@@ -86,48 +125,13 @@ Result<RelationPtr> Restrict(const RelationPtr& input,
   if (predicate.result_type() != DataType::kBool) {
     return Status::TypeError("Restrict predicate must be bool");
   }
-  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  metrics.restrict_rows += input->num_rows();
-  // Morsel-driven predicate evaluation: each morsel filters its row range
-  // with its own BatchEvaluator (kBatchSize batches inside), writing the
-  // surviving row ids into its own slot. Shared state touched from workers
-  // — the input's lazily built columnar image and the metrics counters — is
-  // call_once / atomic.
-  const size_t num_morsels = NumMorsels(policy, input->num_rows());
-  std::vector<expr::Selection> survivors(num_morsels);
-  TIOGA2_RETURN_IF_ERROR(ForEachMorsel(
-      policy, input->num_rows(),
-      [&](size_t morsel, size_t begin, size_t end) -> Status {
-        expr::RelationBatchSource source(*input);
-        expr::BatchEvaluator evaluator(source, policy);
-        expr::Selection sel;
-        expr::Selection& kept_rows = survivors[morsel];
-        for (size_t b = begin; b < end; b += expr::kBatchSize) {
-          const size_t bend = std::min(b + expr::kBatchSize, end);
-          expr::IdentitySelection(b, bend, &sel);
-          TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
-                                  evaluator.FilterTrue(predicate.root(), sel));
-          kept_rows.insert(kept_rows.end(), kept.begin(), kept.end());
-          ++metrics.restrict_batches;
-        }
-        metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
-        metrics.nodes_fallback += evaluator.stats().fallback_nodes;
-        return Status::OK();
-      }));
-  // Stitch the per-morsel survivor lists back together in morsel order: row
-  // ids ascend within each morsel and morsels cover ascending ranges, so
-  // the merged selection is byte-identical to the serial scan.
-  size_t total = 0;
-  for (const expr::Selection& s : survivors) total += s.size();
-  expr::Selection merged;
-  merged.reserve(total);
-  for (expr::Selection& s : survivors) {
-    merged.insert(merged.end(), s.begin(), s.end());
-  }
+  expr::RelationBatchSource source(*input);
+  TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
+                          RestrictSurvivors(source, predicate.root(), policy));
   // Surviving rows become a selection view over the input: no tuple is
   // copied, and columnar() gathers the survivors straight from the input's
   // typed columns.
-  return Relation::MakeSelectionView(input, std::move(merged));
+  return Relation::MakeSelectionView(input, std::move(kept));
 }
 
 Result<RelationPtr> Restrict(const RelationPtr& input,
@@ -140,7 +144,8 @@ Result<RelationPtr> Restrict(const RelationPtr& input,
 
 Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_t seed,
                            const ExecPolicy& policy) {
-  if (probability < 0.0 || probability > 1.0) {
+  // Written so that NaN fails too.
+  if (!(probability >= 0.0 && probability <= 1.0)) {
     return Status::InvalidArgument("sampling probability must be in [0, 1], got " +
                                    std::to_string(probability));
   }
@@ -150,13 +155,18 @@ Result<RelationPtr> Sample(const RelationPtr& input, double probability, uint64_
   if (policy.vectorized) {
     // The kept rows become a selection view, like Restrict's survivors: the
     // upstream row store is never built, and a consumer reads the base's
-    // columns through the composed row map.
+    // columns through the composed row map. Every row writes its id one past
+    // the kept rows so far and only a kept row advances, so no branch
+    // depends on a draw.
     const size_t n = input->num_rows();
-    std::vector<uint32_t> kept;
-    kept.reserve(static_cast<size_t>(probability * static_cast<double>(n)));
+    std::vector<uint32_t> kept(n);
+    size_t m = 0;
     for (size_t r = 0; r < n; ++r) {
-      if (rng.NextDouble() < probability) kept.push_back(static_cast<uint32_t>(r));
+      kept[m] = static_cast<uint32_t>(r);
+      m += rng.NextDouble() < probability;
     }
+    kept.resize(m);
+    kept.shrink_to_fit();  // the view holds only the kept rows while cached
     return Relation::MakeSelectionView(input, std::move(kept));
   }
   RelationBuilder builder(input->schema());
@@ -553,6 +563,7 @@ Result<RelationPtr> RunNestedLoopBatched(const RelationPtr& left,
         CrossBlockSource source(*left, *right);
         JoinPairs& out = per[morsel];
         expr::Selection sel;
+        expr::Selection kept;
         for (size_t l = lbegin; l < lend; ++l) {
           source.SetLeftRow(l);
           expr::BatchEvaluator evaluator(source, policy);
@@ -561,8 +572,8 @@ Result<RelationPtr> RunNestedLoopBatched(const RelationPtr& left,
             const size_t end =
                 std::min(begin + expr::kBatchSize, right->num_rows());
             expr::IdentitySelection(begin, end, &sel);
-            TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
-                                    evaluator.FilterTrue(predicate.root(), sel));
+            kept.clear();
+            TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(predicate.root(), sel, &kept));
             for (uint32_t r : kept) {
               out.left.push_back(static_cast<uint32_t>(l));
               out.right.push_back(r);

@@ -10,6 +10,11 @@
 #include "db/relation.h"
 #include "expr/expr.h"
 
+namespace tioga2::expr {
+class BatchSource;
+struct ExprNode;
+}  // namespace tioga2::expr
+
 namespace tioga2::db {
 
 /// Builds a TypeEnv exposing the stored columns of `schema` (for compiling
@@ -40,6 +45,14 @@ Result<RelationPtr> Restrict(const RelationPtr& input,
 Result<RelationPtr> Restrict(const RelationPtr& input,
                              const std::string& predicate_source,
                              const ExecPolicy& policy = DefaultExecPolicy());
+
+/// Rows of `source` for which `predicate` is non-null true, ascending: the
+/// vectorized Restrict scan behind db::Restrict and DisplayRelation's
+/// Restrict. Morsel-driven (db/morsel.h); the survivors equal one serial
+/// scan's, byte for byte, under every morsel size and runner.
+Result<std::vector<uint32_t>> RestrictSurvivors(const expr::BatchSource& source,
+                                                const expr::ExprNode& predicate,
+                                                const ExecPolicy& policy);
 
 /// Tuple-at-a-time Restrict — the scalar baseline the vectorized path is
 /// benchmarked and property-tested against.

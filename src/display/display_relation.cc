@@ -629,42 +629,13 @@ Result<DisplayRelation> DisplayRelation::Restrict(
   }
   DisplayRelation out = *this;
   if (policy.vectorized) {
-    expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-    metrics.restrict_rows += num_rows();
-    // Morsel-driven, like db::Restrict: per-morsel survivor lists merged in
-    // morsel order reproduce the serial scan byte for byte.
     DisplayBatchSource source(*this);
-    const size_t num_morsels = db::NumMorsels(policy, num_rows());
-    std::vector<expr::Selection> survivors(num_morsels);
-    TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
-        policy, num_rows(),
-        [&](size_t morsel, size_t begin, size_t end) -> Status {
-          expr::BatchEvaluator evaluator(source, policy);
-          expr::Selection sel;
-          expr::Selection& kept_rows = survivors[morsel];
-          for (size_t b = begin; b < end; b += expr::kBatchSize) {
-            const size_t bend = std::min(b + expr::kBatchSize, end);
-            expr::IdentitySelection(b, bend, &sel);
-            TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
-                                    evaluator.FilterTrue(compiled.root(), sel));
-            kept_rows.insert(kept_rows.end(), kept.begin(), kept.end());
-            ++metrics.restrict_batches;
-          }
-          metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
-          metrics.nodes_fallback += evaluator.stats().fallback_nodes;
-          return Status::OK();
-        }));
-    size_t total = 0;
-    for (const expr::Selection& s : survivors) total += s.size();
-    expr::Selection merged;
-    merged.reserve(total);
-    for (expr::Selection& s : survivors) {
-      merged.insert(merged.end(), s.begin(), s.end());
-    }
+    TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
+                            db::RestrictSurvivors(source, compiled.root(), policy));
     // Survivors reference the base relation through a selection view — no
     // tuple copies (the tuple-copy tax dominated restrict_half_selectivity
     // in bench_out/fig03_columnar.json before this).
-    out.base_ = db::Relation::MakeSelectionView(base_, std::move(merged));
+    out.base_ = db::Relation::MakeSelectionView(base_, std::move(kept));
   } else {
     db::RelationBuilder builder(base_->schema());
     for (size_t r = 0; r < num_rows(); ++r) {
@@ -695,15 +666,13 @@ Result<size_t> DisplayRelation::CountKept(const std::string& predicate,
         [&](size_t morsel, size_t mbegin, size_t mend) -> Status {
           expr::BatchEvaluator evaluator(source, policy);
           expr::Selection sel;
-          size_t kept_in_morsel = 0;
+          expr::Selection kept;
           for (size_t b = mbegin; b < mend; b += expr::kBatchSize) {
-            const size_t bend = std::min(b + expr::kBatchSize, mend);
-            expr::IdentitySelection(b, bend, &sel);
-            TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
-                                    evaluator.FilterTrue(compiled.root(), sel));
-            kept_in_morsel += kept.size();
+            expr::IdentitySelection(b, std::min(b + expr::kBatchSize, mend), &sel);
+            kept.clear();
+            TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(compiled.root(), sel, &kept));
+            counts[morsel] += kept.size();
           }
-          counts[morsel] = kept_in_morsel;
           return Status::OK();
         }));
     for (size_t c : counts) count += c;

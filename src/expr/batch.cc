@@ -15,9 +15,9 @@ using types::DataType;
 using types::Value;
 
 void IdentitySelection(size_t begin, size_t end, Selection* sel) {
-  sel->clear();
-  sel->reserve(end - begin);
-  for (size_t r = begin; r < end; ++r) sel->push_back(static_cast<uint32_t>(r));
+  sel->resize(end - begin);
+  uint32_t* out = sel->data();
+  for (size_t k = 0; k < end - begin; ++k) out[k] = static_cast<uint32_t>(begin + k);
 }
 
 bool Vec::IsNull(size_t k) const {
@@ -1194,34 +1194,78 @@ Result<Vec> BatchEvaluator::EvalCall(const ExprNode& node, const Selection& sel)
   return out;
 }
 
-Result<Selection> BatchEvaluator::FilterTrue(const ExprNode& pred, const Selection& sel) {
+namespace {
+
+/// Appends sel[k] for every lane k of `v` that is non-null true. A typed
+/// bool vector compacts without a branch: every lane writes its row id one
+/// past the survivors so far, and only a surviving lane advances the count.
+/// Null lanes are masked by the bitmap rather than trusted to hold 0.
+void AppendTrueLanes(const Vec& v, const Selection& sel, Selection* out) {
+  const size_t n = sel.size();
+  if (v.rep == Vec::Rep::kConst) {
+    if (!v.cval.is_null() && v.cval.bool_value()) {
+      out->insert(out->end(), sel.begin(), sel.end());
+    }
+    return;
+  }
+  if (v.rep != Vec::Rep::kOwned || v.is_boxed() || v.type != DataType::kBool) {
+    for (size_t k = 0; k < n; ++k) {
+      if (!v.IsNull(k) && ReadBool(v, k)) out->push_back(sel[k]);
+    }
+    return;
+  }
+  const size_t base = out->size();
+  out->resize(base + n);
+  uint32_t* dst = out->data() + base;
+  const uint32_t* rows = sel.data();
+  const uint8_t* lanes = v.bools.data();
+  size_t m = 0;
+  if (v.null_bits.empty()) {
+    for (size_t k = 0; k < n; ++k) {
+      dst[m] = rows[k];
+      m += lanes[k] != 0;
+    }
+  } else {
+    const uint64_t* nulls = v.null_bits.data();
+    for (size_t k = 0; k < n; ++k) {
+      dst[m] = rows[k];
+      m += (lanes[k] != 0) & ~(nulls[k >> 6] >> (k & 63)) & 1;
+    }
+  }
+  out->resize(base + m);
+}
+
+}  // namespace
+
+Status BatchEvaluator::FilterTrue(const ExprNode& pred, const Selection& sel,
+                                  Selection* out) {
   if (pred.kind == ExprNode::Kind::kBinary && pred.binary_op == BinaryOp::kAnd) {
     // Conjunct narrowing: rows rejected by the left conjunct never see the
     // right one. (A row where the left conjunct is null is also dropped:
     // null AND x is never true.)
-    TIOGA2_ASSIGN_OR_RETURN(Selection left, FilterTrue(*pred.children[0], sel));
-    if (left.empty()) return left;
-    return FilterTrue(*pred.children[1], left);
+    Selection left;
+    TIOGA2_RETURN_IF_ERROR(FilterTrue(*pred.children[0], sel, &left));
+    if (left.empty()) return Status::OK();
+    return FilterTrue(*pred.children[1], left, out);
   }
   if (pred.kind == ExprNode::Kind::kBinary && pred.binary_op == BinaryOp::kOr) {
-    TIOGA2_ASSIGN_OR_RETURN(Selection left_true, FilterTrue(*pred.children[0], sel));
+    Selection left_true;
+    TIOGA2_RETURN_IF_ERROR(FilterTrue(*pred.children[0], sel, &left_true));
     Selection rest;
     rest.reserve(sel.size() - left_true.size());
     std::set_difference(sel.begin(), sel.end(), left_true.begin(), left_true.end(),
                         std::back_inserter(rest));
-    TIOGA2_ASSIGN_OR_RETURN(Selection right_true, FilterTrue(*pred.children[1], rest));
-    Selection out;
-    out.reserve(left_true.size() + right_true.size());
+    Selection right_true;
+    TIOGA2_RETURN_IF_ERROR(FilterTrue(*pred.children[1], rest, &right_true));
+    const size_t base = out->size();
+    out->resize(base + left_true.size() + right_true.size());
     std::merge(left_true.begin(), left_true.end(), right_true.begin(),
-               right_true.end(), std::back_inserter(out));
-    return out;
+               right_true.end(), out->begin() + static_cast<ptrdiff_t>(base));
+    return Status::OK();
   }
   TIOGA2_ASSIGN_OR_RETURN(Vec v, Eval(pred, sel));
-  Selection out;
-  for (size_t k = 0; k < sel.size(); ++k) {
-    if (!v.IsNull(k) && ReadBool(v, k)) out.push_back(sel[k]);
-  }
-  return out;
+  AppendTrueLanes(v, sel, out);
+  return Status::OK();
 }
 
 }  // namespace tioga2::expr

@@ -207,12 +207,13 @@ class BatchEvaluator {
   /// `sel` (element k ↔ row sel[k]).
   Result<Vec> Eval(const ExprNode& node, const Selection& sel);
 
-  /// Rows of `sel` for which `pred` is non-null true, in order. kAnd
-  /// narrows the selection between conjuncts (rows failing the left conjunct
-  /// never evaluate the right one — the batch analogue of short-circuiting);
-  /// kOr merges the true-sets of both branches, evaluating the right branch
-  /// only on rows the left did not already accept.
-  Result<Selection> FilterTrue(const ExprNode& pred, const Selection& sel);
+  /// Appends to `*out` the rows of `sel` for which `pred` is non-null true,
+  /// in order. kAnd narrows the selection between conjuncts (rows failing
+  /// the left conjunct never evaluate the right one — the batch analogue of
+  /// short-circuiting); kOr merges the true-sets of both branches,
+  /// evaluating the right branch only on rows the left did not already
+  /// accept. A typed bool result is compacted branch-free.
+  Status FilterTrue(const ExprNode& pred, const Selection& sel, Selection* out);
 
   struct Stats {
     uint64_t vectorized_nodes = 0;  // nodes executed as typed loops

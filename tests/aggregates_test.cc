@@ -261,28 +261,43 @@ TEST(GroupByColumnarTest, FloatKeysAndUnencodedStringsStayOnTheScalarPath) {
 /// 200k rows: a near-distinct int key (nulls every 97th row, and a run of
 /// ints above 2^53 that round onto one double), low-cardinality bool, date
 /// and string keys with nulls, and float/int/string aggregate inputs with
-/// nulls and NaN.
-RelationPtr WideKeys() {
+/// nulls and NaN. With `null_free`, the int key and the float/int aggregate
+/// inputs hold no nulls, so the columnar group-by takes its single-int-key
+/// pass 1 and its typed aggregate loops: then v cycles ±0 and NaN (or ±inf)
+/// within each date of two date classes, and w holds distinct ints that
+/// share one double image there, so min/max ties decide which row wins.
+RelationPtr WideKeys(bool null_free) {
   constexpr int64_t k2To53 = int64_t{1} << 53;
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kTies[2][5] = {{0.0, -0.0, kNaN, -0.0, 0.0},
+                              {kInf, -0.0, -kInf, 0.0, 1.5}};
   const std::string cats[] = {"north", "south", "", "\xc3\xa9t\xc3\xa9", "west"};
   std::vector<Tuple> rows;
   rows.reserve(200000);
   for (size_t r = 0; r < 200000; ++r) {
-    Value key = r % 97 == 96 ? Value::Null() : Value::Int(static_cast<int64_t>(r));
+    Value key = !null_free && r % 97 == 96 ? Value::Null()
+                                           : Value::Int(static_cast<int64_t>(r));
     // k2To53 and k2To53 + 1 are distinct ints with one double image.
     if (r % 1000 == 500 || r % 1000 == 501) {
       key = Value::Int(k2To53 + static_cast<int64_t>(r % 2));
     }
+    const size_t day = r % 29;
+    Value v = r % 7 == 6    ? Value::Null()
+              : r % 23 == 4 ? Value::Float(kNaN)
+                            : Value::Float(static_cast<double>(r % 1013) * 0.125 - 40.0);
+    Value w = r % 5 == 4 ? Value::Null() : Value::Int(static_cast<int64_t>(r % 31) - 15);
+    if (null_free) {
+      v = day % 3 == 2 ? Value::Float(static_cast<double>(r % 1013) * 0.125 - 40.0)
+                       : Value::Float(kTies[day % 3][(r / 29) % 5]);
+      w = day % 3 == 0 ? Value::Int(k2To53 + static_cast<int64_t>((r / 29) % 2))
+                       : Value::Int(static_cast<int64_t>(r % 31) - 15);
+    }
     rows.push_back(
         {key, r % 13 == 12 ? Value::Null() : Value::Bool(r % 3 == 0),
          r % 17 == 16 ? Value::Null()
-                      : Value::DateVal(types::Date(static_cast<int32_t>(r % 29))),
-         r % 11 == 10 ? Value::Null() : Value::String(cats[r % 5]),
-         r % 7 == 6    ? Value::Null()
-         : r % 23 == 4 ? Value::Float(kNaN)
-                       : Value::Float(static_cast<double>(r % 1013) * 0.125 - 40.0),
-         r % 5 == 4 ? Value::Null() : Value::Int(static_cast<int64_t>(r % 31) - 15)});
+                      : Value::DateVal(types::Date(static_cast<int32_t>(day))),
+         r % 11 == 10 ? Value::Null() : Value::String(cats[r % 5]), v, w});
   }
   return MakeRelation({Column{"k", DataType::kInt}, Column{"b", DataType::kBool},
                        Column{"d", DataType::kDate}, Column{"s", DataType::kString},
@@ -292,42 +307,48 @@ RelationPtr WideKeys() {
 }
 
 TEST(GroupByRowMapTest, SampledChainsMatchTheScalarChain) {
-  const RelationPtr base = WideKeys();
   const std::vector<AggSpec> aggs = {
       AggSpec{AggFn::kCount, "", "n"},    AggSpec{AggFn::kSum, "v", "sum_v"},
       AggSpec{AggFn::kAvg, "w", "avg_w"}, AggSpec{AggFn::kMin, "v", "min_v"},
-      AggSpec{AggFn::kMax, "s", "max_s"}, AggSpec{AggFn::kMin, "d", "min_d"}};
-  using Chain = std::function<RelationPtr(const ExecPolicy&)>;
-  const std::vector<std::pair<std::string, Chain>> chains = {
-      {"restrict>sample",
-       [&](const ExecPolicy& policy) {
-         RelationPtr kept = Restrict(base, "w > -12 or b", policy).value();
-         return Sample(kept, 0.8, 7, policy).value();
-       }},
-      {"sort>sample", [&](const ExecPolicy& policy) {
-         RelationPtr sorted = Sort(base, "w", false, policy).value();
-         return Sample(sorted, 0.6, 11, policy).value();
-       }}};
-  for (const auto& [name, chain] : chains) {
-    const RelationPtr view = chain(VectorizedPolicy());
-    const RelationPtr rows = chain(ScalarPolicy());
-    ASSERT_TRUE(view->is_view());
-    ASSERT_FALSE(rows->is_view());
-    for (const std::vector<std::string>& keys :
-         std::vector<std::vector<std::string>>{{"k"}, {"s"}, {"b", "d"}, {"s", "b", "d"}}) {
-      SCOPED_TRACE(name + " keys " + keys.front());
-      const uint64_t scalar_rows0 =
-          expr::BatchMetrics::Global().group_by_scalar_rows.load();
-      auto vectorized = GroupBy(view, keys, aggs, VectorizedPolicy());
-      ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
-      // Every key set here is columnar-eligible: the TupleKey loop never ran.
-      EXPECT_EQ(expr::BatchMetrics::Global().group_by_scalar_rows.load(), scalar_rows0);
-      auto scalar = GroupBy(rows, keys, aggs, ScalarPolicy());
-      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-      ExpectSameCells(**scalar, **vectorized);
-      if (keys.front() == "k") {
-        // The table grew well past its 16 initial slots.
-        EXPECT_GT((*vectorized)->num_rows(), 100000u);
+      AggSpec{AggFn::kMax, "v", "max_v"}, AggSpec{AggFn::kMin, "w", "min_w"},
+      AggSpec{AggFn::kMax, "w", "max_w"}, AggSpec{AggFn::kMax, "s", "max_s"},
+      AggSpec{AggFn::kMin, "d", "min_d"}};
+  for (bool null_free : {false, true}) {
+    const RelationPtr base = WideKeys(null_free);
+    using Chain = std::function<RelationPtr(const ExecPolicy&)>;
+    const std::vector<std::pair<std::string, Chain>> chains = {
+        {"restrict>sample",
+         [&](const ExecPolicy& policy) {
+           RelationPtr kept = Restrict(base, "w > -12 or b", policy).value();
+           return Sample(kept, 0.8, 7, policy).value();
+         }},
+        {"sort>sample", [&](const ExecPolicy& policy) {
+           RelationPtr sorted = Sort(base, "w", false, policy).value();
+           return Sample(sorted, 0.6, 11, policy).value();
+         }}};
+    for (const auto& [name, chain] : chains) {
+      const RelationPtr view = chain(VectorizedPolicy());
+      const RelationPtr rows = chain(ScalarPolicy());
+      ASSERT_TRUE(view->is_view());
+      ASSERT_FALSE(rows->is_view());
+      for (const std::vector<std::string>& keys : std::vector<std::vector<std::string>>{
+               {"k"}, {"s"}, {"b", "d"}, {"s", "b", "d"}}) {
+        SCOPED_TRACE(name + " keys " + keys.front() +
+                     (null_free ? " null-free" : " nullable"));
+        const uint64_t scalar_rows0 =
+            expr::BatchMetrics::Global().group_by_scalar_rows.load();
+        auto vectorized = GroupBy(view, keys, aggs, VectorizedPolicy());
+        ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
+        // Every key set here is columnar-eligible: the TupleKey loop never ran.
+        EXPECT_EQ(expr::BatchMetrics::Global().group_by_scalar_rows.load(),
+                  scalar_rows0);
+        auto scalar = GroupBy(rows, keys, aggs, ScalarPolicy());
+        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+        ExpectSameCells(**scalar, **vectorized);
+        if (keys.front() == "k") {
+          // The table grew well past its 16 initial slots.
+          EXPECT_GT((*vectorized)->num_rows(), 100000u);
+        }
       }
     }
   }

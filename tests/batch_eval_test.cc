@@ -157,6 +157,32 @@ TEST(BatchRestrictTest, BatchBoundary) {
   ExpectSameRestrict(rel, "v % 3 = 1 and v > 4000");
 }
 
+TEST(BatchRestrictTest, NullLanesAtBitmapWordEdgesAndConstantPredicates) {
+  // Null lanes on both sides of the null bitmap's word edges (63/64/65,
+  // 127/128) and at the last row of a short final batch. A null int's
+  // stored payload satisfies "v > -1", yet its row must not survive.
+  for (size_t n : {size_t{130}, expr::kBatchSize + 129}) {
+    SCOPED_TRACE(n);
+    std::vector<Tuple> rows;
+    for (size_t r = 0; r < n; ++r) {
+      const size_t lane = r % expr::kBatchSize;
+      const bool null = lane == 63 || lane == 64 || lane == 65 || lane == 127 ||
+                        lane == 128 || r == n - 1;
+      rows.push_back({null ? Value::Null() : Value::Int(static_cast<int64_t>(r % 5)),
+                      r % 3 == 2 ? Value::Null() : Value::Bool(r % 2 == 0)});
+    }
+    RelationPtr rel =
+        MakeRelation({Column{"v", DataType::kInt}, Column{"b", DataType::kBool}}, rows)
+            .value();
+    for (const char* predicate :
+         {"v > -1", "v % 2 = 0", "v >= 1 and v < 4", "v = 0 or v > 3", "b",
+          "b or v > -1", "true", "false", "v > null", "true and v > 2",
+          "false or v < 2"}) {
+      ExpectSameRestrict(rel, predicate);
+    }
+  }
+}
+
 // ---- Randomized property test --------------------------------------------
 
 std::string RandomBoolExpr(Rng* rng, int depth);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "db/operators.h"
 #include "types/date.h"
@@ -93,8 +94,14 @@ TEST(SampleTest, DeterministicForSeed) {
 }
 
 TEST(SampleTest, RejectsBadProbability) {
-  EXPECT_TRUE(Sample(People(), -0.1, 1).status().IsInvalidArgument());
-  EXPECT_TRUE(Sample(People(), 1.1, 1).status().IsInvalidArgument());
+  for (bool vectorized : {false, true}) {
+    ExecPolicy policy;
+    policy.vectorized = vectorized;
+    for (double p : {-0.1, 1.1, std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_TRUE(Sample(People(), p, 1, policy).status().IsInvalidArgument())
+          << "p=" << p << " vectorized=" << vectorized;
+    }
+  }
 }
 
 TEST(SampleTest, ProportionRoughlyMatches) {

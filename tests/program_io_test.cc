@@ -78,9 +78,12 @@ TEST(BoxRegistryTest, ParamsRoundTripThroughMakeBox) {
 TEST(BoxRegistryTest, ErrorsForBadInput) {
   EXPECT_TRUE(MakeBox("NoSuchBox", {}).status().IsNotFound());
   EXPECT_TRUE(MakeBox("Restrict", {}).status().IsInvalidArgument());  // missing param
-  EXPECT_TRUE(MakeBox("Sample", {{"probability", "x"}, {"seed", "1"}})
-                  .status()
-                  .IsParseError());
+  for (const char* probability : {"x", "0.5abc"}) {
+    EXPECT_TRUE(MakeBox("Sample", {{"probability", probability}, {"seed", "1"}})
+                    .status()
+                    .IsParseError())
+        << probability;
+  }
   EXPECT_TRUE(MakeBox("T", {{"type", "Z"}}).status().IsParseError());
   EXPECT_TRUE(MakeBox("Const", {{"type", "blob"}, {"value", "1"}})
                   .status()

@@ -4,11 +4,16 @@
 // Reproduction: end-to-end canvas latency (evaluate + render) of a large
 // observation scatter as a function of the sampling probability. The claim
 // holds if latency scales down roughly linearly with p while the picture
-// stays representative.
+// stays representative. The report times evaluation (Refresh) apart from
+// rendering (RenderTo) over kColdRuns cold runs per probability and prints
+// each as median [q1, q3]: a best-of-few figure cannot separate an operator
+// change from the spread between process runs on a shared host.
 
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "common/str_util.h"
 #include "db/operators.h"
@@ -36,6 +41,20 @@ void BuildSampled(Environment* env, double probability, const std::string& canva
   Must(session.AddViewer(previous, 0, canvas), "viewer");
 }
 
+constexpr int kColdRuns = 15;
+
+/// "median [q1, q3]" of `ms`, by nearest rank.
+std::string Quartiles(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  auto at = [&ms](double q) {
+    return ms[static_cast<size_t>(q * static_cast<double>(ms.size() - 1) + 0.5)];
+  };
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.2f [%.2f, %.2f]", at(0.5), at(0.25),
+                at(0.75));
+  return text;
+}
+
 void Report() {
   ReportHeader("Claim: Sample for interactive response",
                "\"Sample is useful for improving interactive response\" (§4.2)");
@@ -43,7 +62,10 @@ void Report() {
   MustOk(env.LoadDemoData(100, 365), "load");  // 115 stations x 365 days
   std::printf("  workload: %zu observation tuples end-to-end (evaluate + render)\n",
               Must(env.catalog().GetTable("Observations"), "t")->num_rows());
-  std::printf("  %-6s %12s %12s\n", "p", "tuples", "latency(ms)");
+  std::printf("  %d cold runs per p; each column is median [q1, q3] in ms\n",
+              kColdRuns);
+  std::printf("  %-6s %8s  %-22s %-22s %-22s\n", "p", "tuples", "evaluate",
+              "render", "total");
   for (double p : {0.01, 0.05, 0.1, 0.25, 0.5, 1.0}) {
     Environment fresh;
     MustOk(fresh.LoadDemoData(100, 365), "load");
@@ -52,23 +74,31 @@ void Report() {
     MustOk(viewer->FitContent(640, 480), "fit");
     render::Framebuffer fb(640, 480);
     render::RasterSurface surface(&fb);
-    // Median-ish of 3 runs, cold engine each time (the interactive case is
-    // a fresh query).
-    double best_ms = 1e18;
+    // A cold engine each run: the interactive case is a fresh query.
+    std::vector<double> evaluate_ms;
+    std::vector<double> render_ms;
+    std::vector<double> total_ms;
     size_t drawn = 0;
-    for (int run = 0; run < 3; ++run) {
+    for (int run = 0; run < kColdRuns; ++run) {
       ClearMemo(fresh.session().engine(), fresh.session().graph());
       fb.Clear(draw::kWhite);
       auto start = std::chrono::steady_clock::now();
       MustOk(viewer->Refresh(), "refresh");
+      auto evaluated = std::chrono::steady_clock::now();
       auto stats = Must(viewer->RenderTo(&surface), "render");
       auto end = std::chrono::steady_clock::now();
-      double ms = std::chrono::duration<double, std::milli>(end - start).count();
-      best_ms = std::min(best_ms, ms);
+      evaluate_ms.push_back(
+          std::chrono::duration<double, std::milli>(evaluated - start).count());
+      render_ms.push_back(
+          std::chrono::duration<double, std::milli>(end - evaluated).count());
+      total_ms.push_back(
+          std::chrono::duration<double, std::milli>(end - start).count());
       drawn = stats.tuples_drawn + stats.tuples_culled_viewport +
               stats.tuples_culled_slider;
     }
-    std::printf("  %-6g %12zu %12.2f\n", p, drawn, best_ms);
+    std::printf("  %-6g %8zu  %-22s %-22s %-22s\n", p, drawn,
+                Quartiles(evaluate_ms).c_str(), Quartiles(render_ms).c_str(),
+                Quartiles(total_ms).c_str());
   }
 }
 

@@ -45,12 +45,12 @@ Result<double> RequireDouble(const Params& params, const std::string& key) {
 
 Result<uint64_t> RequireUint(const Params& params, const std::string& key) {
   TIOGA2_ASSIGN_OR_RETURN(std::string text, Require(params, key));
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::ParseError("box parameter '" + key + "' is not an integer: " + text);
+  uint64_t v = 0;
+  if (!ParseUint64(text, &v)) {
+    return Status::ParseError("box parameter '" + key +
+                              "' is not an unsigned integer: " + text);
   }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
 std::vector<std::string> SplitNonEmpty(const std::string& text, char delimiter) {
@@ -193,6 +193,11 @@ Result<BoxPtr> MakeBox(const std::string& type_name, const Params& params) {
   }
   if (type_name == "Stitch") {
     TIOGA2_ASSIGN_OR_RETURN(uint64_t arity, RequireUint(params, "arity"));
+    if (arity > StitchBox::kMaxArity) {
+      return Status::InvalidArgument(
+          "Stitch arity " + std::to_string(arity) + " exceeds the maximum of " +
+          std::to_string(StitchBox::kMaxArity));
+    }
     TIOGA2_ASSIGN_OR_RETURN(display::GroupLayout layout,
                             ParseLayout(Optional(params, "layout", "horizontal")));
     TIOGA2_ASSIGN_OR_RETURN(uint64_t columns, RequireUint(params, "columns"));

@@ -1,5 +1,7 @@
 #include "boxes/composite_boxes.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace tioga2::boxes {
@@ -103,7 +105,7 @@ Result<std::optional<dataflow::DeltaFire>> ShuffleBox::ApplyDelta(
 }
 
 StitchBox::StitchBox(size_t arity, GroupLayout layout, size_t tabular_columns)
-    : arity_(arity < 1 ? 1 : arity),
+    : arity_(std::clamp<size_t>(arity, 1, kMaxArity)),
       layout_(layout),
       tabular_columns_(tabular_columns == 0 ? 1 : tabular_columns) {}
 

@@ -84,6 +84,14 @@ class ShuffleBox : public Box {
 /// Stitch (§7.3): combines n composites into a group with the chosen layout.
 class StitchBox : public Box {
  public:
+  /// The widest group a Stitch builds. InputTypes() holds one port per unit
+  /// of arity, so an unchecked arity read from a saved program is an
+  /// allocation of any size the file asks for; a group of more members than
+  /// this has no readable layout on one canvas anyway. MakeBox rejects a
+  /// larger arity, and the constructor clamps to it.
+  static constexpr size_t kMaxArity = 4096;
+
+  /// `arity` is clamped to [1, kMaxArity], `tabular_columns` to at least 1.
   StitchBox(size_t arity, display::GroupLayout layout, size_t tabular_columns);
 
   std::string type_name() const override { return "Stitch"; }

@@ -102,9 +102,10 @@ Result<std::pair<std::string, size_t>> ParseEndpoint(const std::string& text) {
   if (colon == std::string::npos) {
     return Status::ParseError("expected box:port, got '" + text + "'");
   }
-  char* end = nullptr;
-  unsigned long long port = std::strtoull(text.c_str() + colon + 1, &end, 10);
-  if (*end != '\0') return Status::ParseError("bad port number in '" + text + "'");
+  uint64_t port = 0;
+  if (!ParseUint64(std::string_view(text).substr(colon + 1), &port)) {
+    return Status::ParseError("bad port number in '" + text + "'");
+  }
   return std::make_pair(text.substr(0, colon), static_cast<size_t>(port));
 }
 

@@ -1,6 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -131,6 +132,13 @@ bool UnquoteString(std::string_view quoted, std::string* out) {
     }
   }
   return true;
+}
+
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  // from_chars takes no sign for unsigned types and reports overflow.
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
 }
 
 }  // namespace tioga2

@@ -1,6 +1,7 @@
 #ifndef TIOGA2_COMMON_STR_UTIL_H_
 #define TIOGA2_COMMON_STR_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,11 @@ std::string QuoteString(std::string_view input);
 
 /// Inverse of QuoteString. Returns false on malformed input.
 bool UnquoteString(std::string_view quoted, std::string* out);
+
+/// Parses a base-10 unsigned integer: one or more ASCII digits and nothing
+/// else (no sign, no whitespace). Returns false otherwise, including for a
+/// value above UINT64_MAX.
+bool ParseUint64(std::string_view text, uint64_t* out);
 
 }  // namespace tioga2
 

@@ -118,9 +118,8 @@ class BoxObserver {
 /// post-order with inputs in port order — then the calling thread resolves
 /// the nodes in that order, stopping at the first failure. Resolving a node
 /// is one step: stamp fold, memo lookup, shared-tier adoption, coercion,
-/// Fire, arity check, insert and publish. The only parallelism inside an
-/// evaluation is a fired box's morsel fan-out across the policy's runner
-/// (db/morsel.h).
+/// Fire, arity check, insert and publish. A fired box runs on the calling
+/// thread too; its operators walk their morsels in order (db/morsel.h).
 ///
 /// The memo cache may be shared with other engines (MemoCache is
 /// thread-safe). The Engine itself serves one caller at a time; concurrency
@@ -224,8 +223,7 @@ std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
 /// does not match the pre-update program). Maintained entries are re-keyed
 /// under their post-update stamps, so a subsequent Evaluate sees a warm
 /// cache and byte-identity with a full recompute is preserved. Runs on the
-/// calling thread for Engine::Invalidate; a box it re-fires may still fan
-/// morsels out across `policy.runner`. `catalog` must already reflect the
+/// calling thread for Engine::Invalidate. `catalog` must already reflect the
 /// post-update state (delta.new_version installed).
 Result<InvalidationResult> PropagateDelta(
     const Graph& graph, const db::Catalog* catalog, const db::TableDelta& delta,

@@ -11,85 +11,86 @@ namespace {
 thread_local Catalog::ReadPin* tl_top_pin = nullptr;
 }  // namespace
 
-Catalog::Catalog() { snapshot_.store(new Snapshot(), std::memory_order_release); }
+Catalog::Catalog() : snapshot_(std::make_shared<const Snapshot>()) {}
 
-Catalog::~Catalog() {
-  // Snapshots retired through a domain are deleted by the domain; only the
-  // currently-published one is still ours.
-  delete snapshot_.load(std::memory_order_acquire);
-}
+Catalog::~Catalog() = default;
 
 Catalog::ReadPin::ReadPin(const Catalog& catalog)
-    : catalog_(&catalog),
-      guard_(catalog.domain_),
-      snapshot_(catalog.snapshot_.load(std::memory_order_acquire)),
-      prev_(tl_top_pin) {
+    : catalog_(&catalog), snapshot_(catalog.Current()), prev_(tl_top_pin) {
   tl_top_pin = this;
 }
 
 Catalog::ReadPin::~ReadPin() { tl_top_pin = prev_; }
 
-const Catalog::Snapshot* Catalog::PinnedSnapshot() const {
-  for (ReadPin* pin = tl_top_pin; pin != nullptr; pin = pin->prev_) {
-    if (pin->catalog_ == this)
-      return static_cast<const Snapshot*>(pin->snapshot_);
-  }
-  return nullptr;
+std::shared_ptr<const Catalog::Snapshot> Catalog::Current() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_;
 }
 
-void Catalog::PublishSnapshot() {
-  const Snapshot* fresh = new Snapshot{tables_, programs_};
-  const Snapshot* old = snapshot_.exchange(fresh, std::memory_order_acq_rel);
-  if (domain_ != nullptr) {
-    domain_->Retire([old] { delete old; });
-  } else {
-    // No domain wired ⇒ no concurrent readers (the pre-snapshot contract):
-    // deleting inline keeps single-threaded use allocation-neutral.
-    delete old;
+std::shared_ptr<const Catalog::Snapshot> Catalog::ReadSnapshot() const {
+  for (const ReadPin* pin = tl_top_pin; pin != nullptr; pin = pin->prev_) {
+    if (pin->catalog_ == this) return pin->snapshot_;
   }
+  return Current();
+}
+
+void Catalog::Publish(std::shared_ptr<const Snapshot> next) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot_.swap(next);
+  }
+  // `next` now holds the replaced snapshot: freed here, outside the lock,
+  // unless a ReadPin still holds it.
 }
 
 Status Catalog::RegisterTable(const std::string& name, RelationPtr relation) {
   if (name.empty()) return Status::InvalidArgument("table name must be non-empty");
   if (relation == nullptr) return Status::InvalidArgument("relation must be non-null");
+  auto next = std::make_shared<Snapshot>(*Current());
   // A recreation after a drop continues above the dropped table's final
   // version, so stamps minted against the old incarnation can never match.
   uint64_t version = 1;
   if (auto floor = version_floors_.find(name); floor != version_floors_.end()) {
     version = floor->second + 1;
   }
-  auto [it, inserted] = tables_.emplace(name, TableEntry{std::move(relation), version});
+  auto [it, inserted] =
+      next->tables.emplace(name, TableEntry{std::move(relation), version});
   if (!inserted) return Status::AlreadyExists("table '" + name + "' already exists");
-  PublishSnapshot();
+  const TableEntry& entry = it->second;
+  Publish(next);
   if (listener_ != nullptr) {
-    listener_->OnRegisterTable(name, it->second.relation, it->second.version);
+    listener_->OnRegisterTable(name, entry.relation, entry.version);
   }
   return Status::OK();
 }
 
 Status Catalog::ReplaceTable(const std::string& name, RelationPtr relation) {
   if (relation == nullptr) return Status::InvalidArgument("relation must be non-null");
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no table named '" + name + "'");
-  if (!(*it->second.relation->schema() == *relation->schema())) {
+  auto next = std::make_shared<Snapshot>(*Current());
+  auto it = next->tables.find(name);
+  if (it == next->tables.end()) return Status::NotFound("no table named '" + name + "'");
+  TableEntry& entry = it->second;
+  if (!(*entry.relation->schema() == *relation->schema())) {
     return Status::TypeError("ReplaceTable may not change the schema of '" + name +
-                             "': have " + it->second.relation->schema()->ToString() +
+                             "': have " + entry.relation->schema()->ToString() +
                              ", got " + relation->schema()->ToString());
   }
-  it->second.relation = std::move(relation);
-  ++it->second.version;
-  PublishSnapshot();
+  entry.relation = std::move(relation);
+  ++entry.version;
+  Publish(next);
   if (listener_ != nullptr) {
-    listener_->OnReplaceTable(name, it->second.relation, it->second.version);
+    listener_->OnReplaceTable(name, entry.relation, entry.version);
   }
   return Status::OK();
 }
 
 Result<TableDelta> Catalog::UpdateRow(const std::string& name, size_t row,
                                       Tuple tuple) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no table named '" + name + "'");
-  const RelationPtr& current = it->second.relation;
+  auto next = std::make_shared<Snapshot>(*Current());
+  auto it = next->tables.find(name);
+  if (it == next->tables.end()) return Status::NotFound("no table named '" + name + "'");
+  TableEntry& entry = it->second;
+  const RelationPtr current = entry.relation;
   if (row >= current->num_rows()) {
     return Status::OutOfRange("row " + std::to_string(row) + " out of range in '" +
                               name + "'");
@@ -99,7 +100,7 @@ Result<TableDelta> Catalog::UpdateRow(const std::string& name, size_t row,
   delta.row = row;
   delta.old_tuple = current->row(row);
   delta.new_tuple = tuple;
-  delta.old_version = it->second.version;
+  delta.old_version = entry.version;
   RelationBuilder builder(current->schema());
   builder.Reserve(current->num_rows());
   for (size_t r = 0; r < current->num_rows(); ++r) {
@@ -110,61 +111,44 @@ Result<TableDelta> Catalog::UpdateRow(const std::string& name, size_t row,
       builder.AddRowUnchecked(current->row(r));
     }
   }
-  it->second.relation = builder.Build();
-  ++it->second.version;
-  delta.new_version = it->second.version;
-  PublishSnapshot();
+  entry.relation = builder.Build();
+  ++entry.version;
+  delta.new_version = entry.version;
+  Publish(next);
   if (listener_ != nullptr) {
-    listener_->OnUpdateRow(delta, it->second.relation);
+    listener_->OnUpdateRow(delta, entry.relation);
   }
   return delta;
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("no table named '" + name + "'");
+  auto next = std::make_shared<Snapshot>(*Current());
+  auto it = next->tables.find(name);
+  if (it == next->tables.end()) return Status::NotFound("no table named '" + name + "'");
   const uint64_t version_at_drop = it->second.version;
   // Remember the final version so a same-named recreation stays monotonic.
   uint64_t& floor = version_floors_[name];
   floor = std::max(floor, version_at_drop);
-  tables_.erase(it);
-  PublishSnapshot();
+  next->tables.erase(it);
+  Publish(std::move(next));
   if (listener_ != nullptr) listener_->OnDropTable(name, version_at_drop);
   return Status::OK();
 }
 
 Result<RelationPtr> Catalog::GetTable(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->tables.find(name);
-    if (it == pinned->tables.end())
-      return Status::NotFound("no table named '" + name + "'");
-    return it->second.relation;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  const auto snap = ReadSnapshot();
   auto it = snap->tables.find(name);
   if (it == snap->tables.end())
     return Status::NotFound("no table named '" + name + "'");
-  return it->second.relation;  // shared_ptr copied while pinned
+  return it->second.relation;
 }
 
 bool Catalog::HasTable(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot())
-    return pinned->tables.count(name) > 0;
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  return snap->tables.count(name) > 0;
+  return ReadSnapshot()->tables.count(name) > 0;
 }
 
 Result<uint64_t> Catalog::TableVersion(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->tables.find(name);
-    if (it == pinned->tables.end())
-      return Status::NotFound("no table named '" + name + "'");
-    return it->second.version;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  const auto snap = ReadSnapshot();
   auto it = snap->tables.find(name);
   if (it == snap->tables.end())
     return Status::NotFound("no table named '" + name + "'");
@@ -172,23 +156,17 @@ Result<uint64_t> Catalog::TableVersion(const std::string& name) const {
 }
 
 std::vector<std::string> Catalog::ListTables() const {
+  const auto snap = ReadSnapshot();
   std::vector<std::string> names;
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    names.reserve(pinned->tables.size());
-    for (const auto& [name, entry] : pinned->tables) names.push_back(name);
-    return names;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   names.reserve(snap->tables.size());
   for (const auto& [name, entry] : snap->tables) names.push_back(name);
   return names;
 }
 
 void Catalog::SaveProgram(const std::string& name, std::string serialized) {
-  std::string& slot = programs_[name];
-  slot = std::move(serialized);
-  PublishSnapshot();
+  auto next = std::make_shared<Snapshot>(*Current());
+  const std::string& slot = next->programs[name] = std::move(serialized);
+  Publish(next);
   if (listener_ != nullptr) listener_->OnSaveProgram(name, slot);
 }
 
@@ -196,8 +174,9 @@ Status Catalog::RestoreTable(const std::string& name, RelationPtr relation,
                              uint64_t version) {
   if (name.empty()) return Status::InvalidArgument("table name must be non-empty");
   if (relation == nullptr) return Status::InvalidArgument("relation must be non-null");
-  tables_[name] = TableEntry{std::move(relation), version};
-  PublishSnapshot();
+  auto next = std::make_shared<Snapshot>(*Current());
+  next->tables[name] = TableEntry{std::move(relation), version};
+  Publish(std::move(next));
   return Status::OK();
 }
 
@@ -207,14 +186,7 @@ void Catalog::RestoreVersionFloor(const std::string& name, uint64_t version) {
 }
 
 Result<std::string> Catalog::GetProgram(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->programs.find(name);
-    if (it == pinned->programs.end())
-      return Status::NotFound("no program named '" + name + "'");
-    return it->second;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  const auto snap = ReadSnapshot();
   auto it = snap->programs.find(name);
   if (it == snap->programs.end())
     return Status::NotFound("no program named '" + name + "'");
@@ -222,14 +194,8 @@ Result<std::string> Catalog::GetProgram(const std::string& name) const {
 }
 
 std::vector<std::string> Catalog::ListPrograms() const {
+  const auto snap = ReadSnapshot();
   std::vector<std::string> names;
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    names.reserve(pinned->programs.size());
-    for (const auto& [name, program] : pinned->programs) names.push_back(name);
-    return names;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   names.reserve(snap->programs.size());
   for (const auto& [name, program] : snap->programs) names.push_back(name);
   return names;

@@ -1,13 +1,13 @@
 #ifndef TIOGA2_DB_CATALOG_H_
 #define TIOGA2_DB_CATALOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/reclaim.h"
 #include "common/result.h"
 #include "db/relation.h"
 
@@ -62,24 +62,24 @@ class CatalogListener {
 /// and a memo entry stamped against the old table's version 1 would be
 /// silently — and wrongly — considered fresh.)
 ///
-/// Concurrency (DESIGN.md §13): every const read is served from an IMMUTABLE
-/// snapshot republished after each mutation, so readers never take a lock.
-/// Mutators are NOT internally synchronized against each other — the caller
-/// serializes them (SessionServer holds catalog_mu_ exclusively) — but a
-/// mutator may run concurrently with any number of readers: the old snapshot
-/// is retired through the wired ReclamationDomain, which delays its deletion
-/// until every pinned reader has moved on. Without a domain wired the old
-/// snapshot is deleted immediately, which is the pre-existing contract: no
-/// concurrent readers exist (single-threaded tests, recovery replay).
+/// Concurrency (DESIGN.md §13): the read-visible state is one IMMUTABLE
+/// snapshot, published as a shared_ptr under mu_. A mutator copies the
+/// current snapshot, edits the copy and publishes it; a replaced snapshot is
+/// freed when its last holder drops it. Mutators are NOT synchronized
+/// against each other — the caller serializes them (SessionServer holds
+/// catalog_mu_) — but a mutator may run concurrently with any number of
+/// readers, because readers only ever hold a published snapshot.
 ///
 /// A multi-step read that must see ONE consistent catalog state — e.g. an
 /// evaluation that stamps against TableVersion and later fetches GetTable —
-/// brackets itself in a ReadPin, which pins the snapshot current at
+/// brackets itself in a ReadPin, which holds the snapshot current at
 /// construction for every read on that thread until destruction. Reads
-/// outside any ReadPin pin per call, which is consistent enough for
-/// single-shot queries and gives read-your-writes to mutating threads (the
-/// mutation republished the snapshot before returning).
+/// outside any ReadPin take the current snapshot per call, which is
+/// consistent enough for single-shot queries and gives read-your-writes to
+/// mutating threads (the mutation published before returning).
 class Catalog {
+  struct Snapshot;  // defined in the private section below
+
  public:
   Catalog();
   ~Catalog();
@@ -88,19 +88,11 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  /// Wires the reclamation domain readers pin and retired snapshots pass
-  /// through. Must be called before the first concurrent read; the domain
-  /// must outlive the catalog.
-  void set_reclamation_domain(common::ReclamationDomain* domain) {
-    domain_ = domain;
-  }
-
-  /// Pins the snapshot current at construction for EVERY read this thread
+  /// Holds the snapshot current at construction for EVERY read this thread
   /// makes on this catalog until destruction (frames nest; the innermost
   /// pin for a given catalog wins). The SessionServer brackets each
   /// Access::kRead handler in one, so stamping (TableVersion) and fetching
-  /// (GetTable) cannot straddle a concurrent writer's publish — the lock-free
-  /// replacement for holding a reader lock across the whole request.
+  /// (GetTable) cannot straddle a concurrent writer's publish.
   class ReadPin {
    public:
     explicit ReadPin(const Catalog& catalog);
@@ -111,9 +103,8 @@ class Catalog {
    private:
     friend class Catalog;
     const Catalog* catalog_;
-    common::ReclamationDomain::Guard guard_;
-    const void* snapshot_;  // const Snapshot*, typed inside catalog.cc
-    ReadPin* prev_;         // enclosing frame (thread-local stack)
+    std::shared_ptr<const Snapshot> snapshot_;
+    ReadPin* prev_;  // enclosing frame (thread-local stack)
   };
 
   /// Registers a new table; fails if the name is taken.
@@ -161,7 +152,7 @@ class Catalog {
   void SetListener(CatalogListener* listener) { listener_ = listener; }
 
   /// The per-name version floors recorded by DropTable (see class comment).
-  /// Write-side state: call only while holding the writer's exclusive lock.
+  /// Write-side state: call only while holding the writers' lock.
   const std::map<std::string, uint64_t>& version_floors() const {
     return version_floors_;
   }
@@ -187,35 +178,32 @@ class Catalog {
     RelationPtr relation;
     uint64_t version = 1;
   };
-  /// The immutable unit of publication: a full copy of the read-visible
-  /// state. Cheap to build — relations are shared by pointer, only the maps
-  /// are copied — and mutation rates are human-interaction rates.
+  /// The immutable unit of publication and the only copy of tables and
+  /// programs. Cheap to copy — relations are shared by pointer, only the
+  /// maps are copied — and mutation rates are human-interaction rates.
   struct Snapshot {
     std::map<std::string, TableEntry> tables;
     std::map<std::string, std::string> programs;
   };
 
-  /// Copies the write-side maps into a fresh snapshot, publishes it, and
-  /// retires (or, with no domain, deletes) the old one. Called at the end of
-  /// every mutator, on the mutating thread.
-  void PublishSnapshot();
+  /// The published snapshot, taken under mu_.
+  std::shared_ptr<const Snapshot> Current() const;
 
-  /// The snapshot reads on this thread should use: the innermost ReadPin's
-  /// if one is live for this catalog, else null (caller pins per call).
-  const Snapshot* PinnedSnapshot() const;
+  /// The snapshot a read on this thread sees: the innermost ReadPin's for
+  /// this catalog if one is live, else Current().
+  std::shared_ptr<const Snapshot> ReadSnapshot() const;
 
-  common::ReclamationDomain* domain_ = nullptr;
+  /// Replaces the published snapshot. Called at the end of every mutator,
+  /// on the mutating thread; the replaced snapshot is freed by its last
+  /// holder.
+  void Publish(std::shared_ptr<const Snapshot> next);
 
-  // Write-side authoritative state; mutators read and update these directly
-  // (serialized by the caller), readers never touch them.
-  std::map<std::string, TableEntry> tables_;
-  std::map<std::string, std::string> programs_;
-  /// name -> version the table had when it was last dropped.
+  mutable std::mutex mu_;  // guards snapshot_
+  std::shared_ptr<const Snapshot> snapshot_;  // never null
+
+  /// name -> version the table had when it was last dropped. Write-side.
   std::map<std::string, uint64_t> version_floors_;
   CatalogListener* listener_ = nullptr;
-
-  /// Read-side published state (release store, acquire load; never null).
-  std::atomic<const Snapshot*> snapshot_;
 };
 
 }  // namespace tioga2::db

@@ -74,8 +74,7 @@ struct ColumnVector {
 /// independently on first access (a Sort touching one key column does not
 /// pay for materializing strings or display lists it never reads), guarded
 /// by per-column once_flags so concurrent readers — sessions firing boxes
-/// over shared base relations, morsel bodies on pool workers — see each
-/// column built exactly once.
+/// over shared base relations — see each column built exactly once.
 class ColumnarTable {
  public:
   /// `relation` must outlive the table (the table is owned by it).

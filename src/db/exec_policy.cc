@@ -11,7 +11,6 @@ std::atomic<bool> g_default_dict_encode{true};
 std::atomic<double> g_default_sparse_gather_density{
     ExecPolicy{}.sparse_gather_density};
 std::atomic<size_t> g_default_morsel_rows{ExecPolicy{}.morsel_rows};
-std::atomic<MorselRunner*> g_default_runner{nullptr};
 }  // namespace
 
 ExecPolicy DefaultExecPolicy() {
@@ -23,7 +22,6 @@ ExecPolicy DefaultExecPolicy() {
   policy.sparse_gather_density =
       g_default_sparse_gather_density.load(std::memory_order_relaxed);
   policy.morsel_rows = g_default_morsel_rows.load(std::memory_order_relaxed);
-  policy.runner = g_default_runner.load(std::memory_order_relaxed);
   return policy;
 }
 
@@ -34,7 +32,6 @@ void SetDefaultExecPolicy(const ExecPolicy& policy) {
   g_default_sparse_gather_density.store(policy.sparse_gather_density,
                                         std::memory_order_relaxed);
   g_default_morsel_rows.store(policy.morsel_rows, std::memory_order_relaxed);
-  g_default_runner.store(policy.runner, std::memory_order_relaxed);
 }
 
 }  // namespace tioga2::db

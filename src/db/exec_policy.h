@@ -5,8 +5,6 @@
 
 namespace tioga2::db {
 
-class MorselRunner;  // db/morsel.h — the worker-pool seam
-
 /// Which SIMD instruction tier the batch-evaluator kernels may use.
 /// `kAuto` resolves to the best level the build and the running CPU support
 /// (see expr/simd/simd.h); the pinned levels exist so equivalence tests can
@@ -62,26 +60,13 @@ struct ExecPolicy {
   /// 0 disables gathering; results are bit-identical either way.
   double sparse_gather_density = 0.5;
 
-  /// Rows per morsel for intra-operator parallelism (db/morsel.h). Each
-  /// vectorized operator splits its input into morsels of this many rows,
-  /// evaluates them independently (possibly on `runner`), and merges the
-  /// per-morsel results in morsel order, so the knob never changes output
-  /// bytes — only the scheduling granularity. Multiples of expr::kBatchSize
-  /// keep inner batch boundaries aligned with the serial path; anything
-  /// >= 1 is legal (0 clamps to 1). Default 32k: large enough that a morsel
-  /// amortizes its claim/complete handshake, small enough that 200k-row
-  /// inputs still split across 8 workers.
+  /// Rows per morsel (db/morsel.h). Each vectorized operator splits its
+  /// input into morsels of this many rows, evaluates them in order, and
+  /// merges the per-morsel results in morsel order, so the knob never
+  /// changes output bytes. Multiples of expr::kBatchSize keep inner batch
+  /// boundaries aligned with the unsplit path; anything >= 1 is legal (0
+  /// clamps to 1).
   size_t morsel_rows = 32768;
-
-  /// Worker pool the vectorized operators' morsels may fan out across
-  /// (db/morsel.h); nullptr (the default) runs everything on the calling
-  /// thread. Non-owning — the pool must outlive any evaluation run under the
-  /// policy. A caller already running on the pool may lend it too: the
-  /// caller drains its own morsel group, so a busy pool costs parallelism,
-  /// never progress (see ForEachMorsel). Ignored when `vectorized` is false
-  /// (the scalar oracle stays strictly sequential) or when the pool has a
-  /// single worker.
-  MorselRunner* runner = nullptr;
 };
 
 /// The process-wide default policy, used whenever no explicit policy is

@@ -423,11 +423,11 @@ JoinPairs HashJoinPairs(const ExecPolicy& policy, size_t left_num_rows,
                         bool build_left, const BuildNull& build_null,
                         const BuildHash& build_hash, const ProbeNull& probe_null,
                         const ProbeHash& probe_hash, const EqualFn& equal) {
-  // The build stays serial (one shared read-only table); the probe fans out
-  // in morsels of probe rows. Each morsel emits matches into its own
-  // JoinPairs slot; concatenating the slots in morsel order reproduces the
-  // serial probe's emission order exactly, because the serial loop scans
-  // probe rows ascending and morsels cover ascending disjoint ranges.
+  // One build table; the probe runs in morsels of probe rows. Each morsel
+  // emits matches into its own JoinPairs slot; concatenating the slots in
+  // morsel order reproduces an unsplit probe's emission order exactly,
+  // because probe rows are scanned ascending and morsels cover ascending
+  // disjoint ranges.
   JoinHashTable table;
   table.Build(build_num_rows, build_null, build_hash);
   const size_t num_morsels = NumMorsels(policy, probe_num_rows);

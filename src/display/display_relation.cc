@@ -153,9 +153,10 @@ class DisplayBatchSource : public expr::BatchSource {
     if (base.type != DataType::kInt && base.type != DataType::kFloat) {
       return nullptr;  // the per-row path reports the TypeError
     }
-    // Morsel workers share one source so the transform materializes once:
-    // the first caller builds the column under the lock, later callers reuse
-    // it. The returned pointer stays stable (unique_ptr in the map).
+    // The shared memo tier can hand this relation to two serve workers at
+    // once, so the transform materializes once under the lock: the first
+    // caller builds the column, later callers reuse it. The returned pointer
+    // stays stable (unique_ptr in the map).
     std::lock_guard<std::mutex> lock(transform_mu_);
     auto it = transformed_.find(index);
     if (it != transformed_.end()) return it->second.get();
@@ -350,9 +351,8 @@ Result<std::vector<Value>> DisplayRelation::AttributeValues(
     }
   }
   // Per-row fallback (kCombine, kDefaultDisplay, transformed non-numeric
-  // stored columns). Rows are independent, so they fan out in morsels into
-  // preassigned slots; with `vectorized` false ForEachMorsel stays serial,
-  // keeping the scalar oracle strictly sequential.
+  // stored columns). Rows are independent, so each morsel writes its rows
+  // into preassigned slots.
   std::vector<Value> slots(n);
   TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
       policy, n, [&](size_t, size_t begin, size_t end) -> Status {

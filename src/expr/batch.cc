@@ -131,10 +131,7 @@ void BatchMetrics::Reset() {
   dict_remap_fallbacks = 0;
   sparse_gathers = 0;
   morsel_groups = 0;
-  morsel_groups_parallel = 0;
   morsels_executed = 0;
-  morsels_stolen = 0;
-  morsel_parallel_rows = 0;
 }
 
 BatchEvaluator::BatchEvaluator(const BatchSource& source)

@@ -123,7 +123,7 @@ class RelationBatchSource : public BatchSource {
 
 /// Process-wide counters for the vectorized path, surfaced through
 /// runtime::Metrics::ToJson under "batch_eval". Counters are atomic so
-/// concurrent sessions and morsel bodies on pool workers can record freely;
+/// concurrent sessions can record freely;
 /// Reset() zeroes them (runtime::Metrics::Reset calls it).
 struct BatchMetrics {
   std::atomic<uint64_t> restrict_batches{0};
@@ -160,17 +160,9 @@ struct BatchMetrics {
   std::atomic<uint64_t> dict_simd_batches{0};
   std::atomic<uint64_t> dict_remap_fallbacks{0};
   std::atomic<uint64_t> sparse_gathers{0};
-  // Morsel-driven fan-out (see db/morsel.h): groups run (fan-out sites),
-  // groups that actually parallelized, morsels executed, morsels claimed by
-  // pool help tickets (vs the submitting thread), and rows covered by
-  // parallel groups. speedup = wall-clock of the group vs its serial
-  // equivalent is a bench-side division (bench_morsel_scaling), not a
-  // counter.
+  // Morsel loops (see db/morsel.h): groups run and morsels executed.
   std::atomic<uint64_t> morsel_groups{0};
-  std::atomic<uint64_t> morsel_groups_parallel{0};
   std::atomic<uint64_t> morsels_executed{0};
-  std::atomic<uint64_t> morsels_stolen{0};
-  std::atomic<uint64_t> morsel_parallel_rows{0};
 
   static BatchMetrics& Global();
   void Reset();

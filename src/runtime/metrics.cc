@@ -7,7 +7,6 @@
 #include "dataflow/shared_memo_cache.h"
 #include "expr/batch.h"
 #include "expr/simd/simd.h"
-#include "runtime/epoch.h"
 #include "storage/storage_metrics.h"
 
 namespace tioga2::runtime {
@@ -167,10 +166,7 @@ MetricsSnapshot Metrics::snapshot() const {
   snap.batch_nodes_vectorized = batch.nodes_vectorized.load();
   snap.batch_nodes_fallback = batch.nodes_fallback.load();
   snap.batch_morsel_groups = batch.morsel_groups.load();
-  snap.batch_morsel_groups_parallel = batch.morsel_groups_parallel.load();
   snap.batch_morsels_executed = batch.morsels_executed.load();
-  snap.batch_morsels_stolen = batch.morsels_stolen.load();
-  snap.batch_morsel_parallel_rows = batch.morsel_parallel_rows.load();
   const storage::StorageMetrics& stor = storage::StorageMetrics::Global();
   snap.wal_records = stor.wal_records.load();
   snap.wal_bytes = stor.wal_bytes.load();
@@ -178,14 +174,6 @@ MetricsSnapshot Metrics::snapshot() const {
   snap.snapshots_written = stor.snapshots_written.load();
   snap.snapshot_ms = static_cast<double>(stor.snapshot_us_last.load()) / 1000.0;
   snap.recovery_ms = static_cast<double>(stor.recovery_us_last.load()) / 1000.0;
-  EpochDomain::Stats epoch = EpochDomain::Global().stats();
-  snap.epoch_current = epoch.epoch;
-  snap.epoch_advances = epoch.advances;
-  snap.epoch_retired = epoch.retired;
-  snap.epoch_reclaimed = epoch.reclaimed;
-  snap.epoch_pending = epoch.pending;
-  snap.epoch_pins = epoch.pins;
-  snap.epoch_overflow_pins = epoch.overflow_pins;
   return snap;
 }
 
@@ -271,13 +259,8 @@ std::string Metrics::ToJson() const {
           std::to_string(batch.dict_remap_fallbacks.load());
   json += ",\"sparse_gathers\":" + std::to_string(batch.sparse_gathers.load());
   json += ",\"morsel_groups\":" + std::to_string(batch.morsel_groups.load());
-  json += ",\"morsel_groups_parallel\":" +
-          std::to_string(batch.morsel_groups_parallel.load());
   json += ",\"morsels_executed\":" +
           std::to_string(batch.morsels_executed.load());
-  json += ",\"morsels_stolen\":" + std::to_string(batch.morsels_stolen.load());
-  json += ",\"morsel_parallel_rows\":" +
-          std::to_string(batch.morsel_parallel_rows.load());
   json += "}";
   const storage::StorageMetrics& stor = storage::StorageMetrics::Global();
   json += ",\"storage\":{";
@@ -298,16 +281,6 @@ std::string Metrics::ToJson() const {
           FormatDouble(static_cast<double>(stor.recovery_us_last.load()) / 1000.0);
   json += ",\"recovery_records_replayed\":" +
           std::to_string(stor.recovery_records_replayed.load());
-  json += "}";
-  EpochDomain::Stats epoch = EpochDomain::Global().stats();
-  json += ",\"epoch\":{";
-  json += "\"epoch\":" + std::to_string(epoch.epoch);
-  json += ",\"advances\":" + std::to_string(epoch.advances);
-  json += ",\"retired\":" + std::to_string(epoch.retired);
-  json += ",\"reclaimed\":" + std::to_string(epoch.reclaimed);
-  json += ",\"pending\":" + std::to_string(epoch.pending);
-  json += ",\"pins\":" + std::to_string(epoch.pins);
-  json += ",\"overflow_pins\":" + std::to_string(epoch.overflow_pins);
   json += "}}";
   return json;
 }

@@ -74,12 +74,9 @@ struct MetricsSnapshot {
   uint64_t batch_restrict_rows = 0;
   uint64_t batch_nodes_vectorized = 0;
   uint64_t batch_nodes_fallback = 0;
-  // Morsel-driven fan-out counters (db/morsel.h), same global-copy pattern.
+  // Morsel loop counters (db/morsel.h), same global-copy pattern.
   uint64_t batch_morsel_groups = 0;
-  uint64_t batch_morsel_groups_parallel = 0;
   uint64_t batch_morsels_executed = 0;
-  uint64_t batch_morsels_stolen = 0;
-  uint64_t batch_morsel_parallel_rows = 0;
   // Persistence counters, copied from storage::StorageMetrics::Global() at
   // snapshot time (same pattern: storage cannot depend on runtime).
   uint64_t wal_records = 0;
@@ -88,15 +85,6 @@ struct MetricsSnapshot {
   uint64_t snapshots_written = 0;
   double snapshot_ms = 0.0;
   double recovery_ms = 0.0;
-  // Epoch-based reclamation (runtime::EpochDomain::Global()), copied at
-  // snapshot time: the process-wide domain behind every lock-free read path.
-  uint64_t epoch_current = 0;
-  uint64_t epoch_advances = 0;
-  uint64_t epoch_retired = 0;
-  uint64_t epoch_reclaimed = 0;
-  uint64_t epoch_pending = 0;
-  uint64_t epoch_pins = 0;
-  uint64_t epoch_overflow_pins = 0;
 };
 
 /// The observability surface of the runtime: per-box-type fire latency

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "runtime/epoch.h"
-
 namespace tioga2::runtime {
 
 Result<viewer::Viewer*> Session::GetViewer(const std::string& canvas_name) {
@@ -24,10 +22,6 @@ SessionServer::SessionServer(db::Catalog* catalog, Options options)
     : catalog_(catalog),
       options_(options),
       pool_(options.num_threads == 0 ? 1 : options.num_threads) {
-  // Both lock-free read structures the server touches share the process
-  // EpochDomain: one Guard pin covers the catalog snapshot and the canvas
-  // registries alike.
-  catalog_->set_reclamation_domain(&EpochDomain::Global());
   if (options_.shared_cache_entries > 0) {
     shared_cache_ = std::make_unique<dataflow::SharedMemoCache>(
         options_.shared_cache_entries);
@@ -57,7 +51,6 @@ Result<std::string> SessionServer::OpenSession(const std::string& id) {
   // Sessions viewing the same canvas share identical box subgraphs; the
   // shared tier lets the second session reuse the first one's evaluations.
   if (shared_cache_ != nullptr) session->ui().set_shared_cache(shared_cache_.get());
-  session->ui().set_reclamation_domain(&EpochDomain::Global());
   sessions_[session_id] = std::move(session);
   return session_id;
 }
@@ -151,13 +144,12 @@ std::future<Status> SessionServer::Submit(const std::string& session_id,
     Status status;
     {
       // One client at a time per session. Writers serialize on catalog_mu_;
-      // readers take no lock at all — the ReadPin pins one epoch-protected
-      // catalog snapshot for the whole handler, so every TableVersion /
-      // GetTable pair inside sees the same catalog state even while a
-      // writer publishes a new one.
+      // readers hold a ReadPin on one catalog snapshot for the whole
+      // handler, so every TableVersion / GetTable pair inside sees the same
+      // catalog state even while a writer publishes a new one.
       std::lock_guard<std::mutex> session_lock(session->mu_);
       if (access == Access::kWrite) {
-        std::unique_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+        std::lock_guard<std::mutex> catalog_lock(catalog_mu_);
         status = handler(*session);
       } else {
         db::Catalog::ReadPin pin(*catalog_);

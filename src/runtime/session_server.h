@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "common/result.h"
@@ -25,8 +24,8 @@ namespace tioga2::runtime {
 /// One client's state on the server: a ui::Session (program, engine, canvas
 /// registry, undo stack) plus the viewers the client has opened. Requests
 /// for one session are serialized by the server (a per-session mutex), so a
-/// handler may use the ui::Session freely; distinct sessions run
-/// concurrently.
+/// handler may use the ui::Session and its canvas registry freely; distinct
+/// sessions run concurrently.
 class Session {
  public:
   Session(std::string id, db::Catalog* catalog)
@@ -53,20 +52,20 @@ class Session {
 
 /// Multiplexes N client sessions over one ThreadPool against one shared
 /// catalog — the runtime for the paper's multi-user picture (§7: several
-/// viewers, possibly several users, over the same database).
+/// viewers, possibly several users, over the same database). Each request
+/// runs on one pool worker, and its evaluation runs on that thread.
 ///
 /// Concurrency policy (DESIGN.md §13):
 ///  - Distinct sessions run concurrently; requests within one session are
 ///    serialized by the session's mutex (a client is a single logical
 ///    thread).
-///  - Access::kRead handlers never take a lock on the shared catalog: they
-///    run inside a db::Catalog::ReadPin, which pins one immutable catalog
-///    snapshot (epoch-reclaimed through runtime::EpochDomain::Global()) for
-///    the whole handler, so stamping and table fetches cannot straddle a
-///    concurrent writer's publish. Access::kWrite handlers (§8 updates via
-///    ReplaceTable) still take catalog_mu_ exclusively — the lock now only
-///    serializes writers against each other, since the catalog's mutators
-///    are not internally synchronized.
+///  - Access::kRead handlers take no server lock on the shared catalog: they
+///    run inside a db::Catalog::ReadPin, which holds one immutable catalog
+///    snapshot for the whole handler, so stamping and table fetches cannot
+///    straddle a concurrent writer's publish. Access::kWrite handlers (§8
+///    updates via ReplaceTable) take catalog_mu_, which serializes writers
+///    against each other, since the catalog's mutators are not internally
+///    synchronized.
 ///  - Admission control is bounded and non-blocking: when `queue_bound`
 ///    requests are already in flight, Submit immediately resolves the
 ///    request with Status::Unavailable instead of queueing or blocking
@@ -78,8 +77,8 @@ class Session {
 ///    running its handler.
 class SessionServer {
  public:
-  /// Catalog access a handler needs: kRead handlers run concurrently with
-  /// each other, kWrite handlers run exclusively.
+  /// Catalog access a handler needs: kRead handlers read one pinned catalog
+  /// snapshot, kWrite handlers run one at a time.
   enum class Access { kRead, kWrite };
 
   /// Scheduling class of a request. kInteractive (the default) may use the
@@ -111,7 +110,7 @@ class SessionServer {
   struct Request {
     /// The request body; must be non-null.
     Handler handler;
-    /// Catalog access the handler needs (readers share, writers exclude).
+    /// Catalog access the handler needs (readers pin, writers serialize).
     Access access = Access::kRead;
     /// Deadline measured from Submit; zero = Options::default_deadline.
     std::chrono::milliseconds deadline{0};
@@ -156,7 +155,6 @@ class SessionServer {
                                               const std::string& canvas_name);
 
   Metrics& metrics() { return metrics_; }
-  ThreadPool& pool() { return pool_; }
   db::Catalog* catalog() { return catalog_; }
   const Options& options() const { return options_; }
 
@@ -186,9 +184,9 @@ class SessionServer {
   uint64_t next_session_ = 1;
 
   /// Serializes Access::kWrite handlers against each other. kRead handlers
-  /// no longer touch it — they read epoch-pinned catalog snapshots (see the
-  /// class comment) — so this is a writer-writer lock in all but type.
-  std::shared_mutex catalog_mu_;
+  /// never take it — they read pinned catalog snapshots (see the class
+  /// comment).
+  std::mutex catalog_mu_;
 
   /// Requests accepted but not yet finished (admission control).
   std::atomic<size_t> in_flight_{0};

@@ -209,6 +209,13 @@ Status EncodeTuple(const db::Tuple& tuple, Encoder* enc) {
 
 Result<db::Tuple> DecodeTuple(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(uint32_t arity, dec->GetU32());
+  // Every cell takes at least its tag byte, so a larger arity is corrupt —
+  // and must be refused before it sizes the allocation.
+  if (arity > dec->remaining()) {
+    return Status::ParseError("tuple arity " + std::to_string(arity) +
+                              " exceeds the " + std::to_string(dec->remaining()) +
+                              " bytes left");
+  }
   db::Tuple tuple;
   tuple.reserve(arity);
   for (uint32_t c = 0; c < arity; ++c) {
@@ -220,6 +227,12 @@ Result<db::Tuple> DecodeTuple(Decoder* dec) {
 
 Status EncodeRelation(const db::Relation& relation, Encoder* enc) {
   const db::Schema& schema = *relation.schema();
+  if (schema.num_columns() == 0 && relation.num_rows() > 0) {
+    // Its rows would carry no bytes, so DecodeRelation could not check the
+    // row count against the payload (see there).
+    return Status::InvalidArgument(
+        "a zero-column relation with rows cannot be persisted");
+  }
   enc->PutU32(static_cast<uint32_t>(schema.num_columns()));
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (schema.column(c).type == DataType::kDisplay) {
@@ -264,6 +277,13 @@ Status EncodeRelation(const db::Relation& relation, Encoder* enc) {
 
 Result<db::RelationPtr> DecodeRelation(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(uint32_t num_columns, dec->GetU32());
+  // Length fields are checked against the bytes left before they size an
+  // allocation: a column header and a cell each take at least one byte.
+  if (num_columns > dec->remaining()) {
+    return Status::ParseError("column count " + std::to_string(num_columns) +
+                              " exceeds the " + std::to_string(dec->remaining()) +
+                              " bytes left");
+  }
   std::vector<db::Column> columns;
   columns.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -277,6 +297,15 @@ Result<db::RelationPtr> DecodeRelation(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(db::Schema schema, db::Schema::Make(std::move(columns)));
   auto schema_ptr = std::make_shared<const db::Schema>(std::move(schema));
   TIOGA2_ASSIGN_OR_RETURN(uint64_t num_rows, dec->GetU64());
+  // A zero-column relation's rows carry no bytes, so nothing bounds their
+  // count: the rule is that such a relation persists only empty, and
+  // EncodeRelation refuses one with rows.
+  if (num_columns == 0 ? num_rows != 0
+                       : num_rows > dec->remaining() / num_columns) {
+    return Status::ParseError(std::to_string(num_rows) + " rows of " +
+                              std::to_string(num_columns) + " columns exceed the " +
+                              std::to_string(dec->remaining()) + " bytes left");
+  }
   const size_t null_words = (num_rows + 63) / 64;
 
   // Decode into per-column tuples-in-waiting: a column-major pass that

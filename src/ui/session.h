@@ -173,13 +173,6 @@ class Session {
     engine_.set_shared_cache(shared);
   }
 
-  /// Wires the reclamation domain the canvas registry's lock-free readers
-  /// pin — set by runtime::SessionServer alongside the shared cache. The
-  /// domain must outlive the session.
-  void set_reclamation_domain(common::ReclamationDomain* domain) {
-    registry_.set_reclamation_domain(domain);
-  }
-
   db::Catalog* catalog() { return catalog_; }
   std::vector<std::string> ListTables() const { return catalog_->ListTables(); }
   std::vector<std::string> ListBoxTypes() const { return boxes::AllBoxTypes(); }

@@ -2,70 +2,34 @@
 
 namespace tioga2::viewer {
 
-CanvasRegistry::CanvasRegistry() {
-  snapshot_.store(new Snapshot(), std::memory_order_release);
-}
-
-CanvasRegistry::~CanvasRegistry() {
-  for (const Snapshot* old : parked_) delete old;
-  delete snapshot_.load(std::memory_order_acquire);
-}
-
-void CanvasRegistry::PublishLocked(const Snapshot* fresh) {
-  const Snapshot* old = snapshot_.exchange(fresh, std::memory_order_acq_rel);
-  if (domain_ != nullptr) {
-    domain_->Retire([old] { delete old; });
-  } else {
-    // No domain ⇒ a concurrent reader may still exist (tests exercise the
-    // registry bare); park the snapshot instead of guessing quiescence.
-    parked_.push_back(old);
-  }
-}
-
 void CanvasRegistry::Register(const std::string& name, Provider provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto* fresh = new Snapshot(*snapshot_.load(std::memory_order_relaxed));
-  (*fresh)[name] = std::move(provider);
-  PublishLocked(fresh);
+  providers_[name] = std::move(provider);
 }
 
 void CanvasRegistry::Unregister(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Snapshot* current = snapshot_.load(std::memory_order_relaxed);
-  if (current->find(name) == current->end()) return;  // idempotent, no churn
-  auto* fresh = new Snapshot(*current);
-  fresh->erase(name);
-  PublishLocked(fresh);
+  providers_.erase(name);
 }
 
 Result<display::Displayable> CanvasRegistry::Resolve(const std::string& name) const {
-  Provider provider;
-  {
-    common::ReclamationDomain::Guard guard(domain_);
-    const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-    auto it = snap->find(name);
-    if (it == snap->end()) {
-      return Status::NotFound("no canvas named '" + name + "'");
-    }
-    provider = it->second;  // copied out while pinned
+  auto it = providers_.find(name);
+  if (it == providers_.end()) {
+    return Status::NotFound("no canvas named '" + name + "'");
   }
-  // Invoked outside the pin: the provider evaluates through the engine, and
-  // rendering a wormhole re-enters Resolve for the destination canvas.
+  // Called through a copy, so the call never depends on the map entry
+  // staying put: the provider evaluates through the engine, and rendering a
+  // wormhole re-enters the registry for the destination canvas.
+  Provider provider = it->second;
   return provider();
 }
 
 bool CanvasRegistry::Has(const std::string& name) const {
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  return snap->find(name) != snap->end();
+  return providers_.count(name) > 0;
 }
 
 std::vector<std::string> CanvasRegistry::Names() const {
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   std::vector<std::string> names;
-  names.reserve(snap->size());
-  for (const auto& [name, provider] : *snap) names.push_back(name);
+  names.reserve(providers_.size());
+  for (const auto& [name, provider] : providers_) names.push_back(name);
   return names;
 }
 

@@ -1,15 +1,11 @@
 #ifndef TIOGA2_VIEWER_CANVAS_REGISTRY_H_
 #define TIOGA2_VIEWER_CANVAS_REGISTRY_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/reclaim.h"
 #include "common/result.h"
 #include "display/displayable.h"
 
@@ -20,30 +16,12 @@ namespace tioga2::viewer {
 /// the wormhole is rendered or flown through. Providers are functions so
 /// that resolution pulls through the (lazy) dataflow engine.
 ///
-/// Concurrency (DESIGN.md §13): reads are lock-free. The name→provider map
-/// is published as an immutable snapshot (release store / acquire load);
-/// Resolve, Has, and Names pin the reclamation domain, read the current
-/// snapshot, and copy whatever they need out while pinned. Writers
-/// (Register/Unregister) serialize on mu_ and retire the replaced snapshot
-/// through the domain; without a domain wired, replaced snapshots are parked
-/// until destruction (registration traffic is human-rate, so the parking
-/// list stays tiny). Resolve still invokes the provider OUTSIDE any pin or
-/// lock: providers run engine evaluations whose rendering may re-enter
-/// Resolve for a wormhole destination.
+/// Not thread-safe: the owner serializes access (DESIGN.md §13). Each
+/// ui::Session owns one registry, and runtime::SessionServer runs every
+/// handler for a session under that session's mutex.
 class CanvasRegistry {
  public:
   using Provider = std::function<Result<display::Displayable>()>;
-
-  CanvasRegistry();
-  ~CanvasRegistry();
-  CanvasRegistry(const CanvasRegistry&) = delete;
-  CanvasRegistry& operator=(const CanvasRegistry&) = delete;
-
-  /// Wires the reclamation domain readers pin. Must be called before the
-  /// first concurrent read; the domain must outlive the registry.
-  void set_reclamation_domain(common::ReclamationDomain* domain) {
-    domain_ = domain;
-  }
 
   /// Registers (or replaces) the provider for `name`.
   void Register(const std::string& name, Provider provider);
@@ -60,15 +38,7 @@ class CanvasRegistry {
   std::vector<std::string> Names() const;
 
  private:
-  using Snapshot = std::map<std::string, Provider>;
-
-  /// Publishes a mutated copy of the current snapshot; caller holds mu_.
-  void PublishLocked(const Snapshot* fresh);
-
-  common::ReclamationDomain* domain_ = nullptr;
-  mutable std::mutex mu_;  // writers only
-  std::atomic<const Snapshot*> snapshot_;  // never null
-  std::vector<const Snapshot*> parked_;  // no-domain fallback, freed at dtor
+  std::map<std::string, Provider> providers_;
 };
 
 }  // namespace tioga2::viewer

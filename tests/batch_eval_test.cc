@@ -12,10 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <future>
-#include <latch>
 #include <limits>
 #include <map>
 #include <optional>
@@ -30,7 +27,6 @@
 #include "expr/batch.h"
 #include "expr/evaluator.h"
 #include "expr/simd/simd.h"
-#include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
 
@@ -941,21 +937,16 @@ TEST(MorselTest, RestrictByteIdenticalAcrossMorselSizes) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto reference = db::RestrictScalar(rel, compiled.value());
   ASSERT_TRUE(reference.ok());
-  runtime::ThreadPool pool(4);
   for (size_t morsel_rows : kMorselSizes) {
     SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
-    for (bool with_runner : {false, true}) {
-      SCOPED_TRACE(with_runner ? "pooled" : "serial");
-      db::ExecPolicy policy;
-      policy.morsel_rows = morsel_rows;
-      policy.runner = with_runner ? &pool : nullptr;
-      auto result = db::Restrict(rel, compiled.value(), policy);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(db::RelationEquals(**reference, **result))
-          << "scalar:\n"
-          << (*reference)->ToString() << "morselized:\n"
-          << (*result)->ToString();
-    }
+    db::ExecPolicy policy;
+    policy.morsel_rows = morsel_rows;
+    auto result = db::Restrict(rel, compiled.value(), policy);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(db::RelationEquals(**reference, **result))
+        << "scalar:\n"
+        << (*reference)->ToString() << "morselized:\n"
+        << (*result)->ToString();
   }
 }
 
@@ -982,7 +973,6 @@ TEST(MorselTest, JoinsByteIdenticalAcrossMorselSizes) {
           .value();
   db::ExecPolicy scalar;
   scalar.vectorized = false;
-  runtime::ThreadPool pool(4);
   for (const char* predicate : {"k = j", "k < j"}) {
     SCOPED_TRACE(predicate);
     auto oracle = db::Join(left, right, predicate, scalar);
@@ -991,7 +981,6 @@ TEST(MorselTest, JoinsByteIdenticalAcrossMorselSizes) {
       SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
       db::ExecPolicy policy;
       policy.morsel_rows = morsel_rows;
-      policy.runner = &pool;
       auto result = db::Join(left, right, predicate, policy);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_TRUE(db::RelationEquals(*oracle->relation, *result->relation))
@@ -1007,18 +996,16 @@ TEST(MorselTest, DisplayPathsByteIdenticalAcrossMorselSizes) {
   auto dr = display::DisplayRelation::WithDefaults("stripes", rel);
   ASSERT_TRUE(dr.ok());
   // "score" exercises the vectorized kExpr path (with a per-row _y
-  // fallback inside); "_display" exercises the per-row fallback fan-out.
+  // fallback inside); "_display" exercises the per-row fallback morsels.
   auto with_attr = dr->AddAttribute("score", "coalesce(a, 0) * 2 + _y");
   ASSERT_TRUE(with_attr.ok()) << with_attr.status().ToString();
   const display::DisplayRelation& relation = with_attr.value();
 
   db::ExecPolicy serial;
-  runtime::ThreadPool pool(4);
   for (size_t morsel_rows : kMorselSizes) {
     SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
     db::ExecPolicy policy;
     policy.morsel_rows = morsel_rows;
-    policy.runner = &pool;
 
     for (const char* name : {"score", "_display"}) {
       SCOPED_TRACE(name);
@@ -1048,32 +1035,9 @@ TEST(MorselTest, DisplayPathsByteIdenticalAcrossMorselSizes) {
   }
 }
 
-TEST(MorselTest, LowestIndexedMorselErrorWinsUnderParallelism) {
-  runtime::ThreadPool pool(4);
-  db::ExecPolicy policy;
-  policy.morsel_rows = 1;
-  policy.runner = &pool;
-  for (int trial = 0; trial < 8; ++trial) {
-    std::atomic<int> ran{0};
-    Status status = db::ForEachMorsel(
-        policy, 64, [&](size_t m, size_t, size_t) -> Status {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          if (m >= 5 && m % 2 == 1) {
-            return Status::InvalidArgument("morsel " + std::to_string(m));
-          }
-          return Status::OK();
-        });
-    ASSERT_FALSE(status.ok());
-    // Always morsel 5's error, regardless of which worker hit which morsel
-    // first — and every morsel ran (parallel mode never aborts early).
-    EXPECT_EQ(status.message(), "morsel 5");
-    EXPECT_EQ(ran.load(), 64);
-  }
-}
-
 TEST(MorselTest, SerialModeStopsAtFirstFailureInMorselOrder) {
   db::ExecPolicy policy;
-  policy.morsel_rows = 1;  // no runner: serial mode
+  policy.morsel_rows = 1;
   int ran = 0;
   Status status =
       db::ForEachMorsel(policy, 64, [&](size_t m, size_t, size_t) -> Status {
@@ -1083,56 +1047,7 @@ TEST(MorselTest, SerialModeStopsAtFirstFailureInMorselOrder) {
       });
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "morsel 5");
-  EXPECT_EQ(ran, 6);  // serial mode preserves the old loops' early return
-}
-
-// Nested use: each of a 2-worker pool's workers runs a task that fans a
-// 64-morsel group out across that same pool. With both workers busy, every
-// help ticket queues behind the two tasks, so each task must drain its own
-// group; both must complete with the serial run's per-morsel results.
-TEST(MorselTest, GroupsFannedOutFromBusyPoolWorkersComplete) {
-  constexpr size_t kRows = 640;
-  constexpr size_t kMorselRows = 10;
-  constexpr size_t kMorsels = kRows / kMorselRows;
-  static_assert(kMorsels >= 64);
-  auto run_group = [](const db::ExecPolicy& policy, uint64_t salt,
-                      std::vector<uint64_t>* slots) {
-    slots->assign(kMorsels, 0);
-    return db::ForEachMorsel(
-        policy, kRows, [slots, salt](size_t m, size_t begin, size_t end) {
-          for (size_t r = begin; r < end; ++r) (*slots)[m] += r * r + salt;
-          return Status::OK();
-        });
-  };
-  db::ExecPolicy serial;
-  serial.morsel_rows = kMorselRows;
-  std::vector<uint64_t> expected[2];
-  for (uint64_t task = 0; task < 2; ++task) {
-    ASSERT_TRUE(run_group(serial, task, &expected[task]).ok());
-  }
-
-  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  const uint64_t parallel_before = metrics.morsel_groups_parallel;
-  runtime::ThreadPool pool(2);
-  db::ExecPolicy policy = serial;
-  policy.runner = &pool;
-  std::latch all_workers_busy(2);
-  std::vector<uint64_t> results[2];
-  std::promise<Status> done[2];
-  std::future<Status> statuses[2] = {done[0].get_future(), done[1].get_future()};
-  for (uint64_t task = 0; task < 2; ++task) {
-    pool.Submit([&, task] {
-      all_workers_busy.arrive_and_wait();
-      done[task].set_value(run_group(policy, task, &results[task]));
-    });
-  }
-  for (uint64_t task = 0; task < 2; ++task) {
-    SCOPED_TRACE("task " + std::to_string(task));
-    Status status = statuses[task].get();
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(results[task], expected[task]);
-  }
-  EXPECT_EQ(metrics.morsel_groups_parallel - parallel_before, 2u);
+  EXPECT_EQ(ran, 6);  // the first failure returns at once
 }
 
 TEST(SortTest, VectorizedMatchesScalarIncludingNulls) {

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
+#include <memory>
+#include <thread>
 
 #include "data/generators.h"
 #include "db/catalog.h"
@@ -102,6 +105,76 @@ TEST(CatalogTest, VersionsStayMonotonicAcrossDropAndRecreate) {
   // Unrelated names are unaffected.
   ASSERT_TRUE(catalog.RegisterTable("U", SmallTable()).ok());
   EXPECT_EQ(catalog.TableVersion("U").value(), 1u);
+}
+
+// A ReadPin keeps one snapshot for its thread while another thread
+// publishes: stamping (TableVersion) and fetching (GetTable) agree. The
+// writer's own unpinned reads see its write at once.
+TEST(CatalogTest, ReadPinKeepsOneSnapshotAcrossAReplaceOnAnotherThread) {
+  Catalog catalog;
+  const RelationPtr before = SmallTable();
+  ASSERT_TRUE(catalog.RegisterTable("T", before).ok());
+  std::promise<void> pinned;
+  std::promise<void> replaced;
+  std::thread reader([&catalog, &before, &pinned, &replaced] {
+    Catalog::ReadPin pin(catalog);
+    pinned.set_value();
+    replaced.get_future().wait();
+    EXPECT_EQ(catalog.TableVersion("T").value(), 1u);
+    EXPECT_EQ(catalog.GetTable("T").value(), before);
+  });
+  pinned.get_future().wait();
+  const RelationPtr after = SmallTable();
+  EXPECT_TRUE(catalog.ReplaceTable("T", after).ok());
+  EXPECT_EQ(catalog.TableVersion("T").value(), 2u);
+  EXPECT_EQ(catalog.GetTable("T").value(), after);
+  replaced.set_value();
+  reader.join();
+}
+
+// A replaced snapshot is freed by its last holder: the old relation lives
+// exactly as long as the pin that holds it.
+TEST(CatalogTest, ReplacedRelationLivesUntilThePinDrops) {
+  Catalog catalog;
+  std::weak_ptr<const Relation> old;
+  {
+    RelationPtr table = SmallTable();
+    old = table;
+    ASSERT_TRUE(catalog.RegisterTable("T", std::move(table)).ok());
+  }
+  {
+    Catalog::ReadPin pin(catalog);
+    ASSERT_TRUE(catalog.ReplaceTable("T", SmallTable()).ok());
+    EXPECT_FALSE(old.expired());
+    EXPECT_EQ(catalog.GetTable("T").value(), old.lock());
+  }
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(catalog.TableVersion("T").value(), 2u);
+}
+
+// Pins of different catalogs nest on one thread; each catalog's reads see
+// its own pinned snapshot, never the other catalog's or the current one.
+TEST(CatalogTest, NestedPinsOfTwoCatalogsSeeTheirOwnSnapshots) {
+  Catalog a;
+  Catalog b;
+  ASSERT_TRUE(a.RegisterTable("T", SmallTable()).ok());
+  ASSERT_TRUE(b.RegisterTable("T", SmallTable()).ok());
+  ASSERT_TRUE(b.ReplaceTable("T", SmallTable()).ok());  // b at version 2
+  {
+    Catalog::ReadPin pin_a(a);
+    ASSERT_TRUE(a.ReplaceTable("T", SmallTable()).ok());
+    {
+      Catalog::ReadPin pin_b(b);
+      ASSERT_TRUE(b.ReplaceTable("T", SmallTable()).ok());
+      ASSERT_TRUE(a.ReplaceTable("T", SmallTable()).ok());
+      EXPECT_EQ(a.TableVersion("T").value(), 1u);
+      EXPECT_EQ(b.TableVersion("T").value(), 2u);
+    }
+    EXPECT_EQ(a.TableVersion("T").value(), 1u);
+    EXPECT_EQ(b.TableVersion("T").value(), 3u);
+  }
+  EXPECT_EQ(a.TableVersion("T").value(), 3u);
+  EXPECT_EQ(b.TableVersion("T").value(), 3u);
 }
 
 TEST(CsvTest, RoundTripAllTypes) {

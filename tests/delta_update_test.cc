@@ -1,10 +1,10 @@
 // Delta propagation equivalence: after randomized single-tuple §8 edits,
 // every figure program evaluates to bit-identical outputs and stamps whether
 // the engine maintained its memo cache incrementally (Invalidation::Delta)
-// or recomputed from scratch — through the Engine both inline and with its
-// boxes' morsels fanned out across a runner. This is the guarantee that
-// makes the delta fast path invisible: same fingerprints, same stamps, only
-// less work.
+// or recomputed from scratch — through the session engine and through an
+// engine whose boxes split their inputs into 7-row morsels. This is the
+// guarantee that makes the delta fast path invisible: same fingerprints,
+// same stamps, only less work.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,8 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
-#include "expr/batch.h"
 #include "render/framebuffer.h"
 #include "render/raster_surface.h"
-#include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
 
@@ -186,7 +184,7 @@ TEST(DeltaUpdateTest, DeltaMatchesFullRecomputeOnEveryFigProgram) {
   }
 }
 
-TEST(DeltaUpdateTest, ParallelDeltaMatchesFullRecomputeOnEveryFigProgram) {
+TEST(DeltaUpdateTest, SplitMorselDeltaMatchesFullRecomputeOnEveryFigProgram) {
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
     // Plan (and reference) once per program; the plan depends only on the
@@ -199,44 +197,33 @@ TEST(DeltaUpdateTest, ParallelDeltaMatchesFullRecomputeOnEveryFigProgram) {
     ASSERT_FALSE(edits.empty());
     Reference ref = FullRecompute(program, edits);
 
-    for (size_t num_threads : {2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(num_threads));
-      auto env = BuildEnv(program);
-      ui::Session& session = env->session();
-      runtime::ThreadPool pool(num_threads);
-      dataflow::Engine engine(session.catalog());
-      db::ExecPolicy policy = db::DefaultExecPolicy();
-      policy.runner = &pool;
-      policy.morsel_rows = 7;  // splits every table the program reads
-      engine.set_exec_policy(policy);
-      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-      const uint64_t groups_before = metrics.morsel_groups;
-      const uint64_t parallel_before = metrics.morsel_groups_parallel;
-      for (const Target& t : TargetsOf(session.graph())) {
-        auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-      }
-      for (const Edit& edit : edits) {
-        auto delta = env->catalog().UpdateRow(edit.table, edit.row, edit.new_tuple);
-        ASSERT_TRUE(delta.ok()) << edit.table << ": " << delta.status().message();
-        auto result = engine.Invalidate(
-            session.graph(), dataflow::Invalidation::Delta(delta.value()));
-        ASSERT_TRUE(result.ok()) << result.status().message();
-      }
-      for (const Target& t : TargetsOf(session.graph())) {
-        auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-        ASSERT_EQ(ref.fingerprints.count(t.canvas), 1u);
-        EXPECT_EQ(FingerprintBoxValue(value.value()), ref.fingerprints.at(t.canvas))
-            << t.canvas;
-      }
-      for (const std::string& id : session.graph().BoxIds()) {
-        ASSERT_EQ(ref.stamps.count(id), 1u) << id;
-        EXPECT_EQ(engine.cache().StampOf(id), ref.stamps.at(id)) << id;
-      }
-      if (metrics.morsel_groups > groups_before) {
-        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
-      }
+    auto env = BuildEnv(program);
+    ui::Session& session = env->session();
+    dataflow::Engine engine(session.catalog());
+    db::ExecPolicy policy = db::DefaultExecPolicy();
+    policy.morsel_rows = 7;  // splits every table the program reads
+    engine.set_exec_policy(policy);
+    for (const Target& t : TargetsOf(session.graph())) {
+      auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
+      ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
+    }
+    for (const Edit& edit : edits) {
+      auto delta = env->catalog().UpdateRow(edit.table, edit.row, edit.new_tuple);
+      ASSERT_TRUE(delta.ok()) << edit.table << ": " << delta.status().message();
+      auto result = engine.Invalidate(
+          session.graph(), dataflow::Invalidation::Delta(delta.value()));
+      ASSERT_TRUE(result.ok()) << result.status().message();
+    }
+    for (const Target& t : TargetsOf(session.graph())) {
+      auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
+      ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
+      ASSERT_EQ(ref.fingerprints.count(t.canvas), 1u);
+      EXPECT_EQ(FingerprintBoxValue(value.value()), ref.fingerprints.at(t.canvas))
+          << t.canvas;
+    }
+    for (const std::string& id : session.graph().BoxIds()) {
+      ASSERT_EQ(ref.stamps.count(id), 1u) << id;
+      EXPECT_EQ(engine.cache().StampOf(id), ref.stamps.at(id)) << id;
     }
   }
 }

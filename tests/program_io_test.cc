@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "boxes/box_registry.h"
+#include "boxes/composite_boxes.h"
 #include "boxes/program_io.h"
 #include "boxes/relational_boxes.h"
 #include "dataflow/encapsulate.h"
@@ -92,6 +93,29 @@ TEST(BoxRegistryTest, ErrorsForBadInput) {
                                  {"columns", "2"}})
                   .status()
                   .IsParseError());
+  // Unsigned parameters are digits only: "-1" must not wrap to 2^64-1, and
+  // a value past UINT64_MAX must not saturate to it.
+  for (const char* arity : {"-1", "+2", " 2", "", "2x", "18446744073709551616"}) {
+    EXPECT_TRUE(MakeBox("Stitch", {{"arity", arity}, {"columns", "1"}})
+                    .status()
+                    .IsParseError())
+        << "'" << arity << "'";
+  }
+  // An arity past the maximum is refused before a port is built.
+  EXPECT_TRUE(MakeBox("Stitch", {{"arity", "100000000000"}, {"columns", "1"}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(MakeBox("Stitch", {{"arity", "4097"}, {"columns", "1"}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(MakeBox("Stitch", {{"arity", "4096"}, {"columns", "1"}}).ok());
+}
+
+TEST(BoxRegistryTest, StitchBoxClampsItsArity) {
+  StitchBox wide(100000000000ull, display::GroupLayout::kHorizontal, 1);
+  EXPECT_EQ(wide.InputTypes().size(), StitchBox::kMaxArity);
+  StitchBox empty(0, display::GroupLayout::kHorizontal, 1);
+  EXPECT_EQ(empty.InputTypes().size(), 1u);
 }
 
 TEST(BoxRegistryTest, EveryBoxTypeHasDocumentation) {
@@ -252,6 +276,31 @@ TEST_F(ProgramIoTest, MalformedProgramsRejected) {
       DeserializeProgram("tioga2-program v1\nencap e name=\"x\" {\n")
           .status()
           .IsParseError());  // missing close
+  // A hostile Stitch arity is a ParseError or an InvalidArgument, never an
+  // allocation of the size the file asks for.
+  EXPECT_TRUE(DeserializeProgram("tioga2-program v1\nbox t Table table=\"T\"\n"
+                                 "box s Stitch arity=\"-1\" columns=\"1\"\n"
+                                 "edge t:0 s:0\n")
+                  .status()
+                  .IsParseError());
+  EXPECT_TRUE(DeserializeProgram("tioga2-program v1\nbox t Table table=\"T\"\n"
+                                 "box s Stitch arity=\"100000000000\" "
+                                 "columns=\"1\"\nedge t:0 s:0\n")
+                  .status()
+                  .IsInvalidArgument());
+  // Edge ports are digits: an empty port is not port 0, and "-1" is not
+  // 2^64-1.
+  for (const char* edge : {"edge t: s:0", "edge t:0 s:", "edge t:-1 s:0",
+                           "edge t:0 s:+0", "edge t:0x1 s:0"}) {
+    EXPECT_TRUE(DeserializeProgram(std::string("tioga2-program v1\n"
+                                               "box t Table table=\"T\"\n"
+                                               "box s Stitch arity=\"1\" "
+                                               "columns=\"1\"\n") +
+                                   edge + "\n")
+                    .status()
+                    .IsParseError())
+        << edge;
+  }
   // Edges referencing unknown boxes fail at Connect.
   EXPECT_TRUE(DeserializeProgram("tioga2-program v1\nedge a:0 b:0\n")
                   .status()

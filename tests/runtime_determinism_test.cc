@@ -1,9 +1,7 @@
-// Inline/morsel-fan-out equivalence over the full figure suite: every figure
-// program evaluates to bit-identical outputs and stamps whether the
-// dataflow::Engine runs each fired box's morsels inline or fans them out
-// across a runner of 1, 2, or 8 threads (one thread stays inline). This is
-// the guarantee that lets an evaluation use a pool without changing what any
-// user sees.
+// Morsel-size and shared-tier equivalence over the full figure suite: every
+// figure program evaluates to bit-identical outputs and stamps whatever
+// morsel size the dataflow::Engine's boxes split their inputs into, and
+// whichever engine filled the shared memo tier it adopts from.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +12,6 @@
 
 #include "boxes/relational_boxes.h"
 #include "expr/batch.h"
-#include "runtime/thread_pool.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
 
@@ -41,10 +38,10 @@ std::vector<Target> TargetsOf(const dataflow::Graph& graph) {
   return targets;
 }
 
-/// Lends `engine` `pool`, so its boxes' morsels fan out across it.
-void LendRunner(dataflow::Engine* engine, runtime::ThreadPool* pool,
-                db::ExecPolicy policy = db::DefaultExecPolicy()) {
-  policy.runner = pool;
+/// Sets the morsel size `engine`'s boxes split their inputs into.
+void SetMorselRows(dataflow::Engine* engine, size_t morsel_rows) {
+  db::ExecPolicy policy = db::DefaultExecPolicy();
+  policy.morsel_rows = morsel_rows;
   engine->set_exec_policy(policy);
 }
 
@@ -58,26 +55,19 @@ std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   return env;
 }
 
-// Pinned morsel sizes that do not align with expr::kBatchSize split every
-// operator into many concurrently evaluated morsels whose inner batch
-// boundaries differ from the inline sweep; a size larger than every input
-// degenerates to one morsel. Outputs and stamps must stay bit-identical to
-// inline evaluation in all cases, and every configuration that can fan out
-// must actually have done so on each program with a morsel site.
-TEST(RuntimeDeterminismTest, MorselFanOutMatchesInlineOnEveryFigProgram) {
-  struct Config {
-    size_t threads;
-    size_t morsel_rows;
-    bool fans_out;  // whether a program with a morsel site runs one on the pool
-  };
-  const Config configs[] = {
-      {1, db::ExecPolicy{}.morsel_rows, false},  // one worker: stays inline
-      {2, 7, true},                              // unaligned, 2 workers
-      {8, 7, true},                              // unaligned, 8 workers
-      {8, 1u << 20, false},  // larger than every input: exactly one morsel
+// A pinned morsel size that does not align with expr::kBatchSize splits
+// every operator into many morsels whose inner batch boundaries differ from
+// the unsplit sweep; a size larger than every input degenerates to one
+// morsel. Outputs and stamps must stay bit-identical to the session engine
+// in all cases, and the unaligned size must actually split a morsel site.
+TEST(RuntimeDeterminismTest, MorselSizesMatchOnEveryFigProgram) {
+  const size_t morsel_sizes[] = {
+      db::ExecPolicy{}.morsel_rows,  // the default
+      7,                             // unaligned: splits every input
+      1u << 20,  // larger than every input: exactly one morsel
   };
   expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  size_t fanned_out_runs = 0;
+  size_t split_runs = 0;
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
     // Serial reference: evaluate every canvas target through the session's
@@ -98,20 +88,16 @@ TEST(RuntimeDeterminismTest, MorselFanOutMatchesInlineOnEveryFigProgram) {
       expected_stamps[id] = serial_session.engine().cache().StampOf(id);
     }
 
-    for (const Config& config : configs) {
-      SCOPED_TRACE("threads=" + std::to_string(config.threads) +
-                   " morsel_rows=" + std::to_string(config.morsel_rows));
+    for (const size_t morsel_rows : morsel_sizes) {
+      SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
       // A fresh environment regenerates identical demo data (seeded), so
       // the run starts from the same tables and versions.
       auto env = BuildEnv(program);
       ui::Session& session = env->session();
-      runtime::ThreadPool pool(config.threads);
       dataflow::Engine engine(session.catalog());
-      db::ExecPolicy policy = db::DefaultExecPolicy();
-      policy.morsel_rows = config.morsel_rows;
-      LendRunner(&engine, &pool, policy);
+      SetMorselRows(&engine, morsel_rows);
       const uint64_t groups_before = metrics.morsel_groups;
-      const uint64_t parallel_before = metrics.morsel_groups_parallel;
+      const uint64_t morsels_before = metrics.morsels_executed;
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -123,19 +109,22 @@ TEST(RuntimeDeterminismTest, MorselFanOutMatchesInlineOnEveryFigProgram) {
         ASSERT_EQ(expected_stamps.count(id), 1u) << id;
         EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
       }
-      const bool has_morsel_site = metrics.morsel_groups > groups_before;
-      const bool ran_on_pool = metrics.morsel_groups_parallel > parallel_before;
-      EXPECT_EQ(ran_on_pool, config.fans_out && has_morsel_site);
-      if (ran_on_pool) ++fanned_out_runs;
+      // More morsels than groups: some group split into two or more.
+      const bool split = metrics.morsels_executed - morsels_before >
+                         metrics.morsel_groups - groups_before;
+      if (morsel_rows == 1u << 20) {
+        EXPECT_FALSE(split);
+      }
+      if (split) ++split_runs;
     }
   }
-  EXPECT_GT(fanned_out_runs, 0u);
+  EXPECT_GT(split_runs, 0u);
 }
 
 // Cross-session sharing: a stamp-keyed SharedMemoCache populated by one
 // environment's engine serves another environment's engine byte-identical
-// entries — from an inline engine, and from an engine fanning its morsels
-// out across 8 threads. An adopting engine fires ZERO boxes (so it runs no
+// entries — from a session engine, and from an engine splitting its inputs
+// into 7-row morsels. An adopting engine fires ZERO boxes (so it runs no
 // morsel either): every value arrives through the shared tier, which is the
 // §7 many-viewers convergence claim in its strongest form. Demo data is
 // seeded, so distinct environments carry identical tables at identical
@@ -192,29 +181,20 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
           << id;
     }
 
-    // Reverse direction: an engine fanning its morsels out populates a fresh
-    // shared tier and an inline engine adopts its entries without firing
+    // Reverse direction: an engine with 7-row morsels populates a fresh
+    // shared tier and a session engine adopts its entries without firing
     // anything.
     dataflow::SharedMemoCache reverse(4096);
-    auto par_env = BuildEnv(program);
+    auto split_env = BuildEnv(program);
     {
-      ui::Session& session = par_env->session();
-      runtime::ThreadPool pool(8);
+      ui::Session& session = split_env->session();
       dataflow::Engine engine(session.catalog());
-      db::ExecPolicy policy = db::DefaultExecPolicy();
-      policy.morsel_rows = 7;  // splits every table the program reads
-      LendRunner(&engine, &pool, policy);
+      SetMorselRows(&engine, 7);  // splits every table the program reads
       engine.set_shared_cache(&reverse);
-      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-      const uint64_t groups_before = metrics.morsel_groups;
-      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas;
         EXPECT_EQ(FingerprintBoxValue(value.value()), expected.at(t.canvas));
-      }
-      if (metrics.morsel_groups > groups_before) {
-        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
       }
     }
     {

@@ -1,7 +1,7 @@
-// Tests for the concurrent evaluation runtime: the ThreadPool, and a
-// dataflow::Engine lending a pool to its boxes' morsel fan-out — equivalent
-// to inline evaluation (same results, stamps, counters, warnings, and error
-// messages; only the schedule differs).
+// Tests for the evaluation runtime: the ThreadPool, a dataflow::Engine whose
+// boxes split their inputs into one-row morsels — equivalent to the default
+// morsel size (same results, stamps, counters, warnings, and error messages)
+// — the shared memo tier, and the metrics surface.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "dataflow/engine.h"
 #include "dataflow/shared_memo_cache.h"
 #include "db/relation.h"
-#include "expr/batch.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 
@@ -138,10 +137,9 @@ TEST(SharedMemoCacheTest, EvictedEntryIsReleasedOutsideTheLock) {
   EXPECT_TRUE(released);
 }
 
-class EngineWithRunnerTest : public ::testing::Test {
+class EngineWithOneRowMorselsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    parallel_groups_before_ = expr::BatchMetrics::Global().morsel_groups_parallel;
     auto table = db::MakeRelation({Column{"v", DataType::kInt}},
                                   {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)},
                                    {Value::Int(4)}})
@@ -158,19 +156,12 @@ class EngineWithRunnerTest : public ::testing::Test {
     return restrict;
   }
 
-  /// Lends `engine` the fixture's pool. One-row morsels split even the
-  /// 4-row table, so every Restrict the engine fires fans out.
-  void LendRunner(Engine* engine) {
+  /// One-row morsels split even the 4-row table, so every Restrict the
+  /// engine fires runs one morsel per row and merges them.
+  static void SplitIntoOneRowMorsels(Engine* engine) {
     db::ExecPolicy policy = db::DefaultExecPolicy();
-    policy.runner = &pool_;
     policy.morsel_rows = 1;
     engine->set_exec_policy(policy);
-  }
-
-  /// Morsel groups that ran on a pool since the test started.
-  uint64_t ParallelMorselGroups() const {
-    return expr::BatchMetrics::Global().morsel_groups_parallel -
-           parallel_groups_before_;
   }
 
   static Result<size_t> RowsOf(Result<BoxValue> value) {
@@ -182,30 +173,27 @@ class EngineWithRunnerTest : public ::testing::Test {
 
   db::Catalog catalog_;
   Graph graph_;
-  ThreadPool pool_{4};
-  uint64_t parallel_groups_before_ = 0;
 };
 
-TEST_F(EngineWithRunnerTest, MatchesInlineResultsAndStamps) {
+TEST_F(EngineWithOneRowMorselsTest, MatchesInlineResultsAndStamps) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
-  Engine parallel(&catalog_);
-  LendRunner(&parallel);
+  Engine split(&catalog_);
+  SplitIntoOneRowMorsels(&split);
   EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(), 3u);
-  EXPECT_EQ(RowsOf(parallel.Evaluate(graph_, tail, 0)).value(), 3u);
-  EXPECT_GT(ParallelMorselGroups(), 0u);
+  EXPECT_EQ(RowsOf(split.Evaluate(graph_, tail, 0)).value(), 3u);
   // Identical stamp algebra: both caches hold the same stamps per box.
   std::vector<std::string> order = graph_.TopologicalOrder().value();
   for (const std::string& id : order) {
     ASSERT_TRUE(serial.cache().StampOf(id).has_value()) << id;
-    EXPECT_EQ(serial.cache().StampOf(id), parallel.cache().StampOf(id)) << id;
+    EXPECT_EQ(serial.cache().StampOf(id), split.cache().StampOf(id)) << id;
   }
 }
 
-TEST_F(EngineWithRunnerTest, WideProgramMatchesInline) {
+TEST_F(EngineWithOneRowMorselsTest, WideProgramMatchesInline) {
   // One table feeding 16 restricts feeding nothing — EvaluateAll fires all
-  // 16, each fanning its morsels out; results must match the inline engine
-  // box for box.
+  // 16, each split into one-row morsels; results must match the default
+  // engine box for box.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::vector<std::string> tails;
   for (int i = 0; i < 16; ++i) {
@@ -217,65 +205,63 @@ TEST_F(EngineWithRunnerTest, WideProgramMatchesInline) {
     tails.push_back(r);
   }
   Engine serial(&catalog_);
-  Engine parallel(&catalog_);
-  LendRunner(&parallel);
-  ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
-  EXPECT_EQ(parallel.stats().boxes_fired, 17u);
-  EXPECT_GE(ParallelMorselGroups(), 16u);
+  Engine split(&catalog_);
+  SplitIntoOneRowMorsels(&split);
+  ASSERT_TRUE(split.EvaluateAll(graph_).ok());
+  EXPECT_EQ(split.stats().boxes_fired, 17u);
   for (const std::string& tail : tails) {
     EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(),
-              RowsOf(parallel.Evaluate(graph_, tail, 0)).value())
+              RowsOf(split.Evaluate(graph_, tail, 0)).value())
         << tail;
-    EXPECT_EQ(serial.cache().StampOf(tail), parallel.cache().StampOf(tail));
+    EXPECT_EQ(serial.cache().StampOf(tail), split.cache().StampOf(tail));
   }
 }
 
-TEST_F(EngineWithRunnerTest, SharesCacheWithInlineEngine) {
+TEST_F(EngineWithOneRowMorselsTest, SharesCacheWithInlineEngine) {
   std::string tail = BuildChain();
   Engine serial(&catalog_);
-  // An engine with a runner memoizing into the inline engine's cache.
-  Engine parallel(&catalog_, nullptr, &serial.cache());
-  LendRunner(&parallel);
-  ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(parallel.stats().boxes_fired, 2u);
-  EXPECT_GT(ParallelMorselGroups(), 0u);
-  // The inline engine finds everything memoized: zero fires, two hits.
+  // An engine with one-row morsels memoizing into the default engine's cache.
+  Engine split(&catalog_, nullptr, &serial.cache());
+  SplitIntoOneRowMorsels(&split);
+  ASSERT_TRUE(RowsOf(split.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_EQ(split.stats().boxes_fired, 2u);
+  // The default engine finds everything memoized: zero fires, two hits.
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(serial.stats().boxes_fired, 0u);
   EXPECT_GE(serial.stats().cache_hits, 1u);
-  // And the reverse direction: inline work is visible to the engine with
-  // the runner.
+  // And the reverse direction: the default engine's work is visible to the
+  // split engine.
   ASSERT_TRUE(serial.Invalidate(graph_, dataflow::Invalidation::All()).ok());
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
-  parallel.ResetStats();
-  ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(parallel.stats().boxes_fired, 0u);
+  split.ResetStats();
+  ASSERT_TRUE(RowsOf(split.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_EQ(split.stats().boxes_fired, 0u);
 }
 
-TEST_F(EngineWithRunnerTest, ErrorMessagesMatchInline) {
+TEST_F(EngineWithOneRowMorselsTest, ErrorMessagesMatchInline) {
   std::string lone =
       graph_.AddBox(std::make_unique<RestrictBox>("v > 0")).value();
   Engine serial(&catalog_);
-  Engine parallel(&catalog_);
-  LendRunner(&parallel);
+  Engine split(&catalog_);
+  SplitIntoOneRowMorsels(&split);
   Status serial_status = serial.Evaluate(graph_, lone, 0).status();
-  Status parallel_status = parallel.Evaluate(graph_, lone, 0).status();
+  Status split_status = split.Evaluate(graph_, lone, 0).status();
   EXPECT_TRUE(serial_status.IsFailedPrecondition());
-  EXPECT_TRUE(parallel_status.IsFailedPrecondition());
-  EXPECT_EQ(serial_status.message(), parallel_status.message());
+  EXPECT_TRUE(split_status.IsFailedPrecondition());
+  EXPECT_EQ(serial_status.message(), split_status.message());
 
-  // Missing table, bad output port, unknown box: same codes as inline.
+  // Missing table, bad output port, unknown box: same codes as the default.
   std::string bad = graph_.AddBox(std::make_unique<TableBox>("Nope")).value();
-  EXPECT_TRUE(parallel.Evaluate(graph_, bad, 0).status().IsNotFound());
+  EXPECT_TRUE(split.Evaluate(graph_, bad, 0).status().IsNotFound());
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
-  Status oor = parallel.Evaluate(graph_, table, 3).status();
+  Status oor = split.Evaluate(graph_, table, 3).status();
   EXPECT_TRUE(oor.IsOutOfRange());
   EXPECT_EQ(oor.message(),
             serial.Evaluate(graph_, table, 3).status().message());
-  EXPECT_TRUE(parallel.Evaluate(graph_, "missing", 0).status().IsNotFound());
+  EXPECT_TRUE(split.Evaluate(graph_, "missing", 0).status().IsNotFound());
 }
 
-TEST_F(EngineWithRunnerTest, EvaluateAllSkipsDanglingLikeInline) {
+TEST_F(EngineWithOneRowMorselsTest, EvaluateAllSkipsDanglingLikeInline) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::string a = graph_.AddBox(std::make_unique<RestrictBox>("v > 1")).value();
   std::string dangling =
@@ -286,29 +272,27 @@ TEST_F(EngineWithRunnerTest, EvaluateAllSkipsDanglingLikeInline) {
   ASSERT_TRUE(graph_.Connect(dangling, 0, downstream, 0).ok());
   Engine serial(&catalog_);
   ASSERT_TRUE(serial.EvaluateAll(graph_).ok());
-  Engine parallel(&catalog_);
-  LendRunner(&parallel);
-  ASSERT_TRUE(parallel.EvaluateAll(graph_).ok());
-  EXPECT_GT(ParallelMorselGroups(), 0u);
-  EXPECT_EQ(parallel.stats().boxes_fired, serial.stats().boxes_fired);
-  EXPECT_EQ(parallel.stats().boxes_skipped, serial.stats().boxes_skipped);
-  EXPECT_EQ(parallel.stats().boxes_skipped, 2u);
-  EXPECT_EQ(parallel.warnings(), serial.warnings());
+  Engine split(&catalog_);
+  SplitIntoOneRowMorsels(&split);
+  ASSERT_TRUE(split.EvaluateAll(graph_).ok());
+  EXPECT_EQ(split.stats().boxes_fired, serial.stats().boxes_fired);
+  EXPECT_EQ(split.stats().boxes_skipped, serial.stats().boxes_skipped);
+  EXPECT_EQ(split.stats().boxes_skipped, 2u);
+  EXPECT_EQ(split.warnings(), serial.warnings());
 }
 
-TEST_F(EngineWithRunnerTest, MemoizesAcrossEvaluations) {
+TEST_F(EngineWithOneRowMorselsTest, MemoizesAcrossEvaluations) {
   std::string tail = BuildChain();
   Engine engine(&catalog_);
-  LendRunner(&engine);
+  SplitIntoOneRowMorsels(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
-  EXPECT_GT(ParallelMorselGroups(), 0u);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
   EXPECT_GE(engine.stats().cache_hits, 1u);
 }
 
-TEST_F(EngineWithRunnerTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
+TEST_F(EngineWithOneRowMorselsTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   auto other = db::MakeRelation({Column{"w", DataType::kInt}},
                                 {{Value::Int(10)}, {Value::Int(20)}})
                    .value();
@@ -319,11 +303,10 @@ TEST_F(EngineWithRunnerTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
       graph_.AddBox(std::make_unique<RestrictBox>("w > 5")).value();
   ASSERT_TRUE(graph_.Connect(u, 0, u_tail, 0).ok());
   Engine engine(&catalog_);
-  LendRunner(&engine);
+  SplitIntoOneRowMorsels(&engine);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
-  EXPECT_GT(ParallelMorselGroups(), 0u);
   EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
                 .value()
                 .entries_evicted,
@@ -334,15 +317,14 @@ TEST_F(EngineWithRunnerTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // T's chain stayed memoized
 }
 
-TEST_F(EngineWithRunnerTest, RecordsMetrics) {
+TEST_F(EngineWithOneRowMorselsTest, RecordsMetrics) {
   std::string tail = BuildChain();
   Metrics metrics;
   Engine engine(&catalog_);
-  LendRunner(&engine);
+  SplitIntoOneRowMorsels(&engine);
   engine.set_observer(&metrics);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_GT(ParallelMorselGroups(), 0u);
   MetricsSnapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.boxes_fired, 2u);
   EXPECT_EQ(snap.cache_misses, 2u);
@@ -401,9 +383,9 @@ class WarnBox : public dataflow::Box {
   size_t num_inputs_;
 };
 
-TEST_F(EngineWithRunnerTest, WarningsKeepPostOrderWithRunner) {
+TEST_F(EngineWithOneRowMorselsTest, WarningsKeepPostOrder) {
   // T -> {z, a} -> m. Post-order fires z, a, m; box-id order is a, m, z.
-  // Warnings are reported in post-order, with or without a runner.
+  // Warnings are reported in post-order under every morsel size.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("z", 1), "z").ok());
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("a", 1), "a").ok());
@@ -418,10 +400,10 @@ TEST_F(EngineWithRunnerTest, WarningsKeepPostOrderWithRunner) {
   Engine serial(&catalog_);
   ASSERT_TRUE(serial.Evaluate(graph_, "m", 0).ok());
   EXPECT_EQ(serial.warnings(), expected);
-  Engine parallel(&catalog_);
-  LendRunner(&parallel);
-  ASSERT_TRUE(parallel.Evaluate(graph_, "m", 0).ok());
-  EXPECT_EQ(parallel.warnings(), serial.warnings());
+  Engine split(&catalog_);
+  SplitIntoOneRowMorsels(&split);
+  ASSERT_TRUE(split.Evaluate(graph_, "m", 0).ok());
+  EXPECT_EQ(split.warnings(), serial.warnings());
 }
 
 TEST(LatencyHistogramTest, QuantilesAndCounts) {
@@ -491,18 +473,6 @@ TEST(MetricsJsonTest, HostileTagsAndBoxTypesAreEscaped) {
     if (c == '"') ++quotes;
   }
   EXPECT_EQ(quotes % 2, 0u) << json;
-}
-
-TEST(MetricsJsonTest, EpochSectionSurfacesGlobalDomainCounters) {
-  Metrics metrics;
-  std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"epoch\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"advances\":"), std::string::npos);
-  EXPECT_NE(json.find("\"retired\":"), std::string::npos);
-  EXPECT_NE(json.find("\"reclaimed\":"), std::string::npos);
-  MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_GE(snap.epoch_current, 2u);  // kFirstEpoch
-  EXPECT_GE(snap.epoch_retired, snap.epoch_reclaimed);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "db/catalog.h"
 #include "db/relation.h"
-#include "runtime/epoch.h"
 #include "runtime/session_server.h"
 #include "testing/fig_programs.h"
 
@@ -603,16 +602,14 @@ TEST_F(SessionServerTest, DestroyingServerResolvesQueuedRequestsUnavailable) {
   }
 }
 
-// The epoch-torture case of DESIGN.md §13, run under the TSan pass in
-// scripts/check.sh: concurrent kRead handlers evaluate through epoch-pinned
+// The torture case of DESIGN.md §13, run under the TSan pass in
+// scripts/check.sh: concurrent kRead handlers evaluate through pinned
 // catalog snapshots and the mutex-guarded shared memo tier while kWrite
-// handlers churn table versions (retiring snapshots) and a deliberately tiny
-// shared cache evicts on nearly every insert. Every read must render
+// handlers churn table versions (replacing snapshots) and a deliberately
+// tiny shared cache evicts on nearly every insert. Every read must render
 // byte-identically to one of the two catalog states — a torn read (stamp
-// from one version, rows from another) would produce a third fingerprint —
-// and the global domain must show retire/reclaim traffic with reclaimed
-// never outrunning retired.
-TEST_F(SessionServerTest, EpochTortureCatalogChurnWithSharedCacheEvictions) {
+// from one version, rows from another) would produce a third fingerprint.
+TEST_F(SessionServerTest, TortureCatalogChurnWithSharedCacheEvictions) {
   SessionServer::Options options;
   options.num_threads = 3;
   options.queue_bound = 64;
@@ -646,7 +643,6 @@ TEST_F(SessionServerTest, EpochTortureCatalogChurnWithSharedCacheEvictions) {
       testing::FingerprintDisplayable(server.EvaluateCanvas(a, "c").value());
   ASSERT_NE(fp_a, fp_b);
 
-  EpochDomain::Stats before = EpochDomain::Global().stats();
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> renders{0};
   std::vector<std::future<Status>> futures;
@@ -681,12 +677,6 @@ TEST_F(SessionServerTest, EpochTortureCatalogChurnWithSharedCacheEvictions) {
 
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_GT(renders.load(), 0u);
-  EpochDomain::Stats after = EpochDomain::Global().stats();
-  // The churn retired catalog snapshots through the global domain, readers
-  // pinned it, and reclamation never ran ahead of retirement.
-  EXPECT_GT(after.retired, before.retired);
-  EXPECT_GT(after.pins, before.pins);
-  EXPECT_LE(after.reclaimed, after.retired);
   EXPECT_GT(server.shared_cache()->stats().evictions, 0u);
 }
 

@@ -5,7 +5,8 @@
 // columnar snapshot format (atomic publish, fingerprint verification,
 // corrupt-snapshot fallback), and the StorageEngine end to end: kill an
 // environment, recover the directory, and every fig program evaluates to
-// byte-identical fingerprints and memo stamps — serial and parallel.
+// byte-identical fingerprints and memo stamps — under the session engine and
+// under an engine with 7-row morsels.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +24,7 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
-#include "expr/batch.h"
 #include "runtime/metrics.h"
-#include "runtime/thread_pool.h"
 #include "storage/fault_fs.h"
 #include "storage/format.h"
 #include "storage/fs.h"
@@ -208,6 +207,81 @@ TEST(StorageRecordsTest, AllRecordTypesRoundTrip) {
   decoded = DecodeWalRecord(*EncodeWalRecord(prog));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->program_text, "tioga2-program v1\n");
+}
+
+// Hostile length fields are checked against the bytes left before they size
+// an allocation, so a crafted record decodes to a ParseError, never an
+// allocation of the size it asks for.
+TEST(StorageRecordsTest, HostileLengthFieldsAreParseErrors) {
+  auto header = [](WalRecordType type) {
+    Encoder enc;
+    enc.PutU8(static_cast<uint8_t>(type));
+    enc.PutString("t");
+    enc.PutU64(1);  // version
+    return enc;
+  };
+  // An update whose tuple claims 0xFFFFFFFF cells.
+  Encoder update = header(WalRecordType::kUpdateRow);
+  update.PutU64(0);  // row
+  update.PutU32(0xFFFFFFFFu);
+  update.PutU8(0);  // one null cell's tag
+  EXPECT_TRUE(DecodeWalRecord(update.data()).status().IsParseError());
+
+  // A registration of one int column claiming 2^40 rows.
+  Encoder rows = header(WalRecordType::kRegister);
+  rows.PutU32(1);
+  rows.PutString("x");
+  rows.PutU8(static_cast<uint8_t>(types::DataType::kInt));
+  rows.PutU64(uint64_t{1} << 40);
+  rows.PutU8(0);  // no null bitmap
+  rows.PutI64(1);
+  EXPECT_TRUE(DecodeWalRecord(rows.data()).status().IsParseError());
+
+  // A registration claiming 0xFFFFFFFF columns.
+  Encoder columns = header(WalRecordType::kRegister);
+  columns.PutU32(0xFFFFFFFFu);
+  columns.PutString("x");
+  columns.PutU8(static_cast<uint8_t>(types::DataType::kInt));
+  EXPECT_TRUE(DecodeWalRecord(columns.data()).status().IsParseError());
+
+  // Exactly enough bytes still decodes: three bool cells, one byte each.
+  Encoder exact;
+  exact.PutU32(1);
+  exact.PutString("b");
+  exact.PutU8(static_cast<uint8_t>(types::DataType::kBool));
+  exact.PutU64(3);
+  exact.PutU8(0);
+  for (int r = 0; r < 3; ++r) exact.PutU8(1);
+  Decoder exact_dec(exact.data());
+  auto decoded = DecodeRelation(&exact_dec);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ((*decoded)->num_rows(), 3u);
+}
+
+// A zero-column relation's rows carry no bytes, so no payload bounds their
+// count. The rule: such a relation persists only empty. The encoder refuses
+// one with rows, and the decoder rejects a nonzero row count.
+TEST(StorageFormatTest, ZeroColumnRelationsPersistOnlyEmpty) {
+  auto empty = db::MakeRelation({}, {});
+  ASSERT_TRUE(empty.ok());
+  Encoder enc;
+  ASSERT_TRUE(EncodeRelation(**empty, &enc).ok());
+  Decoder dec(enc.data());
+  auto decoded = DecodeRelation(&dec);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ((*decoded)->num_rows(), 0u);
+  EXPECT_TRUE(dec.done());
+
+  auto with_rows = db::MakeRelation({}, {{}, {}});
+  ASSERT_TRUE(with_rows.ok());
+  Encoder refused;
+  EXPECT_TRUE(EncodeRelation(**with_rows, &refused).IsInvalidArgument());
+
+  Encoder crafted;
+  crafted.PutU32(0);
+  crafted.PutU64(uint64_t{1} << 40);
+  Decoder crafted_dec(crafted.data());
+  EXPECT_TRUE(DecodeRelation(&crafted_dec).status().IsParseError());
 }
 
 // ---- WAL ----
@@ -618,10 +692,10 @@ Status NudgeRow(db::Catalog* catalog, const std::string& table, int i) {
 ///   env2: fresh environment; open the same dir; load the program; evaluate;
 ///         everything must be byte-identical.
 void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
-                          bool parallel) {
+                          bool split_morsels) {
   const std::string dir =
       TestDir("engine_" + program.name + (clean_close ? "_clean" : "_kill") +
-              (parallel ? "_par" : "_ser"));
+              (split_morsels ? "_split" : "_whole"));
   std::map<std::string, std::string> ref_fingerprints;
   std::map<std::string, std::optional<uint64_t>> ref_stamps;
   std::map<std::string, uint64_t> ref_tables;
@@ -671,16 +745,11 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
     EXPECT_EQ(TableFingerprints(env.catalog()), ref_tables);
     EXPECT_EQ(TableVersions(env.catalog()), ref_versions);
     ASSERT_TRUE(env.session().LoadProgram("fig").ok());
-    if (parallel) {
-      runtime::ThreadPool pool(4);
+    if (split_morsels) {
       dataflow::Engine engine(env.session().catalog());
       db::ExecPolicy policy = db::DefaultExecPolicy();
-      policy.runner = &pool;
       policy.morsel_rows = 7;  // splits every table the program reads
       engine.set_exec_policy(policy);
-      expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-      const uint64_t groups_before = metrics.morsel_groups;
-      const uint64_t parallel_before = metrics.morsel_groups_parallel;
       for (const Target& t : TargetsOf(env.session().graph())) {
         auto value = engine.Evaluate(env.session().graph(), t.from, t.from_port);
         ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
@@ -690,9 +759,6 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
       }
       for (const std::string& id : env.session().graph().BoxIds()) {
         EXPECT_EQ(engine.cache().StampOf(id), ref_stamps.at(id)) << id;
-      }
-      if (metrics.morsel_groups > groups_before) {
-        EXPECT_GT(metrics.morsel_groups_parallel, parallel_before);
       }
     } else {
       for (const Target& t : TargetsOf(env.session().graph())) {
@@ -715,22 +781,22 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
 TEST(StorageEngineTest, KillAndRecoverIsByteIdenticalOnEveryFigProgram) {
   for (const testing::FigProgram& program : testing::AllFigPrograms()) {
     SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/false, /*parallel=*/false);
+    CheckRestartIdentity(program, /*clean_close=*/false, /*split_morsels=*/false);
   }
 }
 
 TEST(StorageEngineTest, CleanCloseRecoversFromSnapshotOnEveryFigProgram) {
   for (const testing::FigProgram& program : testing::AllFigPrograms()) {
     SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/true, /*parallel=*/false);
+    CheckRestartIdentity(program, /*clean_close=*/true, /*split_morsels=*/false);
   }
 }
 
-TEST(StorageEngineTest, ParallelEvaluationAfterRecoveryMatches) {
+TEST(StorageEngineTest, SplitMorselEvaluationAfterRecoveryMatches) {
   std::vector<testing::FigProgram> programs = testing::AllFigPrograms();
   for (const testing::FigProgram& program : programs) {
     SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/false, /*parallel=*/true);
+    CheckRestartIdentity(program, /*clean_close=*/false, /*split_morsels=*/true);
   }
 }
 

@@ -29,25 +29,31 @@
 #               one catalog and one shared memo tier, including the
 #               catalog-churn torture case), catalog_csv_test (a ReadPin
 #               held across a ReplaceTable on another thread), the thread
-#               pool and shared memo tier in runtime_test, and the
-#               determinism, delta-propagation and morsel suites. An
-#               evaluation runs on its calling thread, so the races left to
-#               find are between sessions, not inside one;
+#               pool and shared memo tier in runtime_test, the
+#               determinism, delta-propagation and morsel suites, and
+#               render_image_test, whose threads render one shared value and
+#               must build its render image once. An evaluation runs on its
+#               calling thread, so the races left to find are between
+#               sessions, not inside one;
 #   6. asan   — rebuild with Address+UB sanitizers and run the columnar /
 #               batch-evaluation / aggregates tests (the paths that index raw
 #               column vectors through selection vectors, row maps and
 #               dictionary codes), determinism_test, whose drill chain
 #               groups a Sample view through its composed row map under
-#               every policy, and program_io_test, which parses hostile
-#               saved programs;
+#               every policy, program_io_test, which parses hostile
+#               saved programs, render_image_test, whose render images
+#               index per-row arrays by row id, and render_test and
+#               raster_reference_test, whose raster loops compute their own
+#               pixel ranges;
 #   7. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
 #               asan pass it traps on the first finding instead of
 #               recovering; float-cast-overflow is named, GCC's
 #               -fsanitize=undefined leaves it out) and run the
-#               join/operator/aggregates tests, determinism_test and
-#               program_io_test — the class of bug this catches mechanically
-#               is an out-of-range double->integer cast, like the old
-#               HashKey one;
+#               join/operator/aggregates tests, determinism_test,
+#               program_io_test and the render-image and raster tests — the
+#               class of bug this catches mechanically is an out-of-range
+#               double->integer cast, like the old HashKey one or a pixel
+#               coordinate past INT_MAX;
 #   8. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread
@@ -106,31 +112,32 @@ if correct is not True or compared < 1:
 ' "$workload"
 done
 
-echo "== tsan: session server + catalog + runtime + determinism + morsel tests =="
+echo "== tsan: session server + catalog + runtime + determinism + morsel + render image tests =="
 cmake -B build-tsan -S . -DTIOGA2_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target \
   runtime_test session_server_test runtime_determinism_test delta_update_test \
-  batch_eval_test catalog_csv_test
+  batch_eval_test catalog_csv_test render_image_test
 (cd build-tsan && ctest --output-on-failure \
-  -R 'runtime|session_server|delta_update|batch_eval|catalog_csv')
+  -R 'runtime|session_server|delta_update|batch_eval|catalog_csv|render_image')
 
 # ^determinism_test$ is anchored so the filter skips runtime_determinism_test,
 # which these two passes do not build.
-echo "== asan: columnar + batch evaluation + aggregates + determinism + program_io tests =="
+echo "== asan: columnar + batch evaluation + aggregates + determinism + program_io + render image + raster tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
 cmake --build build-asan -j "$(nproc)" --target \
   columnar_test batch_eval_test operators_test display_relation_test \
-  aggregates_test determinism_test program_io_test
+  aggregates_test determinism_test program_io_test render_image_test render_test \
+  raster_reference_test
 (cd build-asan && ctest --output-on-failure \
-  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|^determinism_test$|program_io_test')
+  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
 
-echo "== ubsan: join + operator + aggregates + determinism + program_io tests =="
+echo "== ubsan: join + operator + aggregates + determinism + program_io + render image + raster tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j "$(nproc)" --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
-  determinism_test program_io_test
+  determinism_test program_io_test render_image_test render_test raster_reference_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|^determinism_test$|program_io_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j "$(nproc)" --target storage_test

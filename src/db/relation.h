@@ -122,6 +122,12 @@ class Relation {
   /// boxes a Value and never touches the row store.
   const ColumnarTable& columnar() const;
 
+  /// Builds column `c` as columnar() would, without caching it here: for a
+  /// reader that needs a column once and should not keep it alive for as
+  /// long as this relation lives (a view still reads its parents' cached
+  /// columns).
+  ColumnVector BuildColumn(size_t c) const;
+
   /// Where this relation's rows live: row k is row `map[k]` of `base`.
   /// `rows == nullptr` is the identity map (`base` is this relation).
   struct RowMap {
@@ -148,10 +154,6 @@ class Relation {
   friend class ColumnarTable;
 
  private:
-  /// Builds column `c` for the ColumnarTable: materialized relations scan
-  /// the row store, views gather through the selection.
-  ColumnVector BuildColumn(size_t c) const;
-
   /// Fills a view's row store (no-op for materialized relations).
   void EnsureRows() const;
 

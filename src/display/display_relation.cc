@@ -134,8 +134,13 @@ class DisplayRowAccessor : public expr::RowAccessor {
 /// references re-evaluate.
 class DisplayBatchSource : public expr::BatchSource {
  public:
-  /// `relation` must outlive the source.
-  explicit DisplayBatchSource(const DisplayRelation& relation) : relation_(relation) {}
+  /// `relation` must outlive the source. With `own_columns`, stored columns
+  /// are built into the source (Relation::BuildColumn) instead of the base's
+  /// columnar() cache, and die with it: a render image reads each column
+  /// once, and a cached copy would live as long as any memo tier holds the
+  /// value.
+  explicit DisplayBatchSource(const DisplayRelation& relation, bool own_columns = false)
+      : relation_(relation), own_columns_(own_columns) {}
 
   size_t num_rows() const override { return relation_.num_rows(); }
 
@@ -148,18 +153,26 @@ class DisplayBatchSource : public expr::BatchSource {
         break;
       }
     }
-    const db::ColumnVector& base = relation_.base()->columnar().column(index);
-    if (transform == nullptr) return &base;
+    if (transform == nullptr && !own_columns_) {
+      return &relation_.base()->columnar().column(index);
+    }
+    // An owned or transformed column materializes once under the lock: the
+    // first caller builds it, later callers reuse it. The returned pointer
+    // stays stable (unique_ptr in the map).
+    std::lock_guard<std::mutex> lock(columns_mu_);
+    auto it = columns_.find(index);
+    if (it != columns_.end()) return it->second.get();
+    db::ColumnVector built;
+    if (own_columns_) built = relation_.base()->BuildColumn(index);
+    const db::ColumnVector& base =
+        own_columns_ ? built : relation_.base()->columnar().column(index);
+    if (transform == nullptr) {
+      return columns_.emplace(index, std::make_unique<db::ColumnVector>(std::move(built)))
+          .first->second.get();
+    }
     if (base.type != DataType::kInt && base.type != DataType::kFloat) {
       return nullptr;  // the per-row path reports the TypeError
     }
-    // The shared memo tier can hand this relation to two serve workers at
-    // once, so the transform materializes once under the lock: the first
-    // caller builds the column, later callers reuse it. The returned pointer
-    // stays stable (unique_ptr in the map).
-    std::lock_guard<std::mutex> lock(transform_mu_);
-    auto it = transformed_.find(index);
-    if (it != transformed_.end()) return it->second.get();
     auto col = std::make_unique<db::ColumnVector>();
     col->type = DataType::kFloat;
     col->num_rows = base.num_rows;
@@ -171,7 +184,7 @@ class DisplayBatchSource : public expr::BatchSource {
                                              : base.floats[r];
       col->floats[r] = v * transform->scale + transform->translate;
     }
-    return transformed_.emplace(index, std::move(col)).first->second.get();
+    return columns_.emplace(index, std::move(col)).first->second.get();
   }
 
   Result<Value> StoredAt(size_t index, size_t row) const override {
@@ -200,8 +213,9 @@ class DisplayBatchSource : public expr::BatchSource {
 
  private:
   const DisplayRelation& relation_;
-  mutable std::mutex transform_mu_;
-  mutable std::unordered_map<size_t, std::unique_ptr<db::ColumnVector>> transformed_;
+  const bool own_columns_;
+  mutable std::mutex columns_mu_;
+  mutable std::unordered_map<size_t, std::unique_ptr<db::ColumnVector>> columns_;
 };
 
 }  // namespace
@@ -263,6 +277,12 @@ const Attribute* DisplayRelation::FindAttribute(const std::string& name) const {
   return nullptr;
 }
 
+DisplayRelation DisplayRelation::Edited() const {
+  DisplayRelation out = *this;
+  out.image_slot_ = std::make_shared<ImageSlot>();
+  return out;
+}
+
 Result<size_t> DisplayRelation::AttributeIndex(const std::string& name) const {
   for (size_t i = 0; i < attributes_.size(); ++i) {
     if (attributes_[i].name == name) return i;
@@ -286,13 +306,19 @@ Result<Value> DisplayRelation::AttributeValue(size_t row, const std::string& nam
   return accessor.GetNamed(name);
 }
 
-Result<std::vector<Value>> DisplayRelation::AttributeValues(
-    const std::string& name, const db::ExecPolicy& policy) const {
-  const Attribute* attr = FindAttribute(name);
+namespace {
+
+/// DisplayRelation::AttributeValues, reading stored columns through `source`.
+Result<std::vector<Value>> AttributeValuesFrom(const DisplayRelation& relation,
+                                              const std::string& name,
+                                              const DisplayBatchSource& source,
+                                              const db::ExecPolicy& policy) {
+  const Attribute* attr = relation.FindAttribute(name);
   if (attr == nullptr) {
-    return Status::NotFound("no attribute '" + name + "' on relation '" + name_ + "'");
+    return Status::NotFound("no attribute '" + name + "' on relation '" +
+                            relation.name() + "'");
   }
-  const size_t n = num_rows();
+  const size_t n = relation.num_rows();
   std::vector<Value> out;
   out.reserve(n);
   if (policy.vectorized) {
@@ -308,7 +334,6 @@ Result<std::vector<Value>> DisplayRelation::AttributeValues(
       return out;
     }
     if (attr->source == AttrSource::kStored) {
-      DisplayBatchSource source(*this);
       // StoredColumn applies the Scale/Translate transform; nullptr means a
       // transformed non-numeric column, whose TypeError the per-row path
       // below reports.
@@ -323,10 +348,9 @@ Result<std::vector<Value>> DisplayRelation::AttributeValues(
     if (attr->source == AttrSource::kExpr) {
       ++metrics.display_attr_batches;
       metrics.display_attr_rows += n;
-      // Morsels share one source (its transform cache is mutex-guarded) but
+      // Morsels share one source (its column cache is mutex-guarded) but
       // each gets its own evaluator; results land in preassigned slots, so
       // the merged vector is byte-identical to the serial sweep.
-      DisplayBatchSource source(*this);
       std::vector<Value> slots(n);
       TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
           policy, n, [&](size_t, size_t begin, size_t end) -> Status {
@@ -357,12 +381,20 @@ Result<std::vector<Value>> DisplayRelation::AttributeValues(
   TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
       policy, n, [&](size_t, size_t begin, size_t end) -> Status {
         for (size_t r = begin; r < end; ++r) {
-          TIOGA2_ASSIGN_OR_RETURN(Value v, AttributeValue(r, name));
+          TIOGA2_ASSIGN_OR_RETURN(Value v, relation.AttributeValue(r, name));
           slots[r] = std::move(v);
         }
         return Status::OK();
       }));
   return slots;
+}
+
+}  // namespace
+
+Result<std::vector<Value>> DisplayRelation::AttributeValues(
+    const std::string& name, const db::ExecPolicy& policy) const {
+  DisplayBatchSource source(*this);
+  return AttributeValuesFrom(*this, name, source, policy);
 }
 
 Result<std::vector<double>> DisplayRelation::LocationOf(size_t row) const {
@@ -396,6 +428,96 @@ Result<draw::DrawableList> DisplayRelation::DisplayOf(size_t row) const {
   return v.display_value();
 }
 
+std::shared_ptr<const RenderImage> DisplayRelation::Image(
+    const db::ExecPolicy& policy) const {
+  auto fresh = [this] {
+    // Not make_shared: the slot's weak_ptr would keep the whole object's
+    // storage alive for as long as the value lives in a memo tier.
+    std::shared_ptr<RenderImage> image(new RenderImage);
+    const size_t n = num_rows();
+    image->dimension = Dimension();
+    image->locations.resize(n * image->dimension);
+    image->displays.resize(n);
+    image->bounds.resize(n);
+    image->errors.assign(n, 0);
+    return image;
+  };
+  std::lock_guard<std::mutex> lock(image_slot_->mu);
+  std::weak_ptr<const RenderImage>& slot = image_slot_->images[policy.vectorized ? 1 : 0];
+  if (std::shared_ptr<const RenderImage> image = slot.lock()) return image;
+  std::shared_ptr<RenderImage> image = fresh();
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  if (policy.vectorized && FillImageFromBatches(policy, image.get())) {
+    ++metrics.render_location_batches;
+  } else {
+    if (policy.vectorized) {
+      ++metrics.render_scalar_fallbacks;
+      image = fresh();
+    }
+    FillImageByRow(image.get());
+  }
+  slot = image;
+  return image;
+}
+
+bool DisplayRelation::FillImageFromBatches(const db::ExecPolicy& policy,
+                                           RenderImage* image) const {
+  const size_t n = num_rows();
+  const size_t dim = image->dimension;
+  DisplayBatchSource source(*this, /*own_columns=*/true);
+  for (size_t d = 0; d < dim; ++d) {
+    Result<std::vector<Value>> column =
+        AttributeValuesFrom(*this, location_names_[d], source, policy);
+    if (!column.ok()) return false;
+    for (size_t r = 0; r < n; ++r) {
+      const Value& v = (*column)[r];
+      // The per-tuple conditions LocationOf rejects.
+      if (v.is_null() || (!v.is_int() && !v.is_float())) {
+        image->errors[r] |= RenderImage::kLocationError;
+      } else {
+        image->locations[r * dim + d] = v.AsDouble();
+      }
+    }
+  }
+  Result<std::vector<Value>> shown =
+      AttributeValuesFrom(*this, display_name_, source, policy);
+  if (!shown.ok()) return false;
+  const draw::DrawableList empty = draw::MakeDrawableList({});
+  for (size_t r = 0; r < n; ++r) {
+    const Value& v = (*shown)[r];
+    // DisplayOf's cases: null draws nothing, a non-display value fails.
+    if (v.is_null()) {
+      image->displays[r] = empty;
+    } else if (!v.is_display()) {
+      image->errors[r] |= RenderImage::kDisplayError;
+      continue;
+    } else {
+      image->displays[r] = v.display_value();
+    }
+    image->bounds[r] = draw::DrawableListBounds(image->displays[r]);
+  }
+  return true;
+}
+
+void DisplayRelation::FillImageByRow(RenderImage* image) const {
+  const size_t dim = image->dimension;
+  for (size_t r = 0; r < num_rows(); ++r) {
+    Result<std::vector<double>> location = LocationOf(r);
+    if (!location.ok()) {
+      image->errors[r] |= RenderImage::kLocationError;
+      continue;
+    }
+    std::copy(location->begin(), location->end(), image->locations.begin() + r * dim);
+    Result<draw::DrawableList> shown = DisplayOf(r);
+    if (!shown.ok()) {
+      image->errors[r] |= RenderImage::kDisplayError;
+      continue;
+    }
+    image->displays[r] = std::move(shown).value();
+    image->bounds[r] = draw::DrawableListBounds(image->displays[r]);
+  }
+}
+
 expr::TypeEnv DisplayRelation::Env() const {
   // Snapshot the attribute table; the env outlives `this` inside boxes.
   std::vector<Attribute> attrs = attributes_;
@@ -421,7 +543,7 @@ Result<DisplayRelation> DisplayRelation::AddAttribute(const std::string& name,
   if (name.empty()) return Status::InvalidArgument("attribute name must be non-empty");
   TIOGA2_ASSIGN_OR_RETURN(expr::CompiledExpr compiled,
                           expr::CompiledExpr::Compile(definition, Env()));
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   Attribute attr;
   attr.name = name;
   attr.type = compiled.result_type();
@@ -436,7 +558,7 @@ Result<DisplayRelation> DisplayRelation::SetAttribute(const std::string& name,
   TIOGA2_ASSIGN_OR_RETURN(size_t index, AttributeIndex(name));
   TIOGA2_ASSIGN_OR_RETURN(expr::CompiledExpr compiled,
                           expr::CompiledExpr::Compile(definition, Env()));
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   Attribute& attr = out.attributes_[index];
   // A location dimension or the active display must keep a compatible type.
   bool is_location =
@@ -484,7 +606,7 @@ Result<DisplayRelation> DisplayRelation::RemoveAttribute(const std::string& name
                                         name + "'");
     }
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.attributes_.erase(out.attributes_.begin() + static_cast<ptrdiff_t>(index));
   return out;
 }
@@ -498,7 +620,7 @@ Result<DisplayRelation> DisplayRelation::SwapAttributes(const std::string& a,
                              types::DataTypeToString(attributes_[ia].type) + " vs " +
                              types::DataTypeToString(attributes_[ib].type) + ")");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   std::swap(out.attributes_[ia].name, out.attributes_[ib].name);
   return out;
 }
@@ -510,7 +632,7 @@ Result<DisplayRelation> DisplayRelation::ScaleAttribute(const std::string& name,
     return Status::TypeError("Scale Attribute needs a numeric attribute, '" + name +
                              "' is " + types::DataTypeToString(attributes_[index].type));
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.attributes_[index].scale *= factor;
   out.attributes_[index].translate *= factor;
   out.attributes_[index].type = DataType::kFloat;
@@ -524,7 +646,7 @@ Result<DisplayRelation> DisplayRelation::TranslateAttribute(const std::string& n
     return Status::TypeError("Translate Attribute needs a numeric attribute, '" + name +
                              "' is " + types::DataTypeToString(attributes_[index].type));
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.attributes_[index].translate += delta;
   out.attributes_[index].type = DataType::kFloat;
   return out;
@@ -544,7 +666,7 @@ Result<DisplayRelation> DisplayRelation::CombineDisplays(const std::string& new_
   if (a->type != DataType::kDisplay || b->type != DataType::kDisplay) {
     return Status::TypeError("Combine Displays needs two display attributes");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   Attribute attr;
   attr.name = new_name;
   attr.type = DataType::kDisplay;
@@ -569,7 +691,7 @@ Result<DisplayRelation> DisplayRelation::SetLocationAttribute(
   if (!types::IsNumericType(a->type)) {
     return Status::TypeError("location attribute '" + attr + "' must be numeric");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.location_names_[dim] = attr;
   return out;
 }
@@ -581,7 +703,7 @@ Result<DisplayRelation> DisplayRelation::AddLocationDimension(
   if (!types::IsNumericType(a->type)) {
     return Status::TypeError("location attribute '" + attr + "' must be numeric");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.location_names_.push_back(attr);
   return out;
 }
@@ -596,7 +718,7 @@ Result<DisplayRelation> DisplayRelation::RemoveLocationDimension(size_t dim) con
     return Status::OutOfRange("location dimension " + std::to_string(dim) +
                               " out of range");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.location_names_.erase(out.location_names_.begin() + static_cast<ptrdiff_t>(dim));
   return out;
 }
@@ -608,13 +730,13 @@ Result<DisplayRelation> DisplayRelation::SetDisplayAttribute(
   if (a->type != DataType::kDisplay) {
     return Status::TypeError("attribute '" + attr + "' is not display-typed");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.display_name_ = attr;
   return out;
 }
 
 DisplayRelation DisplayRelation::SetElevationRange(double min, double max) const {
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   if (min > max) std::swap(min, max);
   out.elevation_range_ = ElevationRange{min, max};
   return out;
@@ -627,7 +749,7 @@ Result<DisplayRelation> DisplayRelation::Restrict(
   if (compiled.result_type() != DataType::kBool) {
     return Status::TypeError("Restrict predicate '" + predicate + "' must be bool");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   if (policy.vectorized) {
     DisplayBatchSource source(*this);
     TIOGA2_ASSIGN_OR_RETURN(expr::Selection kept,
@@ -710,7 +832,7 @@ Result<DisplayRelation> DisplayRelation::Project(
     TIOGA2_ASSIGN_OR_RETURN(size_t old_index, base_->schema()->ColumnIndex(columns[new_index]));
     remap[old_index] = new_index;
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.base_ = projected;
   std::vector<Attribute> kept;
   for (Attribute attr : attributes_) {
@@ -753,7 +875,7 @@ Result<DisplayRelation> DisplayRelation::Sample(double probability, uint64_t see
                                                 const db::ExecPolicy& policy) const {
   TIOGA2_ASSIGN_OR_RETURN(db::RelationPtr sampled,
                           db::Sample(base_, probability, seed, policy));
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.base_ = std::move(sampled);
   return out;
 }
@@ -763,7 +885,7 @@ Result<DisplayRelation> DisplayRelation::WithBase(db::RelationPtr base) const {
   if (!(*base->schema() == *base_->schema())) {
     return Status::TypeError("WithBase may not change the schema");
   }
-  DisplayRelation out = *this;
+  DisplayRelation out = Edited();
   out.base_ = std::move(base);
   return out;
 }

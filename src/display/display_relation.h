@@ -1,7 +1,10 @@
 #ifndef TIOGA2_DISPLAY_DISPLAY_RELATION_H_
 #define TIOGA2_DISPLAY_DISPLAY_RELATION_H_
 
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,6 +64,24 @@ struct ElevationRange {
   }
 
   friend bool operator==(const ElevationRange& a, const ElevationRange& b) = default;
+};
+
+/// A displayable's per-row render inputs, evaluated once per value so that a
+/// frame only culls and rasterizes (DESIGN.md "Render image"). Row r holds
+/// what LocationOf(r) and DisplayOf(r) return, or which of them failed.
+struct RenderImage {
+  /// Per-row error bits. A row with kLocationError has no location, display
+  /// or bounds; a row with only kDisplayError has a location.
+  static constexpr uint8_t kLocationError = 1;
+  static constexpr uint8_t kDisplayError = 2;
+
+  size_t dimension = 0;                      // location doubles per row
+  std::vector<double> locations;             // row-major, rows × dimension
+  std::vector<draw::DrawableList> displays;  // the active display's list
+  std::vector<draw::BBox> bounds;            // DrawableListBounds(displays[r])
+  std::vector<uint8_t> errors;
+
+  const double* LocationAt(size_t row) const { return &locations[row * dimension]; }
 };
 
 /// An extended database relation — the displayable type R of §2. The base
@@ -135,6 +156,17 @@ class DisplayRelation {
 
   /// The tuple's active display list.
   Result<draw::DrawableList> DisplayOf(size_t row) const;
+
+  /// The render image of this value for `policy`'s evaluation path. The
+  /// vectorized path builds it through AttributeValues over the location and
+  /// display attributes; the scalar path, or a batch that fails, through
+  /// per-row LocationOf/DisplayOf. Copies of a value share one slot per path
+  /// and every editing operation starts a fresh one. The slot holds the
+  /// image weakly: it lives while a caller (a Viewer) holds the returned
+  /// pointer, and is rebuilt on the next call after that. Thread-safe; two
+  /// concurrent callers build it once.
+  std::shared_ptr<const RenderImage> Image(
+      const db::ExecPolicy& policy = db::DefaultExecPolicy()) const;
 
   // ---- Editing operations (Figure 5) ----
   // Each returns a modified copy; `this` is unchanged.
@@ -236,7 +268,22 @@ class DisplayRelation {
   std::string ToString(size_t max_rows = 10) const;
 
  private:
+  /// Where copies of one value find its render images: [0] the per-row
+  /// path's, [1] the batch path's.
+  struct ImageSlot {
+    std::mutex mu;
+    std::weak_ptr<const RenderImage> images[2];
+  };
+
   Result<size_t> AttributeIndex(const std::string& name) const;
+
+  /// A copy with a fresh image slot: the start of every editing operation.
+  DisplayRelation Edited() const;
+
+  /// Fills `image` from batch attribute columns; false when a batch failed.
+  bool FillImageFromBatches(const db::ExecPolicy& policy, RenderImage* image) const;
+  /// Fills `image` row by row through LocationOf/DisplayOf.
+  void FillImageByRow(RenderImage* image) const;
 
   std::string name_;
   db::RelationPtr base_;
@@ -244,6 +291,7 @@ class DisplayRelation {
   std::vector<std::string> location_names_;
   std::string display_name_;
   ElevationRange elevation_range_;
+  std::shared_ptr<ImageSlot> image_slot_ = std::make_shared<ImageSlot>();
 };
 
 }  // namespace tioga2::display

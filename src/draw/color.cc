@@ -1,14 +1,15 @@
 #include "draw/color.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace tioga2::draw {
 
 std::string ColorToHex(const Color& color) {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", color.r, color.g, color.b);
-  return buf;
+  static constexpr char kNibbles[] = "0123456789abcdef";
+  return std::string{'#',
+                     kNibbles[color.r >> 4], kNibbles[color.r & 15],
+                     kNibbles[color.g >> 4], kNibbles[color.g & 15],
+                     kNibbles[color.b >> 4], kNibbles[color.b & 15]};
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #include "expr/batch.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "db/relation.h"
@@ -419,14 +420,13 @@ void PromoteIfUniform(Vec* v) {
 }
 
 /// Batch path for the drawable-constructor builtins (point/circle/rect/line/
-/// text/offset): styling arguments (colors, fill flags) must be batch
-/// constants so parsing and decoding hoist out of the row loop, while
-/// numeric/string/display arguments stream from the operand vectors without
-/// per-row boxing. Returns true and fills *out with results value-identical
-/// to running the overload's scalar eval row by row; false (including for a
-/// constant color that fails to parse — the scalar loop then reports it, or
-/// legitimately skips it when every row has a null argument) means the
-/// caller falls back.
+/// text/offset) and for lerp_color: fill flags must be batch constants, a
+/// colour is a constant (parsed once) or a typed string column (parsed once
+/// per row), and numeric/string/display arguments stream from the operand
+/// vectors without per-row boxing. Returns true and fills *out with results
+/// value-identical to running the overload's scalar eval row by row; false
+/// (including for a colour that fails to parse on a row the scalar loop
+/// would build — that loop then reports it) means the caller falls back.
 bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
                            size_t n, Vec* out) {
   if (node.overload == nullptr || node.overload->null_opaque) return false;
@@ -447,6 +447,31 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
   auto parse_color = [&](size_t a, draw::Color* color) {
     return draw::ColorFromHex(args[a].cval.string_value(), color);
   };
+  // The scalar loop yields null for a row with any null argument.
+  auto null_row = [&](size_t k) {
+    for (const Vec& a : args) {
+      if (a.IsNull(k)) return true;
+    }
+    return false;
+  };
+  // colors[k] is row k's colour argument; rows that build null are skipped.
+  std::vector<draw::Color> colors;
+  auto parse_colors = [&](size_t a) {
+    if (const_nonnull(a, DataType::kString)) {
+      draw::Color color;
+      if (!parse_color(a, &color)) return false;
+      colors.assign(n, color);
+      return true;
+    }
+    if (!string_ok(a)) return false;
+    colors.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      if (!null_row(k) && !draw::ColorFromHex(ReadString(args[a], k), &colors[k])) {
+        return false;
+      }
+    }
+    return true;
+  };
   auto wrap = [](draw::Drawable d) {
     return Value::Display(draw::MakeDrawableList({std::move(d)}));
   };
@@ -454,24 +479,48 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
     std::vector<Value> values;
     values.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-      bool null_arg = false;
-      for (const Vec& a : args) {
-        if (a.IsNull(k)) {
-          null_arg = true;
-          break;
-        }
-      }
-      if (null_arg) {
-        values.push_back(Value::Null());
-      } else {
-        values.push_back(make(k));
-      }
+      values.push_back(null_row(k) ? Value::Null() : make(k));
     }
     *out = Vec::OwnedBoxed(std::move(values));
     PromoteIfUniform(out);
     return true;
   };
+  // build() for a constructor whose colour argument `color_arg` is the only
+  // one that may vary per row: rows of one colour then share one list, as
+  // the rows of a constant display do (a render image holds every row's).
+  auto build_by_color = [&](size_t color_arg, auto&& make) {
+    for (size_t a = 0; a < argc; ++a) {
+      if (a != color_arg && args[a].rep != Vec::Rep::kConst) return build(make);
+    }
+    std::unordered_map<uint32_t, Value> by_color;
+    return build([&](size_t k) {
+      const draw::Color& c = colors[k];
+      Value& shared = by_color[(uint32_t{c.r} << 16) | (uint32_t{c.g} << 8) | c.b];
+      if (shared.is_null()) shared = make(k);
+      return shared;
+    });
+  };
 
+  if (name == "lerp_color") {
+    draw::Color from;
+    draw::Color to;
+    if (argc != 3 || !const_nonnull(0, DataType::kString) ||
+        !const_nonnull(1, DataType::kString) || !numeric_ok(2) ||
+        !parse_color(0, &from) || !parse_color(1, &to)) {
+      return false;
+    }
+    Vec hex = MakeTypedVec(DataType::kString, n);
+    for (size_t k = 0; k < n; ++k) {
+      if (args[2].IsNull(k)) {
+        hex.SetNull(k);
+      } else {
+        hex.strings[k] =
+            draw::ColorToHex(draw::LerpColor(from, to, ReadDouble(args[2], k)));
+      }
+    }
+    *out = std::move(hex);
+    return true;
+  }
   if (name == "point") {
     if (argc == 0) {
       *out = Vec::Const(wrap(draw::MakePoint()), n);
@@ -483,7 +532,8 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
       *out = Vec::Const(wrap(draw::MakePoint(color)), n);
       return true;
     }
-    return false;
+    if (argc != 1 || !parse_colors(0)) return false;
+    return build_by_color(0, [&](size_t k) { return wrap(draw::MakePoint(colors[k])); });
   }
   if (name == "circle") {
     if (argc < 1 || !numeric_ok(0)) return false;
@@ -491,21 +541,18 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
       return build(
           [&](size_t k) { return wrap(draw::MakeCircle(ReadDouble(args[0], k))); });
     }
-    draw::Color color;
-    if (!const_nonnull(1, DataType::kString) || !parse_color(1, &color)) {
-      return false;
-    }
+    if (!parse_colors(1)) return false;
     if (argc == 2) {
-      return build([&](size_t k) {
-        return wrap(draw::MakeCircle(ReadDouble(args[0], k), color));
+      return build_by_color(1, [&](size_t k) {
+        return wrap(draw::MakeCircle(ReadDouble(args[0], k), colors[k]));
       });
     }
     if (argc == 3 && const_nonnull(2, DataType::kBool)) {
       const draw::FillMode fill = args[2].cval.bool_value()
                                       ? draw::FillMode::kFilled
                                       : draw::FillMode::kOutline;
-      return build([&](size_t k) {
-        return wrap(draw::MakeCircle(ReadDouble(args[0], k), color, fill));
+      return build_by_color(1, [&](size_t k) {
+        return wrap(draw::MakeCircle(ReadDouble(args[0], k), colors[k], fill));
       });
     }
     return false;
@@ -518,23 +565,20 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
             draw::MakeRectangle(ReadDouble(args[0], k), ReadDouble(args[1], k)));
       });
     }
-    draw::Color color;
-    if (!const_nonnull(2, DataType::kString) || !parse_color(2, &color)) {
-      return false;
-    }
+    if (!parse_colors(2)) return false;
     if (argc == 3) {
-      return build([&](size_t k) {
+      return build_by_color(2, [&](size_t k) {
         return wrap(draw::MakeRectangle(ReadDouble(args[0], k),
-                                        ReadDouble(args[1], k), color));
+                                        ReadDouble(args[1], k), colors[k]));
       });
     }
     if (argc == 4 && const_nonnull(3, DataType::kBool)) {
       const draw::FillMode fill = args[3].cval.bool_value()
                                       ? draw::FillMode::kFilled
                                       : draw::FillMode::kOutline;
-      return build([&](size_t k) {
+      return build_by_color(2, [&](size_t k) {
         return wrap(draw::MakeRectangle(ReadDouble(args[0], k),
-                                        ReadDouble(args[1], k), color, fill));
+                                        ReadDouble(args[1], k), colors[k], fill));
       });
     }
     return false;
@@ -546,34 +590,25 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
         return wrap(draw::MakeLine(ReadDouble(args[0], k), ReadDouble(args[1], k)));
       });
     }
-    draw::Color color;
-    if (argc == 3 && const_nonnull(2, DataType::kString) &&
-        parse_color(2, &color)) {
-      return build([&](size_t k) {
-        return wrap(
-            draw::MakeLine(ReadDouble(args[0], k), ReadDouble(args[1], k), color));
+    if (argc == 3 && parse_colors(2)) {
+      return build_by_color(2, [&](size_t k) {
+        return wrap(draw::MakeLine(ReadDouble(args[0], k), ReadDouble(args[1], k),
+                                   colors[k]));
       });
     }
     return false;
   }
   if (name == "text") {
     if (argc < 2 || !string_ok(0) || !numeric_ok(1)) return false;
-    draw::Color color;
-    bool have_color = false;
-    if (argc == 3) {
-      if (!const_nonnull(2, DataType::kString) || !parse_color(2, &color)) {
-        return false;
-      }
-      have_color = true;
-    } else if (argc != 2) {
-      return false;
-    }
-    // Dictionary splat: with an encoded label column and a constant size,
-    // rows with the same code yield the same drawable — format each distinct
-    // code once and share the DrawableList across its rows (sharing is
-    // established practice: a kConst display Vec already shares one list).
+    const bool have_color = argc == 3;
+    if (argc > 3 || (have_color && !parse_colors(2))) return false;
+    // Dictionary splat: with an encoded label column and a constant size and
+    // colour, rows with the same code yield the same drawable — format each
+    // distinct code once and share the DrawableList across its rows (sharing
+    // is established practice: a kConst display Vec already shares one list).
     if (args[0].rep == Vec::Rep::kView && args[0].view->has_dict() &&
-        args[1].rep == Vec::Rep::kConst && !args[1].cval.is_null()) {
+        args[1].rep == Vec::Rep::kConst && !args[1].cval.is_null() &&
+        (!have_color || args[2].rep == Vec::Rep::kConst)) {
       const db::ColumnVector& col = *args[0].view;
       const std::vector<std::string>& dict = *col.dict_values;
       const double size_arg = args[1].cval.AsDouble();
@@ -589,7 +624,7 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
         Value& cached = per_code[code];
         if (cached.is_null()) {
           cached = have_color
-                       ? wrap(draw::MakeText(dict[code], size_arg, color))
+                       ? wrap(draw::MakeText(dict[code], size_arg, colors[k]))
                        : wrap(draw::MakeText(dict[code], size_arg));
         }
         values.push_back(cached);
@@ -600,9 +635,9 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
       return true;
     }
     if (have_color) {
-      return build([&](size_t k) {
-        return wrap(draw::MakeText(ReadString(args[0], k),
-                                   ReadDouble(args[1], k), color));
+      return build_by_color(2, [&](size_t k) {
+        return wrap(draw::MakeText(ReadString(args[0], k), ReadDouble(args[1], k),
+                                   colors[k]));
       });
     }
     return build([&](size_t k) {

@@ -1,5 +1,7 @@
 #include "render/framebuffer.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 
 namespace tioga2::render {
@@ -10,7 +12,13 @@ Framebuffer::Framebuffer(int width, int height, draw::Color background)
 }
 
 void Framebuffer::Clear(const draw::Color& color) {
-  std::fill(pixels_.begin(), pixels_.end(), color);
+  // Fill one row, then copy it: a row of 3-byte pixels copies as plain
+  // bytes, where a fill over the whole buffer goes pixel by pixel.
+  const size_t row = static_cast<size_t>(width_);
+  std::fill(pixels_.begin(), pixels_.begin() + static_cast<ptrdiff_t>(row), color);
+  for (size_t y = 1; y < static_cast<size_t>(height_); ++y) {
+    std::memcpy(&pixels_[y * row], pixels_.data(), row * sizeof(draw::Color));
+  }
 }
 
 size_t Framebuffer::CountPixels(const draw::Color& color) const {

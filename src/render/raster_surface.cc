@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <utility>
 
 #include "render/font.h"
 
@@ -22,25 +25,61 @@ bool DashOn(const draw::LineStyle style, int step) {
   return true;
 }
 
+/// std::lround of a device coordinate, clamped to ±2^52 first so that a
+/// coordinate far off-screen neither overflows nor wraps onto the screen;
+/// NaN rounds to the low end, off-screen.
+int64_t RoundPixel(double v) {
+  constexpr double kLimit = 4503599627370496.0;  // 2^52
+  if (!(v >= -kLimit)) return -static_cast<int64_t>(kLimit);
+  if (v > kLimit) return static_cast<int64_t>(kLimit);
+  return static_cast<int64_t>(std::llround(v));
+}
+
+/// Narrows the inclusive pixel range [*lo, *hi] to [0, limit): the pixels
+/// Framebuffer::Set keeps. The range is empty when *lo > *hi afterwards.
+void ClampToFramebuffer(int64_t* lo, int64_t* hi, int limit) {
+  *lo = std::max<int64_t>(*lo, 0);
+  *hi = std::min<int64_t>(*hi, limit - 1);
+}
+
+using Wide = __int128;
+
+/// The midpoint circle loop's x at row y (0 <= y <= r) of a radius-r
+/// circle: the least x with x(x + 1) >= r^2 - y^2. The loop keeps this on
+/// every row it visits (it steps x when x(x - 1) + (y + 1)^2 >= r^2, and one
+/// step per row suffices up to the octant's last row), and past its last row
+/// MidpointX(r, y) < y, so entering the loop there ends it as well.
+int64_t MidpointX(int64_t r, int64_t y) {
+  const Wide q = static_cast<Wide>(r) * r - static_cast<Wide>(y) * y;
+  int64_t x = static_cast<int64_t>(std::sqrt(static_cast<double>(q)));
+  while (static_cast<Wide>(x) * (x + 1) < q) ++x;
+  while (x > 0 && static_cast<Wide>(x - 1) * x >= q) --x;
+  return x;
+}
+
 }  // namespace
 
-void RasterSurface::PlotDevice(int x, int y, int thickness, const draw::Color& color) {
-  if (thickness <= 1) {
-    if (!transform_.Clipped(x, y)) fb_->Set(x, y, color);
-    return;
-  }
-  int half = thickness / 2;
-  for (int dy = -half; dy <= half; ++dy) {
-    for (int dx = -half; dx <= half; ++dx) {
-      if (!transform_.Clipped(x + dx, y + dy)) fb_->Set(x + dx, y + dy, color);
+void RasterSurface::PlotDevice(int64_t x, int64_t y, int thickness,
+                               const draw::Color& color) {
+  const int64_t half = thickness <= 1 ? 0 : thickness / 2;
+  int64_t x0 = x - half;
+  int64_t x1 = x + half;
+  int64_t y0 = y - half;
+  int64_t y1 = y + half;
+  ClampToFramebuffer(&x0, &x1, fb_->width());
+  ClampToFramebuffer(&y0, &y1, fb_->height());
+  for (int64_t py = y0; py <= y1; ++py) {
+    for (int64_t px = x0; px <= x1; ++px) {
+      if (!transform_.Clipped(px, py)) {
+        fb_->Set(static_cast<int>(px), static_cast<int>(py), color);
+      }
     }
   }
 }
 
 void RasterSurface::Plot(double x, double y, int thickness, const draw::Color& color) {
   transform_.Apply(&x, &y);
-  PlotDevice(static_cast<int>(std::lround(x)), static_cast<int>(std::lround(y)),
-             thickness, color);
+  PlotDevice(RoundPixel(x), RoundPixel(y), thickness, color);
 }
 
 void RasterSurface::DrawPoint(double x, double y, int thickness,
@@ -92,13 +131,17 @@ void RasterSurface::DrawRect(double x, double y, double w, double h,
     transform_.Apply(&x1, &y1);
     if (x1 < x0) std::swap(x0, x1);
     if (y1 < y0) std::swap(y0, y1);
-    int ix0 = static_cast<int>(std::lround(x0));
-    int iy0 = static_cast<int>(std::lround(y0));
-    int ix1 = static_cast<int>(std::lround(x1));
-    int iy1 = static_cast<int>(std::lround(y1));
-    for (int py = iy0; py <= iy1; ++py) {
-      for (int px = ix0; px <= ix1; ++px) {
-        if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
+    int64_t ix0 = RoundPixel(x0);
+    int64_t iy0 = RoundPixel(y0);
+    int64_t ix1 = RoundPixel(x1);
+    int64_t iy1 = RoundPixel(y1);
+    ClampToFramebuffer(&ix0, &ix1, fb_->width());
+    ClampToFramebuffer(&iy0, &iy1, fb_->height());
+    for (int64_t py = iy0; py <= iy1; ++py) {
+      for (int64_t px = ix0; px <= ix1; ++px) {
+        if (!transform_.Clipped(px, py)) {
+          fb_->Set(static_cast<int>(px), static_cast<int>(py), color);
+        }
       }
     }
     return;
@@ -113,41 +156,71 @@ void RasterSurface::DrawCircle(double cx, double cy, double radius,
                                const draw::Style& style, const draw::Color& color) {
   transform_.Apply(&cx, &cy);
   double r = transform_.ApplyLength(radius);
-  int icx = static_cast<int>(std::lround(cx));
-  int icy = static_cast<int>(std::lround(cy));
-  int ir = static_cast<int>(std::lround(std::fabs(r)));
+  int64_t icx = RoundPixel(cx);
+  int64_t icy = RoundPixel(cy);
+  int64_t ir = RoundPixel(std::fabs(r));
   if (ir == 0) {
     PlotDevice(icx, icy, style.thickness, color);
     return;
   }
   if (style.fill == draw::FillMode::kFilled) {
-    for (int dy = -ir; dy <= ir; ++dy) {
-      int span = static_cast<int>(std::floor(std::sqrt(
+    int64_t y0 = icy - ir;
+    int64_t y1 = icy + ir;
+    ClampToFramebuffer(&y0, &y1, fb_->height());
+    for (int64_t py = y0; py <= y1; ++py) {
+      const int64_t dy = py - icy;
+      int64_t span = static_cast<int64_t>(std::floor(std::sqrt(
           static_cast<double>(ir) * ir - static_cast<double>(dy) * dy)));
-      for (int dx = -span; dx <= span; ++dx) {
-        if (!transform_.Clipped(icx + dx, icy + dy)) {
-          fb_->Set(icx + dx, icy + dy, color);
+      int64_t x0 = icx - span;
+      int64_t x1 = icx + span;
+      ClampToFramebuffer(&x0, &x1, fb_->width());
+      for (int64_t px = x0; px <= x1; ++px) {
+        if (!transform_.Clipped(px, py)) {
+          fb_->Set(static_cast<int>(px), static_cast<int>(py), color);
         }
       }
     }
     return;
   }
-  // Midpoint circle.
-  int x = ir;
-  int y = 0;
-  int err = 1 - ir;
-  while (x >= y) {
-    const int px[8] = {icx + x, icx - x, icx + x, icx - x,
-                       icx + y, icx - y, icx + y, icx - y};
-    const int py[8] = {icy + y, icy + y, icy - y, icy - y,
-                       icy + x, icy + x, icy - x, icy - x};
-    for (int i = 0; i < 8; ++i) PlotDevice(px[i], py[i], style.thickness, color);
-    ++y;
-    if (err < 0) {
-      err += 2 * y + 1;
-    } else {
-      --x;
-      err += 2 * (y - x) + 1;
+  // Midpoint circle. Row y plots (icx ± x, icy ± y) and (icx ± y, icy ± x),
+  // so it can reach the framebuffer only where icy ± y or icx ± y lies
+  // within a point's half-thickness of it: four runs of rows, each as long
+  // as the framebuffer. The loop visits those runs and skips the rows
+  // between them, re-entering at the state it would have reached.
+  const int64_t half = style.thickness <= 1 ? 0 : style.thickness / 2;
+  const int64_t w = fb_->width();
+  const int64_t h = fb_->height();
+  std::pair<int64_t, int64_t> runs[4] = {{-half - icy, h - 1 + half - icy},
+                                         {icy - (h - 1 + half), icy + half},
+                                         {-half - icx, w - 1 + half - icx},
+                                         {icx - (w - 1 + half), icx + half}};
+  std::sort(std::begin(runs), std::end(runs));
+  int64_t x = ir;
+  int64_t y = 0;
+  int64_t err = 1 - ir;
+  for (const auto& [first, last] : runs) {
+    if (x < y || first > ir) break;  // the loop never reaches row ir
+    if (first > y) {
+      y = first;
+      x = MidpointX(ir, y);
+      // The loop's err is x(x - 1) + (y + 1)^2 - r^2 on every row.
+      err = static_cast<int64_t>(static_cast<Wide>(x) * (x - 1) +
+                                 static_cast<Wide>(y + 1) * (y + 1) -
+                                 static_cast<Wide>(ir) * ir);
+    }
+    for (; x >= y && y <= last;) {
+      const int64_t px[8] = {icx + x, icx - x, icx + x, icx - x,
+                             icx + y, icx - y, icx + y, icx - y};
+      const int64_t py[8] = {icy + y, icy + y, icy - y, icy - y,
+                             icy + x, icy + x, icy - x, icy - x};
+      for (int i = 0; i < 8; ++i) PlotDevice(px[i], py[i], style.thickness, color);
+      ++y;
+      if (err < 0) {
+        err += 2 * y + 1;
+      } else {
+        --x;
+        err += 2 * (y - x) + 1;
+      }
     }
   }
 }
@@ -169,9 +242,10 @@ void RasterSurface::DrawPolygon(const std::vector<draw::Point>& points,
       max_y = std::max(max_y, y);
       device.push_back(draw::Point{x, y});
     }
-    int iy0 = static_cast<int>(std::ceil(min_y));
-    int iy1 = static_cast<int>(std::floor(max_y));
-    for (int py = iy0; py <= iy1; ++py) {
+    int64_t iy0 = RoundPixel(std::ceil(min_y));
+    int64_t iy1 = RoundPixel(std::floor(max_y));
+    ClampToFramebuffer(&iy0, &iy1, fb_->height());
+    for (int64_t py = iy0; py <= iy1; ++py) {
       double scan = py + 0.5;
       std::vector<double> crossings;
       for (size_t i = 0; i < device.size(); ++i) {
@@ -184,10 +258,13 @@ void RasterSurface::DrawPolygon(const std::vector<draw::Point>& points,
       }
       std::sort(crossings.begin(), crossings.end());
       for (size_t i = 0; i + 1 < crossings.size(); i += 2) {
-        int px0 = static_cast<int>(std::ceil(crossings[i]));
-        int px1 = static_cast<int>(std::floor(crossings[i + 1]));
-        for (int px = px0; px <= px1; ++px) {
-          if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
+        int64_t px0 = RoundPixel(std::ceil(crossings[i]));
+        int64_t px1 = RoundPixel(std::floor(crossings[i + 1]));
+        ClampToFramebuffer(&px0, &px1, fb_->width());
+        for (int64_t px = px0; px <= px1; ++px) {
+          if (!transform_.Clipped(px, py)) {
+            fb_->Set(static_cast<int>(px), static_cast<int>(py), color);
+          }
         }
       }
     }
@@ -206,22 +283,29 @@ void RasterSurface::DrawText(const std::string& text, double x, double y, double
   transform_.Apply(&x, &y);
   double h = transform_.ApplyLength(height);
   // Integral per-pixel scale keeps glyphs crisp; at least 1.
-  int scale = std::max(1, static_cast<int>(std::lround(h / kGlyphHeight)));
-  int origin_x = static_cast<int>(std::lround(x));
+  const int64_t scale = std::max<int64_t>(1, RoundPixel(h / kGlyphHeight));
+  int64_t gx = RoundPixel(x);
   // (x, y) anchors the glyph box's bottom-left; rows render upward from it.
-  int origin_y = static_cast<int>(std::lround(y)) - kGlyphHeight * scale + scale;
-  for (size_t i = 0; i < text.size(); ++i) {
+  const int64_t origin_y = RoundPixel(y) - kGlyphHeight * scale + scale;
+  for (size_t i = 0; i < text.size() && gx < fb_->width();
+       ++i, gx += kGlyphAdvance * scale) {
     const std::array<uint8_t, 7>& glyph = GlyphFor(text[i]);
-    int gx = origin_x + static_cast<int>(i) * kGlyphAdvance * scale;
     for (int row = 0; row < kGlyphHeight; ++row) {
       uint8_t bits = glyph[static_cast<size_t>(row)];
       for (int col = 0; col < kGlyphWidth; ++col) {
         if ((bits & (1 << (4 - col))) == 0) continue;
-        for (int sy = 0; sy < scale; ++sy) {
-          for (int sx = 0; sx < scale; ++sx) {
-            int px = gx + col * scale + sx;
-            int py = origin_y + row * scale + sy;
-            if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
+        // The block of this glyph bit, clamped to the framebuffer.
+        int64_t x0 = gx + col * scale;
+        int64_t x1 = x0 + scale - 1;
+        int64_t y0 = origin_y + row * scale;
+        int64_t y1 = y0 + scale - 1;
+        ClampToFramebuffer(&x0, &x1, fb_->width());
+        ClampToFramebuffer(&y0, &y1, fb_->height());
+        for (int64_t py = y0; py <= y1; ++py) {
+          for (int64_t px = x0; px <= x1; ++px) {
+            if (!transform_.Clipped(px, py)) {
+              fb_->Set(static_cast<int>(px), static_cast<int>(py), color);
+            }
           }
         }
       }

@@ -1,6 +1,7 @@
 #ifndef TIOGA2_RENDER_RASTER_SURFACE_H_
 #define TIOGA2_RENDER_RASTER_SURFACE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,7 +12,10 @@ namespace tioga2::render {
 
 /// Software rasterizer drawing into a Framebuffer: Bresenham lines (with
 /// dash patterns), midpoint circles, even-odd scanline polygon fill, and
-/// bitmap-font text.
+/// bitmap-font text. Filled shapes, glyph blocks and thick points iterate
+/// only the pixel rows and columns inside the framebuffer, with device
+/// coordinates rounded to int64, so a primitive of any size costs at most
+/// the framebuffer's area.
 class RasterSurface : public Surface {
  public:
   /// `framebuffer` must outlive the surface.
@@ -49,7 +53,7 @@ class RasterSurface : public Surface {
   /// Writes a transformed, clipped pixel block of side `thickness`.
   void Plot(double x, double y, int thickness, const draw::Color& color);
   /// Plot in already-transformed device coordinates.
-  void PlotDevice(int x, int y, int thickness, const draw::Color& color);
+  void PlotDevice(int64_t x, int64_t y, int thickness, const draw::Color& color);
 
   Framebuffer* fb_;
   TransformStack transform_;

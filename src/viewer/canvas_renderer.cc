@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "db/operators.h"
-#include "expr/batch.h"
-
 namespace tioga2::viewer {
 
 using display::Composite;
@@ -48,87 +45,65 @@ bool ElevationVisible(const display::ElevationRange& range, const Camera& camera
 /// Visibility decision for one tuple; shared by rendering and hit-testing.
 enum class TupleVisibility { kVisible, kSliderCulled, kViewportCulled, kError };
 
-/// Per-relation location columns, precomputed once through the batch
-/// "method" path instead of per tuple. nullopt means the batch evaluation
-/// failed for some attribute; callers then use the per-row LocationOf path,
-/// which reproduces the scalar per-tuple error accounting.
-std::optional<std::vector<std::vector<types::Value>>> BatchLocations(
-    const display::DisplayRelation& relation, const db::ExecPolicy& policy) {
-  if (!policy.vectorized) return std::nullopt;
-  std::vector<std::vector<types::Value>> columns;
-  columns.reserve(relation.location_names().size());
-  for (const std::string& name : relation.location_names()) {
-    Result<std::vector<types::Value>> column = relation.AttributeValues(name, policy);
-    if (!column.ok()) {
-      ++expr::BatchMetrics::Global().render_scalar_fallbacks;
-      return std::nullopt;
-    }
-    columns.push_back(std::move(column).value());
+/// `relation`'s render image for `policy`, recorded once in `used`, which
+/// keeps it alive for the caller.
+const display::RenderImage& ImageOf(const display::DisplayRelation& relation,
+                                    const db::ExecPolicy& policy, ImageSet* used) {
+  std::shared_ptr<const display::RenderImage> image = relation.Image(policy);
+  if (std::find(used->begin(), used->end(), image) == used->end()) {
+    used->push_back(image);
   }
-  ++expr::BatchMetrics::Global().render_location_batches;
-  return columns;
+  return *image;
 }
 
-TupleVisibility ClassifyTuple(const display::DisplayRelation& relation,
+/// Classifies row `row` of `image` under `entry`'s offset and `camera`'s
+/// sliders and visible world rectangle `visible`. The tests run in the order
+/// of the per-row evaluation they replace: location error, slider cull,
+/// display error, viewport cull. On kVisible, (*x, *y) is the offset
+/// location, computed with the same floating-point additions.
+TupleVisibility ClassifyTuple(const display::RenderImage& image,
                               const CompositeEntry& entry, const Camera& camera,
-                              size_t row, std::vector<double>* location_out,
-                              draw::DrawableList* display_out,
-                              const std::vector<std::vector<types::Value>>*
-                                  location_columns = nullptr) {
-  std::vector<double>& loc = *location_out;
-  if (location_columns != nullptr) {
-    loc.clear();
-    loc.reserve(location_columns->size());
-    for (const std::vector<types::Value>& column : *location_columns) {
-      const types::Value& v = column[row];
-      // Same per-tuple conditions LocationOf rejects: null or non-numeric
-      // location values are tuple errors.
-      if (v.is_null() || (!v.is_int() && !v.is_float())) {
-        return TupleVisibility::kError;
-      }
-      loc.push_back(v.AsDouble());
+                              const draw::BBox& visible, size_t row, double* x,
+                              double* y) {
+  const uint8_t errors = image.errors[row];
+  if (errors & display::RenderImage::kLocationError) return TupleVisibility::kError;
+  const double* loc = image.LocationAt(row);
+  for (size_t d = 2; d < image.dimension; ++d) {
+    if (!camera.SliderAccepts(d, loc[d] + entry.OffsetAt(d))) {
+      return TupleVisibility::kSliderCulled;
     }
-  } else {
-    Result<std::vector<double>> location = relation.LocationOf(row);
-    if (!location.ok()) return TupleVisibility::kError;
-    loc = std::move(location).value();
   }
-  for (size_t d = 0; d < loc.size(); ++d) loc[d] += entry.OffsetAt(d);
-  for (size_t d = 2; d < loc.size(); ++d) {
-    if (!camera.SliderAccepts(d, loc[d])) return TupleVisibility::kSliderCulled;
-  }
-  Result<draw::DrawableList> displayed = relation.DisplayOf(row);
-  if (!displayed.ok()) return TupleVisibility::kError;
-  *display_out = std::move(displayed).value();
-  draw::BBox bounds = draw::DrawableListBounds(*display_out);
-  bounds.min_x += loc[0];
-  bounds.max_x += loc[0];
-  bounds.min_y += loc[1];
-  bounds.max_y += loc[1];
-  if (!bounds.Intersects(camera.VisibleWorld())) {
-    return TupleVisibility::kViewportCulled;
-  }
+  if (errors & display::RenderImage::kDisplayError) return TupleVisibility::kError;
+  *x = loc[0] + entry.OffsetAt(0);
+  *y = loc[1] + entry.OffsetAt(1);
+  draw::BBox bounds = image.bounds[row];
+  bounds.min_x += *x;
+  bounds.max_x += *x;
+  bounds.min_y += *y;
+  bounds.max_y += *y;
+  if (!bounds.Intersects(visible)) return TupleVisibility::kViewportCulled;
   return TupleVisibility::kVisible;
 }
 
 Status RenderDrawable(const draw::Drawable& drawable, double wx, double wy,
                       const Projector& projector, render::Surface* surface,
-                      const RenderOptions& options, RenderStats* stats);
+                      const RenderOptions& options, RenderStats* stats, ImageSet* used);
 
 Status RenderDisplayList(const draw::DrawableList& list, double wx, double wy,
                          const Projector& projector, render::Surface* surface,
-                         const RenderOptions& options, RenderStats* stats) {
+                         const RenderOptions& options, RenderStats* stats,
+                         ImageSet* used) {
   if (list == nullptr) return Status::OK();
   for (const draw::Drawable& drawable : *list) {
     TIOGA2_RETURN_IF_ERROR(
-        RenderDrawable(drawable, wx, wy, projector, surface, options, stats));
+        RenderDrawable(drawable, wx, wy, projector, surface, options, stats, used));
   }
   return Status::OK();
 }
 
 Status RenderWormhole(const draw::Drawable& drawable, double ax, double ay,
                       const Projector& projector, render::Surface* surface,
-                      const RenderOptions& options, RenderStats* stats) {
+                      const RenderOptions& options, RenderStats* stats, ImageSet* used) {
   // Device rectangle of the viewer window (world rect is anchored at its
   // lower-left corner, like kRectangle).
   double dx0 = 0;
@@ -165,7 +140,7 @@ Status RenderWormhole(const draw::Drawable& drawable, double ax, double ay,
       inner_options.underside = false;
       surface->PushViewport(target, inner_w, inner_h);
       Result<RenderStats> inner_stats =
-          RenderComposite(inner, inner_camera, surface, inner_options);
+          RenderComposite(inner, inner_camera, surface, inner_options, used);
       surface->PopViewport();
       TIOGA2_RETURN_IF_ERROR(inner_stats.status());
       *stats += inner_stats.value();
@@ -181,7 +156,7 @@ Status RenderWormhole(const draw::Drawable& drawable, double ax, double ay,
 
 Status RenderDrawable(const draw::Drawable& drawable, double wx, double wy,
                       const Projector& projector, render::Surface* surface,
-                      const RenderOptions& options, RenderStats* stats) {
+                      const RenderOptions& options, RenderStats* stats, ImageSet* used) {
   double ax = wx + drawable.offset_x;
   double ay = wy + drawable.offset_y;
   double dx = 0;
@@ -228,7 +203,7 @@ Status RenderDrawable(const draw::Drawable& drawable, double wx, double wy,
                         drawable.color);
       return Status::OK();
     case draw::DrawableKind::kViewer:
-      return RenderWormhole(drawable, ax, ay, projector, surface, options, stats);
+      return RenderWormhole(drawable, ax, ay, projector, surface, options, stats, used);
   }
   return Status::Internal("unhandled drawable kind");
 }
@@ -237,10 +212,13 @@ Status RenderDrawable(const draw::Drawable& drawable, double wx, double wy,
 
 Result<RenderStats> RenderComposite(const Composite& composite, const Camera& camera,
                                     render::Surface* surface,
-                                    const RenderOptions& options) {
+                                    const RenderOptions& options, ImageSet* used) {
+  ImageSet local;
+  if (used == nullptr) used = &local;
   RenderStats stats;
   Projector projector{camera, options.underside};
-  db::ExecPolicy policy = options.policy.value_or(db::DefaultExecPolicy());
+  const db::ExecPolicy policy = options.policy.value_or(db::DefaultExecPolicy());
+  const draw::BBox visible = camera.VisibleWorld();
   for (const CompositeEntry& entry : composite.entries()) {
     const display::DisplayRelation& relation = entry.relation;
     if (!ElevationVisible(relation.elevation_range(), camera, options.underside)) {
@@ -248,15 +226,11 @@ Result<RenderStats> RenderComposite(const Composite& composite, const Camera& ca
       continue;
     }
     stats.tuples_total += relation.num_rows();
-    std::optional<std::vector<std::vector<types::Value>>> location_columns =
-        BatchLocations(relation, policy);
-    const std::vector<std::vector<types::Value>>* columns =
-        location_columns.has_value() ? &*location_columns : nullptr;
+    const display::RenderImage& image = ImageOf(relation, policy, used);
     for (size_t row = 0; row < relation.num_rows(); ++row) {
-      std::vector<double> location;
-      draw::DrawableList display_list;
-      switch (ClassifyTuple(relation, entry, camera, row, &location, &display_list,
-                            columns)) {
+      double x = 0;
+      double y = 0;
+      switch (ClassifyTuple(image, entry, camera, visible, row, &x, &y)) {
         case TupleVisibility::kError:
           ++stats.tuple_errors;
           continue;
@@ -269,8 +243,9 @@ Result<RenderStats> RenderComposite(const Composite& composite, const Camera& ca
         case TupleVisibility::kVisible:
           break;
       }
-      TIOGA2_RETURN_IF_ERROR(RenderDisplayList(display_list, location[0], location[1],
-                                               projector, surface, options, &stats));
+      const draw::DrawableList& display_list = image.displays[row];
+      TIOGA2_RETURN_IF_ERROR(RenderDisplayList(display_list, x, y, projector, surface,
+                                               options, &stats, used));
       if (display_list != nullptr && !display_list->empty()) ++stats.tuples_drawn;
     }
   }
@@ -279,6 +254,8 @@ Result<RenderStats> RenderComposite(const Composite& composite, const Camera& ca
 
 Result<std::optional<Hit>> HitTest(const Composite& composite, const Camera& camera,
                                    double dx, double dy) {
+  const db::ExecPolicy policy = db::DefaultExecPolicy();
+  const draw::BBox visible = camera.VisibleWorld();
   double wx = 0;
   double wy = 0;
   camera.DeviceToWorld(dx, dy, &wx, &wy);
@@ -290,15 +267,16 @@ Result<std::optional<Hit>> HitTest(const Composite& composite, const Camera& cam
     if (!ElevationVisible(relation.elevation_range(), camera, /*underside=*/false)) {
       continue;
     }
+    const std::shared_ptr<const display::RenderImage> held = relation.Image(policy);
+    const display::RenderImage& image = *held;
     for (size_t row = relation.num_rows(); row-- > 0;) {
-      std::vector<double> location;
-      draw::DrawableList display_list;
-      if (ClassifyTuple(relation, entry, camera, row, &location, &display_list) !=
+      double x = 0;
+      double y = 0;
+      if (ClassifyTuple(image, entry, camera, visible, row, &x, &y) !=
           TupleVisibility::kVisible) {
         continue;
       }
-      draw::BBox bounds = draw::DrawableListBounds(display_list);
-      if (bounds.Contains(wx - location[0], wy - location[1])) {
+      if (image.bounds[row].Contains(wx - x, wy - y)) {
         return std::optional<Hit>(Hit{m, 0, row, relation.name()});
       }
     }
@@ -309,25 +287,30 @@ Result<std::optional<Hit>> HitTest(const Composite& composite, const Camera& cam
 Result<std::optional<draw::WormholeSpec>> FindWormholeAt(const Composite& composite,
                                                          const Camera& camera,
                                                          double wx, double wy) {
+  const db::ExecPolicy policy = db::DefaultExecPolicy();
+  const draw::BBox visible = camera.VisibleWorld();
   for (size_t m = composite.size(); m-- > 0;) {
     const CompositeEntry& entry = composite.entries()[m];
     const display::DisplayRelation& relation = entry.relation;
     if (!ElevationVisible(relation.elevation_range(), camera, /*underside=*/false)) {
       continue;
     }
+    const std::shared_ptr<const display::RenderImage> held = relation.Image(policy);
+    const display::RenderImage& image = *held;
     for (size_t row = relation.num_rows(); row-- > 0;) {
-      std::vector<double> location;
-      draw::DrawableList display_list;
-      if (ClassifyTuple(relation, entry, camera, row, &location, &display_list) !=
+      double x = 0;
+      double y = 0;
+      if (ClassifyTuple(image, entry, camera, visible, row, &x, &y) !=
           TupleVisibility::kVisible) {
         continue;
       }
+      const draw::DrawableList& display_list = image.displays[row];
       if (display_list == nullptr) continue;
       for (size_t i = display_list->size(); i-- > 0;) {
         const draw::Drawable& d = (*display_list)[i];
         if (d.kind != draw::DrawableKind::kViewer) continue;
-        double x0 = location[0] + d.offset_x;
-        double y0 = location[1] + d.offset_y;
+        double x0 = x + d.offset_x;
+        double y0 = y + d.offset_y;
         if (wx >= x0 && wx <= x0 + d.a && wy >= y0 && wy <= y0 + d.b) {
           return std::optional<draw::WormholeSpec>(d.wormhole);
         }

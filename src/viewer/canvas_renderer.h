@@ -2,8 +2,10 @@
 #define TIOGA2_VIEWER_CANVAS_RENDERER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "db/exec_policy.h"
@@ -41,19 +43,27 @@ struct RenderOptions {
   /// Resolves wormhole destination canvases; may be null (wormholes are then
   /// drawn as frames).
   const CanvasRegistry* registry = nullptr;
-  /// Execution policy for batch location evaluation; unset resolves
-  /// db::DefaultExecPolicy() at render time. Both settings produce
-  /// bit-identical pixels; the policy only chooses between the vectorized
-  /// and scalar evaluation paths.
+  /// Execution policy that builds render images (DisplayRelation::Image);
+  /// unset resolves db::DefaultExecPolicy() at render time. Both settings
+  /// produce bit-identical pixels; the policy only chooses between the
+  /// vectorized and scalar evaluation paths.
   std::optional<db::ExecPolicy> policy;
 };
 
+/// The render images a pass read. A caller that passes one keeps them alive
+/// past the call: a Viewer holds the images of its last render, so the next
+/// frame of an unchanged value finds them built.
+using ImageSet = std::vector<std::shared_ptr<const display::RenderImage>>;
+
 /// Renders a composite through `camera` onto `surface`. Relations draw in
 /// composite order (§2); each relation is skipped entirely when the camera
-/// elevation is outside its elevation range (§6.1).
+/// elevation is outside its elevation range (§6.1). Each relation's render
+/// image (wormhole destinations' included) is appended to `used` once; with
+/// no set, the images live until the call returns.
 Result<RenderStats> RenderComposite(const display::Composite& composite,
                                     const Camera& camera, render::Surface* surface,
-                                    const RenderOptions& options = {});
+                                    const RenderOptions& options = {},
+                                    ImageSet* used = nullptr);
 
 /// A hit-test result: which member of the composite and which base row was
 /// topmost under the queried point.
@@ -67,11 +77,13 @@ struct Hit {
 /// Finds the topmost tuple whose display bounds contain the device point
 /// (dx, dy). Respects drawing order (later members and rows win), elevation
 /// ranges, and slider filters — only what is visible can be clicked (§8).
+/// Reads the render images of db::DefaultExecPolicy(): a frame the caller
+/// rendered first, and still holds, has built them.
 Result<std::optional<Hit>> HitTest(const display::Composite& composite,
                                    const Camera& camera, double dx, double dy);
 
 /// Finds the topmost *wormhole* drawable whose rectangle contains the world
-/// point (wx, wy); used for fly-through (§6.2).
+/// point (wx, wy); used for fly-through (§6.2). Images as for HitTest.
 Result<std::optional<draw::WormholeSpec>> FindWormholeAt(
     const display::Composite& composite, const Camera& camera, double wx, double wy);
 

@@ -37,25 +37,24 @@ struct DirtyRect {
 
 /// Extends `dirty` with a conservative device-space bound of everything row
 /// `row` of `entry` can put on screen through `camera` within layout cell
-/// `cell`. Over-approximation is safe (a few extra pixels repaint); an
-/// under-approximation would leave stale pixels, so every bound here errs
-/// wide — in particular kText uses the rasterizer's integral glyph scale,
-/// whose painted width can exceed the world-space text bounds at low zoom.
-/// Returns false when `row` does not exist (caller must fall back to a full
-/// repaint); a tuple whose location/display fails to evaluate draws nothing
-/// and contributes no area.
+/// `cell`, read from `image`, the entry's render image. Over-approximation
+/// is safe (a few extra pixels repaint); an under-approximation would leave
+/// stale pixels, so every bound here errs wide — in particular kText uses
+/// the rasterizer's integral glyph scale, whose painted width can exceed the
+/// world-space text bounds at low zoom. Returns false when `row` does not
+/// exist (caller must fall back to a full repaint); a tuple whose
+/// location/display fails to evaluate draws nothing and contributes no area.
 bool ExtendTupleDeviceBounds(const display::CompositeEntry& entry,
-                             const Camera& camera, const render::DeviceRect& cell,
-                             size_t row, DirtyRect* dirty) {
-  const display::DisplayRelation& relation = entry.relation;
-  if (row >= relation.num_rows()) return false;
-  Result<std::vector<double>> location = relation.LocationOf(row);
-  if (!location.ok() || location->size() < 2) return true;
-  double lx = (*location)[0] + entry.OffsetAt(0);
-  double ly = (*location)[1] + entry.OffsetAt(1);
-  Result<draw::DrawableList> display = relation.DisplayOf(row);
-  if (!display.ok() || *display == nullptr) return true;
-  for (const draw::Drawable& d : **display) {
+                             const display::RenderImage& image, const Camera& camera,
+                             const render::DeviceRect& cell, size_t row,
+                             DirtyRect* dirty) {
+  if (row >= entry.relation.num_rows()) return false;
+  if (image.errors[row] != 0) return true;
+  const draw::DrawableList& display = image.displays[row];
+  if (display == nullptr) return true;
+  double lx = image.LocationAt(row)[0] + entry.OffsetAt(0);
+  double ly = image.LocationAt(row)[1] + entry.OffsetAt(1);
+  for (const draw::Drawable& d : *display) {
     double ax = lx + d.offset_x;
     double ay = ly + d.offset_y;
     double pad = static_cast<double>(std::max(1, d.style.thickness));
@@ -320,6 +319,7 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
   RenderOptions options = base_options;
   if (options.registry == nullptr) options.registry = registry_;
   if (content_.members().empty()) return stats;
+  ImageSet used;
 
   for (size_t m = 0; m < content_.size(); ++m) {
     render::DeviceRect cell = CellRect(m, surface->width(), surface->height());
@@ -335,7 +335,7 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
     }
     surface->PushViewport(cell, cell.width, cell.height);
     Result<RenderStats> member_stats =
-        RenderComposite(content_.members()[m], cell_camera, surface, options);
+        RenderComposite(content_.members()[m], cell_camera, surface, options, &used);
     surface->PopViewport();
     TIOGA2_RETURN_IF_ERROR(member_stats.status());
     stats += member_stats.value();
@@ -384,7 +384,8 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
       }
     }
     surface->PushViewport(glass.rect, inner_w, inner_h);
-    Result<RenderStats> glass_stats = RenderComposite(magnified, inner, surface, options);
+    Result<RenderStats> glass_stats =
+        RenderComposite(magnified, inner, surface, options, &used);
     surface->PopViewport();
     TIOGA2_RETURN_IF_ERROR(glass_stats.status());
     stats += glass_stats.value();
@@ -393,6 +394,7 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
     surface->DrawRect(glass.rect.x, glass.rect.y, glass.rect.width, glass.rect.height,
                       frame, draw::kBlack);
   }
+  rendered_images_ = std::move(used);
   return stats;
 }
 
@@ -419,7 +421,10 @@ Result<RenderStats> Viewer::RenderDeltaTo(render::Surface* surface,
   }
 
   // One dirty rectangle per edited member, covering the old and new device
-  // footprints of every edited tuple.
+  // footprints of every edited tuple. `used` keeps the new content's images
+  // alive for the repaint below.
+  const db::ExecPolicy policy = options.policy.value_or(db::DefaultExecPolicy());
+  ImageSet used;
   std::vector<DirtyRect> rects;
   for (const dataflow::MemberDelta& m : delta.members) {
     if (m.ops.empty()) continue;
@@ -439,13 +444,19 @@ Result<RenderStats> Viewer::RenderDeltaTo(render::Surface* surface,
         old_content.members()[m.group_member].entries()[m.member];
     const display::CompositeEntry& new_entry =
         content_.members()[m.group_member].entries()[m.member];
+    used.push_back(old_entry.relation.Image(policy));
+    const display::RenderImage& old_image = *used.back();
+    used.push_back(new_entry.relation.Image(policy));
+    const display::RenderImage& new_image = *used.back();
     DirtyRect dirty;
     for (const dataflow::RowOp& op : m.ops) {
       // Inserts and deletes shift later rows; bounding them would mean
       // diffing the whole tail, at which point a full repaint is simpler.
       if (op.kind != dataflow::RowOp::Kind::kUpdate) return full_repaint();
-      if (!ExtendTupleDeviceBounds(old_entry, cell_camera, cell, op.row, &dirty) ||
-          !ExtendTupleDeviceBounds(new_entry, cell_camera, cell, op.row, &dirty)) {
+      if (!ExtendTupleDeviceBounds(old_entry, old_image, cell_camera, cell, op.row,
+                                   &dirty) ||
+          !ExtendTupleDeviceBounds(new_entry, new_image, cell_camera, cell, op.row,
+                                   &dirty)) {
         return full_repaint();
       }
     }

@@ -59,6 +59,9 @@ struct TravelRecord {
 /// visualizations", §2); `active_member` selects which camera the
 /// navigation calls address, mirroring the paper's "cycle through all of the
 /// elevation maps".
+///
+/// One thread at a time: even the const RenderTo replaces the set of render
+/// images the viewer holds.
 class Viewer {
  public:
   /// Creates a viewer named `name` showing canvas `canvas_name`, resolved
@@ -196,6 +199,11 @@ class Viewer {
   std::vector<TravelRecord> travel_history_;
   std::vector<Viewer*> slaves_;
   std::vector<MagnifyingGlass> glasses_;
+  // The render images of the last RenderTo, wormhole destinations included.
+  // Holding them keeps each image alive while its value is on screen
+  // (a HitTestAt after a frame finds them built); DisplayRelation's slot
+  // only points at it weakly.
+  mutable ImageSet rendered_images_;
 };
 
 }  // namespace tioga2::viewer

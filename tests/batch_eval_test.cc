@@ -856,6 +856,22 @@ TEST(DisplayBatchTest, DrawableBuiltinsVectorize) {
            "text(s, 2.0)",
            "text(s, f, \"#112233\")",
            "offset(circle(i + 1.0, \"#c81e1e\"), f, 0.0 - f)",
+           // Per-row colours: lerp_color over a numeric column, and typed
+           // colour columns from lerp_color, if and a stored string.
+           "lerp_color(\"#1e46c8\", \"#c81e1e\", f)",
+           "lerp_color(\"#1E46C8\", \"#c81e1e\", i / 4)",
+           "circle(0.3, lerp_color(\"#1e46c8\", \"#c81e1e\", (f + 1.5) / 9.0), true)",
+           "circle(1.5, if(i > 0, \"#c81e1e\", \"#1ea03c\"), true)",
+           "circle(f, if(i > 0, \"#c81e1e\", \"#1ea03c\"))",
+           "point(lerp_color(\"#000000\", \"#ffffff\", i / 10.0))",
+           "rect(i, f, if(b, \"#00ff00\", \"#ff00ff\"))",
+           "rect(2.0, 3.0, lerp_color(\"#000000\", \"#ffffff\", f), true)",
+           "line(i, f, lerp_color(\"#000000\", \"#ffffff\", f))",
+           "text(s, 2.0, if(b, \"#112233\", \"#332211\"))",
+           "text(s, f, lerp_color(\"#000000\", \"#ffffff\", f))",
+           // The bad colour sits on a row whose radius is null: the scalar
+           // builtin returns null there without parsing it.
+           "circle(f, if(i = -3, \"nope\", \"#c81e1e\"))",
        }) {
     SCOPED_TRACE(source);
     auto compiled =
@@ -876,6 +892,36 @@ TEST(DisplayBatchTest, DrawableBuiltinsVectorize) {
           << "row " << r;
     }
   }
+}
+
+TEST(DisplayBatchTest, PerRowColourColumns) {
+  RelationPtr rel = Mixed();
+  expr::RelationBatchSource batch_source(*rel);
+  expr::Selection sel;
+  expr::IdentitySelection(0, rel->num_rows(), &sel);
+  auto eval = [&](const std::string& source) {
+    auto compiled = expr::CompiledExpr::Compile(source, db::SchemaEnv(rel->schema()));
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    expr::BatchEvaluator evaluator(batch_source);
+    return evaluator.Eval(compiled->root(), sel);
+  };
+  // Rows 0 and 4 (i > 0) share one list, and rows 1 and 3 another; row 2's
+  // null condition gives a null colour and so a null display.
+  auto shared = eval("circle(1.5, if(i > 0, \"#c81e1e\", \"#1ea03c\"), true)");
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  EXPECT_EQ(shared->ValueAt(0).display_value(), shared->ValueAt(4).display_value());
+  EXPECT_EQ(shared->ValueAt(1).display_value(), shared->ValueAt(3).display_value());
+  EXPECT_NE(shared->ValueAt(0).display_value(), shared->ValueAt(1).display_value());
+  EXPECT_TRUE(shared->ValueAt(2).is_null());
+  // A colour that fails to parse on a row the constructor builds is an
+  // error under both paths.
+  const std::string bad = "circle(i, if(i = 7, \"nope\", \"#c81e1e\"))";
+  auto batch = eval(bad);
+  EXPECT_FALSE(batch.ok());
+  auto compiled = expr::CompiledExpr::Compile(bad, db::SchemaEnv(rel->schema()));
+  ASSERT_TRUE(compiled.ok());
+  expr::TupleAccessor accessor(rel->row(4));
+  EXPECT_FALSE(compiled->Eval(accessor).ok());
 }
 
 TEST(DisplayBatchTest, RestrictMatchesScalarOverComputedAttributes) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "draw/color.h"
 #include "draw/drawable.h"
 
@@ -17,6 +19,22 @@ TEST(ColorTest, HexRoundTrip) {
 TEST(ColorTest, HexFormat) {
   EXPECT_EQ(ColorToHex(Color{255, 0, 16}), "#ff0010");
   EXPECT_EQ(ColorToHex(kBlack), "#000000");
+}
+
+TEST(ColorTest, HexMatchesPrintfForEveryChannelValue) {
+  // Each channel takes every value while the other two hold distinct ones,
+  // so a swapped channel or nibble shows too.
+  for (int v = 0; v < 256; ++v) {
+    const uint8_t b = static_cast<uint8_t>(v);
+    const uint8_t o = static_cast<uint8_t>(255 - v);
+    const uint8_t p = static_cast<uint8_t>(v * 7 + 3);
+    for (const Color& color : {Color{b, o, p}, Color{p, b, o}, Color{o, p, b}}) {
+      char expected[8];
+      std::snprintf(expected, sizeof(expected), "#%02x%02x%02x", color.r, color.g,
+                    color.b);
+      ASSERT_EQ(ColorToHex(color), expected);
+    }
+  }
 }
 
 TEST(ColorTest, ParseRejectsMalformed) {

@@ -36,6 +36,22 @@ TEST(FramebufferTest, ClearAndPixelAccess) {
   EXPECT_EQ(fb.CountPixels(kBlack), 12u);
 }
 
+TEST(FramebufferTest, ClearWritesEveryPixel) {
+  const Color teal{12, 200, 77};
+  const int sizes[][2] = {{1, 1}, {3, 5}, {641, 2}};
+  for (const auto& size : sizes) {
+    Framebuffer fb(size[0], size[1], kWhite);
+    fb.Set(size[0] - 1, size[1] - 1, kRed);
+    fb.Clear(teal);
+    for (int y = 0; y < size[1]; ++y) {
+      for (int x = 0; x < size[0]; ++x) {
+        ASSERT_EQ(fb.Get(x, y), teal) << size[0] << "x" << size[1] << " at " << x
+                                      << "," << y;
+      }
+    }
+  }
+}
+
 TEST(FramebufferTest, PpmEncoding) {
   Framebuffer fb(2, 1, kWhite);
   fb.Set(0, 0, Color{1, 2, 3});

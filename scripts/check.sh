@@ -49,7 +49,9 @@
 #               asan pass it traps on the first finding instead of
 #               recovering; float-cast-overflow is named, GCC's
 #               -fsanitize=undefined leaves it out) and run the
-#               join/operator/aggregates tests, determinism_test,
+#               join/operator/aggregates tests, display_relation_test
+#               (whose Restricts feed computed-attribute vectors to the
+#               filter's comparison loop), determinism_test,
 #               program_io_test and the render-image and raster tests — the
 #               class of bug this catches mechanically is an out-of-range
 #               double->integer cast, like the old HashKey one or a pixel
@@ -131,13 +133,14 @@ cmake --build build-asan -j "$(nproc)" --target \
 (cd build-asan && ctest --output-on-failure \
   -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
 
-echo "== ubsan: join + operator + aggregates + determinism + program_io + render image + raster tests =="
+echo "== ubsan: join + operator + aggregates + display relation + determinism + program_io + render image + raster tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j "$(nproc)" --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
-  determinism_test program_io_test render_image_test render_test raster_reference_test
+  display_relation_test determinism_test program_io_test render_image_test render_test \
+  raster_reference_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|display_relation_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j "$(nproc)" --target storage_test

@@ -1,5 +1,6 @@
 #include "db/aggregates.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
@@ -318,10 +319,69 @@ struct GroupIds {
   std::vector<uint32_t> reps;    // per group: its first base row
 };
 
+/// The smallest and largest of `keys[r]` over the input rows.
+std::pair<int64_t, int64_t> KeyRange(const int64_t* keys, const Relation::RowMap& map,
+                                     size_t num_rows) {
+  int64_t lo = INT64_MAX;
+  int64_t hi = INT64_MIN;
+  ForEachRow(map, num_rows, [&](size_t, uint32_t r) {
+    lo = std::min(lo, keys[r]);
+    hi = std::max(hi, keys[r]);
+  });
+  return {lo, hi};
+}
+
+/// Pass 1 over one non-null key whose values, minus `lo`, fall in
+/// [0, span): the key indexes a flat slot array of group ids.
+template <typename Key>
+void AssignDirect(const Key* keys, int64_t lo, uint64_t span, const Relation::RowMap& map,
+                  GroupIds* ids) {
+  constexpr uint32_t kNoGroup = UINT32_MAX;
+  std::vector<uint32_t> slots(span, kNoGroup);
+  uint32_t* of_row = ids->of_row.data();
+  ForEachRow(map, ids->of_row.size(), [&](size_t k, uint32_t r) {
+    uint32_t& group = slots[static_cast<uint64_t>(keys[r]) - static_cast<uint64_t>(lo)];
+    if (group == kNoGroup) {
+      group = static_cast<uint32_t>(ids->reps.size());
+      ids->reps.push_back(r);
+    }
+    of_row[k] = group;
+  });
+}
+
+/// Pass 1 by direct index when `key` is one non-null column of a small
+/// domain: a dictionary's codes, or the observed [min, max] of int or date
+/// values, spanning at most max(2 × rows, 4,096) values. An int key also
+/// needs every value within ±2^53, where distinct ints have distinct double
+/// images: the hash path groups ints by double image, so 2^53 and 2^53 + 1
+/// share a group there and would not here. False when the key does not
+/// qualify.
+bool AssignGroupsDirect(const ColumnVector& key, const Relation::RowMap& map,
+                        GroupIds* ids) {
+  const size_t num_rows = ids->of_row.size();
+  if (key.has_nulls() || num_rows == 0) return false;
+  const uint64_t max_span = std::max<uint64_t>(2 * uint64_t{num_rows}, 4096);
+  if (key.type == DataType::kString) {
+    if (key.dict_values->size() > max_span) return false;
+    AssignDirect(key.dict_codes.data(), 0, key.dict_values->size(), map, ids);
+    return true;
+  }
+  if (key.type != DataType::kInt && key.type != DataType::kDate) return false;
+  const int64_t* keys = key.type == DataType::kInt ? key.ints.data() : key.dates.data();
+  const auto [lo, hi] = KeyRange(keys, map, num_rows);
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (key.type == DataType::kInt && (lo < -kExact || hi > kExact)) return false;
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span >= max_span) return false;
+  AssignDirect(keys, lo, span + 1, map, ids);
+  return true;
+}
+
 GroupIds AssignGroups(const Relation::RowMap& map, size_t num_rows,
                       const std::vector<const ColumnVector*>& key_cols) {
   GroupIds ids;
   ids.of_row.resize(num_rows);
+  if (key_cols.size() == 1 && AssignGroupsDirect(*key_cols[0], map, &ids)) return ids;
   auto assign = [&](size_t k, uint32_t r, uint32_t group) {
     if (group == ids.reps.size()) ids.reps.push_back(r);
     ids.of_row[k] = group;

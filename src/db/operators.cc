@@ -94,6 +94,7 @@ Result<std::vector<uint32_t>> RestrictSurvivors(const expr::BatchSource& source,
       [&](size_t morsel, size_t begin, size_t end) -> Status {
         expr::BatchEvaluator evaluator(source, policy);
         expr::Selection sel;
+        survivors[morsel].reserve(end - begin);
         for (size_t b = begin; b < end; b += expr::kBatchSize) {
           expr::IdentitySelection(b, std::min(b + expr::kBatchSize, end), &sel);
           TIOGA2_RETURN_IF_ERROR(

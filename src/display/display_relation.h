@@ -168,6 +168,12 @@ class DisplayRelation {
   std::shared_ptr<const RenderImage> Image(
       const db::ExecPolicy& policy = db::DefaultExecPolicy()) const;
 
+  /// True when `other` is a copy of this value: no editing operation lies
+  /// between them, so they share one image slot.
+  bool SameValue(const DisplayRelation& other) const {
+    return image_slot_ == other.image_slot_;
+  }
+
   // ---- Editing operations (Figure 5) ----
   // Each returns a modified copy; `this` is unchanged.
 

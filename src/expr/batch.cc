@@ -1,6 +1,7 @@
 #include "expr/batch.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -16,9 +17,16 @@ using types::DataType;
 using types::Value;
 
 void IdentitySelection(size_t begin, size_t end, Selection* sel) {
-  sel->resize(end - begin);
+  const size_t n = end - begin;
+  sel->resize(n);
   uint32_t* out = sel->data();
-  for (size_t k = 0; k < end - begin; ++k) out[k] = static_cast<uint32_t>(begin + k);
+  const auto first = static_cast<uint32_t>(begin);
+  // Blocks of a fixed eight rows, which the compiler writes as vector stores.
+  size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    for (uint32_t j = 0; j < 8; ++j) out[k + j] = first + static_cast<uint32_t>(k) + j;
+  }
+  for (; k < n; ++k) out[k] = first + static_cast<uint32_t>(k);
 }
 
 bool Vec::IsNull(size_t k) const {
@@ -255,30 +263,47 @@ Vec MakeTypedVec(DataType type, size_t n) {
   return out;
 }
 
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+/// Whether `a <op> b` holds, under the rules every typed comparison shares.
+/// Orderings mirror Value::Compare's `a < b ? -1 : (a > b ? 1 : 0)`, so a
+/// NaN operand makes <= and >= true and < and > false; equality mirrors
+/// Value::Equals's IEEE `a == b`, so NaN equals nothing and -0.0 equals 0.0.
+/// The two disagree on NaN, so eq/ne must not go through the ordering.
+/// Numeric operands compare as double, int with int included.
+template <BinaryOp kOp, typename T>
+bool Holds(const T& a, const T& b) {
+  if constexpr (kOp == BinaryOp::kEq) return a == b;
+  if constexpr (kOp == BinaryOp::kNe) return !(a == b);
+  if constexpr (kOp == BinaryOp::kLt) return a < b;
+  if constexpr (kOp == BinaryOp::kLe) return !(a > b);
+  if constexpr (kOp == BinaryOp::kGt) return a > b;
+  if constexpr (kOp == BinaryOp::kGe) return !(a < b);
+  return false;
+}
+
+/// Calls fn(std::integral_constant<BinaryOp, op>{}) for comparison `op`, so
+/// a loop over rows can take its comparison as a compile-time constant.
+template <typename Fn>
+void WithComparison(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kEq: fn(std::integral_constant<BinaryOp, BinaryOp::kEq>{}); break;
+    case BinaryOp::kNe: fn(std::integral_constant<BinaryOp, BinaryOp::kNe>{}); break;
+    case BinaryOp::kLt: fn(std::integral_constant<BinaryOp, BinaryOp::kLt>{}); break;
+    case BinaryOp::kLe: fn(std::integral_constant<BinaryOp, BinaryOp::kLe>{}); break;
+    case BinaryOp::kGt: fn(std::integral_constant<BinaryOp, BinaryOp::kGt>{}); break;
+    default: fn(std::integral_constant<BinaryOp, BinaryOp::kGe>{}); break;
+  }
+}
+
 /// True when `v` reads a dictionary-encoded string column: the operand a
 /// string comparison can lower onto integer codes.
 bool DictCompareOperand(const Vec& v) {
   return v.rep == Vec::Rep::kView && v.view->type == DataType::kString &&
          v.view->has_dict();
-}
-
-/// Gathers the dictionary codes of a kView string operand into a dense
-/// kOwned int vector (nulls mirrored), ready for the numeric lane kernels.
-/// Works for any selection shape — sparse string comparisons still lower.
-Vec GatherCodes(const Vec& v) {
-  const db::ColumnVector& col = *v.view;
-  const Selection& vs = *v.view_sel;
-  const size_t n = v.size;
-  Vec codes = MakeTypedVec(DataType::kInt, n);
-  for (size_t k = 0; k < n; ++k) {
-    const uint32_t r = vs[k];
-    if (col.IsNull(r)) {
-      codes.SetNull(k);
-    } else {
-      codes.ints[k] = static_cast<int64_t>(col.dict_codes[r]);
-    }
-  }
-  return codes;
 }
 
 BinaryOp FlipComparison(BinaryOp op) {
@@ -335,6 +360,130 @@ void LowerDictCompare(const std::vector<std::string>& dict, BinaryOp op,
       *const_out = rank;
       break;
   }
+}
+
+/// Orders a comparison's operands as (*other, *constant) when exactly one of
+/// them is a non-null constant, flipping `*op` when the constant was on the
+/// left; false when both or neither are.
+bool ConstantOnRight(BinaryOp* op, const Vec** other, const Vec** constant) {
+  auto is_const = [](const Vec* v) {
+    return v->rep == Vec::Rep::kConst && !v->cval.is_null();
+  };
+  if (is_const(*other) == is_const(*constant)) return false;
+  if (is_const(*other)) {
+    std::swap(*other, *constant);
+    *op = FlipComparison(*op);
+  }
+  return true;
+}
+
+/// Where element k of a comparison leaf's typed operand, and its row, sit.
+enum class Layout {
+  kDense,  // the rows are first, first + 1, ...: values[k], null bit null_base + k
+  kRows,   // a column view: values[rows[k]], null bit rows[k]
+  kOwned,  // an owned vector: values[k], null bit k
+};
+
+/// Appends the row of every non-null element k of a typed operand whose
+/// value satisfies Holds<kOp>(value, c), for the n > 0 rows `rows` (null: no
+/// nulls). Every element writes its row one past the survivors so far and
+/// only a kept one advances the count, so the loop does not branch on the
+/// data. Returns the count.
+template <BinaryOp kOp, Layout kLayout, typename C, typename T>
+size_t KeepComparing(const T* values, const uint64_t* nulls, size_t null_base, C c,
+                     const uint32_t* rows, size_t n, uint32_t* dst) {
+  const uint32_t first = rows[0];
+  auto row = [&](size_t k) {
+    return kLayout == Layout::kDense ? static_cast<uint32_t>(first + k) : rows[k];
+  };
+  auto at = [](size_t k, uint32_t r) -> size_t { return kLayout == Layout::kRows ? r : k; };
+  size_t m = 0;
+  if (nulls == nullptr) {
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t r = row(k);
+      dst[m] = r;
+      m += Holds<kOp>(static_cast<C>(values[at(k, r)]), c);
+    }
+    return m;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t r = row(k);
+    const size_t a = at(k, r);
+    const size_t bit = null_base + a;
+    dst[m] = r;
+    m += Holds<kOp>(static_cast<C>(values[a]), c) & ~(nulls[bit >> 6] >> (bit & 63)) & 1;
+  }
+  return m;
+}
+
+/// FilterTrue's comparison leaf over operands evaluated under `sel`: when
+/// one is a typed column (a float, int or dictionary-string view, or an
+/// owned int or float vector) and the other a non-null constant, appends the
+/// rows of `sel` the comparison keeps, reading, comparing and compacting in
+/// one loop. A dictionary column compares its codes against the constant's
+/// code-space threshold (LowerDictCompare) and counts a dict_simd_batch.
+/// Returns false, with `out` untouched, for any other operand shape.
+bool AppendComparisonSurvivors(BinaryOp op, const Vec& lhs, const Vec& rhs,
+                               const Selection& sel, Selection* out) {
+  const Vec* operand = &lhs;
+  const Vec* constant = &rhs;
+  if (!ConstantOnRight(&op, &operand, &constant)) return false;
+  const Value& c = constant->cval;
+  const size_t n = sel.size();
+  const bool dense = n > 0 && sel.back() - sel.front() + size_t{1} == n;
+  auto keep = [&](bool view, BinaryOp keep_op, auto cval, const auto* values,
+                  const uint64_t* nulls) {
+    if (n == 0) return true;
+    const size_t base = out->size();
+    out->resize(base + n);
+    uint32_t* dst = out->data() + base;
+    // A view over a dense run reads its elements from the run's first row on.
+    const size_t shift = view && dense ? sel.front() : 0;
+    size_t m = 0;
+    WithComparison(keep_op, [&](auto kop) {
+      constexpr BinaryOp kOp = decltype(kop)::value;
+      if (dense) {
+        m = KeepComparing<kOp, Layout::kDense>(values + shift, nulls, shift, cval,
+                                               sel.data(), n, dst);
+      } else if (view) {
+        m = KeepComparing<kOp, Layout::kRows>(values, nulls, 0, cval, sel.data(), n, dst);
+      } else {
+        m = KeepComparing<kOp, Layout::kOwned>(values, nulls, 0, cval, sel.data(), n, dst);
+      }
+    });
+    out->resize(base + m);
+    return true;
+  };
+  const bool numeric = IsNumericType(c.type());
+  if (operand->rep == Vec::Rep::kView && operand->view_sel == &sel) {
+    const db::ColumnVector& col = *operand->view;
+    const uint64_t* nulls = col.has_nulls() ? col.null_bits.data() : nullptr;
+    if (DictCompareOperand(*operand) && c.type() == DataType::kString) {
+      BinaryOp code_op = BinaryOp::kEq;
+      int64_t code = 0;
+      LowerDictCompare(*col.dict_values, op, c.string_value(), &code_op, &code);
+      ++BatchMetrics::Global().dict_simd_batches;
+      return keep(true, code_op, code, col.dict_codes.data(), nulls);
+    }
+    if (numeric && col.type == DataType::kFloat) {
+      return keep(true, op, c.AsDouble(), col.floats.data(), nulls);
+    }
+    if (numeric && col.type == DataType::kInt) {
+      return keep(true, op, c.AsDouble(), col.ints.data(), nulls);
+    }
+    return false;
+  }
+  if (operand->rep == Vec::Rep::kOwned && !operand->is_boxed() && numeric) {
+    const uint64_t* nulls =
+        operand->null_bits.empty() ? nullptr : operand->null_bits.data();
+    if (operand->type == DataType::kFloat) {
+      return keep(false, op, c.AsDouble(), operand->floats.data(), nulls);
+    }
+    if (operand->type == DataType::kInt) {
+      return keep(false, op, c.AsDouble(), operand->ints.data(), nulls);
+    }
+  }
+  return false;
 }
 
 /// Gathers a sparse numeric kView operand into dense kOwned storage when its
@@ -776,11 +925,12 @@ Result<Vec> BatchEvaluator::EvalAttribute(const ExprNode& node, const Selection&
 }
 
 Result<Vec> BatchEvaluator::EvalBinary(const ExprNode& node, const Selection& sel) {
-  BinaryOp op = node.binary_op;
   TIOGA2_ASSIGN_OR_RETURN(Vec lhs, Eval(*node.children[0], sel));
   TIOGA2_ASSIGN_OR_RETURN(Vec rhs, Eval(*node.children[1], sel));
-  const size_t n = sel.size();
+  return ApplyBinary(node.binary_op, std::move(lhs), std::move(rhs), sel.size());
+}
 
+Result<Vec> BatchEvaluator::ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n) {
   // A null constant operand makes every comparison and arithmetic result
   // null (the scalar evaluator's null propagation).
   if ((lhs.rep == Vec::Rep::kConst && lhs.cval.is_null()) ||
@@ -794,9 +944,7 @@ Result<Vec> BatchEvaluator::EvalBinary(const ExprNode& node, const Selection& se
   const bool both_numeric = lt.has_value() && rt.has_value() &&
                             IsNumericType(*lt) && IsNumericType(*rt);
 
-  const bool is_comparison =
-      op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
-      op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+  const bool is_comparison = IsComparison(op);
 
   // SIMD fast path: dense numeric comparisons and + - * / run as explicit
   // lane kernels (expr/simd/), bit-identical to the typed loops below.
@@ -827,73 +975,37 @@ Result<Vec> BatchEvaluator::EvalBinary(const ExprNode& node, const Selection& se
   }
 
   // Dictionary lowering: `string_column <cmp> constant` over an encoded
-  // column becomes an integer comparison on dictionary codes — the constant
-  // resolves to a code-space threshold once, then the batch runs on the lane
-  // kernels (sparse selections included: codes gather dense for free). The
-  // bool bits are identical to the string loop's because code order equals
-  // string order.
+  // column becomes an integer comparison on its dictionary codes, read in
+  // place through the selection: the constant resolves to a code-space
+  // threshold once per batch. The bool bits are identical to the string
+  // loop's because code order equals string order.
   if (is_comparison) {
-    const Vec* col_side = nullptr;
-    const Vec* const_side = nullptr;
-    bool flipped = false;
-    if (DictCompareOperand(lhs) && rhs.rep == Vec::Rep::kConst &&
-        rhs.cval.type() == DataType::kString) {
-      col_side = &lhs;
-      const_side = &rhs;
-    } else if (DictCompareOperand(rhs) && lhs.rep == Vec::Rep::kConst &&
-               lhs.cval.type() == DataType::kString) {
-      col_side = &rhs;
-      const_side = &lhs;
-      flipped = true;
-    }
-    if (col_side != nullptr) {
-      BinaryOp code_op = BinaryOp::kEq;
+    BinaryOp code_op = op;
+    const Vec* col_side = &lhs;
+    const Vec* const_side = &rhs;
+    if (ConstantOnRight(&code_op, &col_side, &const_side) &&
+        DictCompareOperand(*col_side) && const_side->cval.type() == DataType::kString) {
       int64_t code_const = 0;
-      LowerDictCompare(*col_side->view->dict_values,
-                       flipped ? FlipComparison(op) : op,
+      LowerDictCompare(*col_side->view->dict_values, code_op,
                        const_side->cval.string_value(), &code_op, &code_const);
-      Vec codes = GatherCodes(*col_side);
       ++stats_.vectorized_nodes;
       ++BatchMetrics::Global().dict_simd_batches;
-      if (simd_level_ != static_cast<int>(simd::Level::kScalar)) {
-        Vec threshold = Vec::Const(Value::Int(code_const), n);
-        Vec out;
-        if (simd::TryNumericBinary(static_cast<simd::Level>(simd_level_),
-                                   code_op, codes, threshold, n, &out)) {
-          ++stats_.simd_nodes;
-          BatchMetrics& m = BatchMetrics::Global();
-          if (simd_level_ == static_cast<int>(simd::Level::kAVX2)) {
-            ++m.simd_batches_avx2;
-          } else {
-            ++m.simd_batches_sse2;
-          }
-          m.simd_rows += n;
-          return out;
-        }
-      }
-      // Scalar tail: the same integer comparison element-wise (codes are
-      // exact in double, so this matches the lane kernels bit for bit).
+      const db::ColumnVector& col = *col_side->view;
+      const Selection& rows = *col_side->view_sel;
       Vec out = MakeTypedVec(DataType::kBool, n);
-      for (size_t k = 0; k < n; ++k) {
-        if (codes.IsNull(k)) {
-          out.SetNull(k);
-          continue;
+      WithComparison(code_op, [&](auto kop) {
+        for (size_t k = 0; k < n; ++k) {
+          if (col.IsNull(rows[k])) {
+            out.SetNull(k);
+          } else {
+            out.bools[k] = Holds<decltype(kop)::value>(
+                static_cast<int64_t>(col.dict_codes[rows[k]]), code_const);
+          }
         }
-        const int64_t c = codes.ints[k];
-        bool result = false;
-        switch (code_op) {
-          case BinaryOp::kEq: result = c == code_const; break;
-          case BinaryOp::kNe: result = c != code_const; break;
-          case BinaryOp::kLt: result = c < code_const; break;
-          default: result = c >= code_const; break;  // kGe
-        }
-        out.bools[k] = result ? 1 : 0;
-      }
+      });
       return out;
     }
-    // Same comparable class on both sides → typed loop; results mirror
-    // Value::Equals/Compare exactly (all numeric pairs compare as double,
-    // including int with int).
+    // Same comparable class on both sides → typed loop, under Holds' rules.
     enum class Cmp { kNumeric, kString, kDate, kBool, kNone };
     Cmp mode = Cmp::kNone;
     if (both_numeric) {
@@ -908,66 +1020,33 @@ Result<Vec> BatchEvaluator::EvalBinary(const ExprNode& node, const Selection& se
     if (mode != Cmp::kNone) {
       ++stats_.vectorized_nodes;
       Vec out = MakeTypedVec(DataType::kBool, n);
-      for (size_t k = 0; k < n; ++k) {
-        if (lhs.IsNull(k) || rhs.IsNull(k)) {
-          out.SetNull(k);
-          continue;
-        }
-        if (mode == Cmp::kNumeric) {
-          // Orderings mirror Value::Compare's `a < b ? -1 : (a > b ? 1 : 0)`
-          // construction (a NaN operand makes <= and >= true, < and > false);
-          // equality mirrors Value::Equals's IEEE `a == b` (NaN equals
-          // nothing) — the two disagree on NaN, so eq/ne must not go through
-          // the cmp integer.
-          const double a = ReadDouble(lhs, k);
-          const double b = ReadDouble(rhs, k);
+      WithComparison(op, [&](auto kop) {
+        constexpr BinaryOp kOp = decltype(kop)::value;
+        for (size_t k = 0; k < n; ++k) {
+          if (lhs.IsNull(k) || rhs.IsNull(k)) {
+            out.SetNull(k);
+            continue;
+          }
           bool result = false;
-          switch (op) {
-            case BinaryOp::kEq: result = a == b; break;
-            case BinaryOp::kNe: result = !(a == b); break;
-            case BinaryOp::kLt: result = a < b; break;
-            case BinaryOp::kLe: result = !(a > b); break;
-            case BinaryOp::kGt: result = a > b; break;
-            default: result = !(a < b); break;
+          switch (mode) {
+            case Cmp::kNumeric:
+              result = Holds<kOp>(ReadDouble(lhs, k), ReadDouble(rhs, k));
+              break;
+            case Cmp::kString:
+              result = Holds<kOp>(ReadString(lhs, k), ReadString(rhs, k));
+              break;
+            case Cmp::kDate:
+              result = Holds<kOp>(ReadDateDays(lhs, k), ReadDateDays(rhs, k));
+              break;
+            case Cmp::kBool:
+              result = Holds<kOp>(ReadBool(lhs, k), ReadBool(rhs, k));
+              break;
+            case Cmp::kNone:
+              break;
           }
           out.bools[k] = result ? 1 : 0;
-          continue;
         }
-        int cmp = 0;
-        switch (mode) {
-          case Cmp::kNumeric:
-            break;  // handled above
-          case Cmp::kString: {
-            int c = ReadString(lhs, k).compare(ReadString(rhs, k));
-            cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
-            break;
-          }
-          case Cmp::kDate: {
-            int64_t a = ReadDateDays(lhs, k);
-            int64_t b = ReadDateDays(rhs, k);
-            cmp = a < b ? -1 : (a > b ? 1 : 0);
-            break;
-          }
-          case Cmp::kBool: {
-            int a = ReadBool(lhs, k) ? 1 : 0;
-            int b = ReadBool(rhs, k) ? 1 : 0;
-            cmp = a - b;
-            break;
-          }
-          case Cmp::kNone:
-            break;
-        }
-        bool result = false;
-        switch (op) {
-          case BinaryOp::kEq: result = cmp == 0; break;
-          case BinaryOp::kNe: result = cmp != 0; break;
-          case BinaryOp::kLt: result = cmp < 0; break;
-          case BinaryOp::kLe: result = cmp <= 0; break;
-          case BinaryOp::kGt: result = cmp > 0; break;
-          default: result = cmp >= 0; break;
-        }
-        out.bools[k] = result ? 1 : 0;
-      }
+      });
       return out;
     }
   } else if (both_numeric) {
@@ -1293,6 +1372,21 @@ Status BatchEvaluator::FilterTrue(const ExprNode& pred, const Selection& sel,
     out->resize(base + left_true.size() + right_true.size());
     std::merge(left_true.begin(), left_true.end(), right_true.begin(),
                right_true.end(), out->begin() + static_cast<ptrdiff_t>(base));
+    return Status::OK();
+  }
+  if (pred.kind == ExprNode::Kind::kBinary && IsComparison(pred.binary_op)) {
+    // A comparison leaf evaluates its operands once; a typed column against
+    // a constant then keeps its rows in one loop, and any other shape
+    // compares the same operands into bools and compacts them.
+    TIOGA2_ASSIGN_OR_RETURN(Vec lhs, Eval(*pred.children[0], sel));
+    TIOGA2_ASSIGN_OR_RETURN(Vec rhs, Eval(*pred.children[1], sel));
+    if (AppendComparisonSurvivors(pred.binary_op, lhs, rhs, sel, out)) {
+      ++stats_.vectorized_nodes;
+      return Status::OK();
+    }
+    TIOGA2_ASSIGN_OR_RETURN(
+        Vec v, ApplyBinary(pred.binary_op, std::move(lhs), std::move(rhs), sel.size()));
+    AppendTrueLanes(v, sel, out);
     return Status::OK();
   }
   TIOGA2_ASSIGN_OR_RETURN(Vec v, Eval(pred, sel));

@@ -152,7 +152,7 @@ struct BatchMetrics {
   std::atomic<uint64_t> simd_scalar_fallbacks{0};
   // Dictionary-encoded string execution (db/columnar.h): string columns that
   // built a dictionary at materialization, node-batches served from
-  // dictionary codes (string comparisons lowered to integer-code lanes,
+  // dictionary codes (string comparisons lowered to code comparisons,
   // text() distinct-code splats), string-key joins that fell back to string
   // hashing because the sides' dictionaries could not be remapped, and
   // sparse selections gathered dense before a SIMD kernel.
@@ -204,7 +204,10 @@ class BatchEvaluator {
   /// the left conjunct never evaluate the right one — the batch analogue of
   /// short-circuiting); kOr merges the true-sets of both branches,
   /// evaluating the right branch only on rows the left did not already
-  /// accept. A typed bool result is compacted branch-free.
+  /// accept. A comparison of a typed column (float, int or dictionary-string
+  /// view, or owned int or float vector) with a non-null constant compares
+  /// and keeps each row in one branch-free loop; any other typed bool result
+  /// is compacted branch-free.
   Status FilterTrue(const ExprNode& pred, const Selection& sel, Selection* out);
 
   struct Stats {
@@ -216,6 +219,9 @@ class BatchEvaluator {
 
  private:
   Result<Vec> EvalBinary(const ExprNode& node, const Selection& sel);
+  /// `op` (not and/or) over operands already evaluated under an n-row
+  /// selection.
+  Result<Vec> ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n);
   Result<Vec> EvalAndOr(const ExprNode& node, const Selection& sel);
   Result<Vec> EvalCall(const ExprNode& node, const Selection& sel);
   Result<Vec> EvalAttribute(const ExprNode& node, const Selection& sel);

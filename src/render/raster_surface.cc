@@ -13,7 +13,7 @@ namespace tioga2::render {
 namespace {
 
 /// True iff this step of a dash pattern should be drawn.
-bool DashOn(const draw::LineStyle style, int step) {
+bool DashOn(const draw::LineStyle style, int64_t step) {
   switch (style) {
     case draw::LineStyle::kSolid:
       return true;
@@ -57,6 +57,15 @@ int64_t MidpointX(int64_t r, int64_t y) {
   return x;
 }
 
+/// The steps s in [0, length] at which start + dir * s lies in [lo, hi];
+/// empty when first > last.
+std::pair<int64_t, int64_t> StepsWithin(int64_t start, int64_t dir, int64_t length,
+                                        int64_t lo, int64_t hi) {
+  const int64_t first = dir > 0 ? lo - start : start - hi;
+  const int64_t last = dir > 0 ? hi - start : start - lo;
+  return {std::max<int64_t>(first, 0), std::min(last, length)};
+}
+
 }  // namespace
 
 void RasterSurface::PlotDevice(int64_t x, int64_t y, int thickness,
@@ -91,23 +100,62 @@ void RasterSurface::DrawLine(double x1, double y1, double x2, double y2,
                              const draw::Style& style, const draw::Color& color) {
   transform_.Apply(&x1, &y1);
   transform_.Apply(&x2, &y2);
-  int ix1 = static_cast<int>(std::lround(x1));
-  int iy1 = static_cast<int>(std::lround(y1));
-  int ix2 = static_cast<int>(std::lround(x2));
-  int iy2 = static_cast<int>(std::lround(y2));
+  const int64_t ix1 = RoundPixel(x1);
+  const int64_t iy1 = RoundPixel(y1);
+  const int64_t ix2 = RoundPixel(x2);
+  const int64_t iy2 = RoundPixel(y2);
+  // A point reaches the framebuffer only within its half-thickness of it.
+  const int64_t half = style.thickness <= 1 ? 0 : style.thickness / 2;
+  const int64_t x_lo = -half;
+  const int64_t x_hi = fb_->width() - 1 + half;
+  const int64_t y_lo = -half;
+  const int64_t y_hi = fb_->height() - 1 + half;
+  if (std::max(ix1, ix2) < x_lo || std::min(ix1, ix2) > x_hi ||
+      std::max(iy1, iy2) < y_lo || std::min(iy1, iy2) > y_hi) {
+    return;
+  }
 
-  int dx = std::abs(ix2 - ix1);
-  int dy = -std::abs(iy2 - iy1);
-  int sx = ix1 < ix2 ? 1 : -1;
-  int sy = iy1 < iy2 ? 1 : -1;
-  int err = dx + dy;
-  int x = ix1;
-  int y = iy1;
-  int step = 0;
-  while (true) {
+  const int64_t dx = std::abs(ix2 - ix1);
+  const int64_t dy = -std::abs(iy2 - iy1);
+  const int64_t sx = ix1 < ix2 ? 1 : -1;
+  const int64_t sy = iy1 < iy2 ? 1 : -1;
+  // Bresenham moves one pixel along the major axis (length len) every step
+  // and, after s steps, has moved q(s) = floor((2 s minor + len) / 2 len)
+  // pixels along the minor one. The loop visits only the steps whose point
+  // lies near the framebuffer on both axes, entering the first at the x, y,
+  // err and dash step it would have reached: err is dx (v + 1) + dy (u + 1)
+  // after u steps in x and v in y.
+  const bool x_major = dx >= -dy;
+  const int64_t len = x_major ? dx : -dy;
+  const int64_t minor = x_major ? -dy : dx;
+  auto [first, last] = x_major ? StepsWithin(ix1, sx, len, x_lo, x_hi)
+                               : StepsWithin(iy1, sy, len, y_lo, y_hi);
+  const auto [q_first, q_last] = x_major ? StepsWithin(iy1, sy, minor, y_lo, y_hi)
+                                         : StepsWithin(ix1, sx, minor, x_lo, x_hi);
+  // The least s with q(s) >= q_first and the greatest with q(s) <= q_last
+  // (the box test above leaves both ranges non-empty, so minor > 0 here).
+  if (q_first > 0) {
+    const Wide num = static_cast<Wide>(len) * (2 * q_first - 1);
+    first = std::max(first, static_cast<int64_t>((num + 2 * minor - 1) / (2 * minor)));
+  }
+  if (q_last < minor) {
+    const Wide num = static_cast<Wide>(len) * (2 * q_last + 1) - 1;
+    last = std::min(last, static_cast<int64_t>(num / (2 * minor)));
+  }
+  if (first > last) return;
+  const int64_t q = len == 0 ? 0
+                             : static_cast<int64_t>((static_cast<Wide>(2) * first * minor + len) /
+                                                    (static_cast<Wide>(2) * len));
+  const int64_t u = x_major ? first : q;
+  const int64_t v = x_major ? q : first;
+  int64_t x = ix1 + sx * u;
+  int64_t y = iy1 + sy * v;
+  int64_t err = static_cast<int64_t>(static_cast<Wide>(dx) * (v + 1) +
+                                     static_cast<Wide>(dy) * (u + 1));
+  for (int64_t step = first;; ++step) {
     if (DashOn(style.line, step)) PlotDevice(x, y, style.thickness, color);
-    if (x == ix2 && y == iy2) break;
-    int e2 = 2 * err;
+    if (step == last) break;
+    const int64_t e2 = 2 * err;
     if (e2 >= dy) {
       err += dy;
       x += sx;
@@ -116,7 +164,6 @@ void RasterSurface::DrawLine(double x1, double y1, double x2, double y2,
       err += dx;
       y += sy;
     }
-    ++step;
   }
 }
 

@@ -356,6 +356,28 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
   Camera outer_on_surface(outer.center_x(), outer.center_y(), outer.elevation(),
                           static_cast<int>(std::lround(active_cell.width)),
                           static_cast<int>(std::lround(active_cell.height)));
+  // `source` with `attribute` as its active display, taken from this frame's
+  // or the last frame's switches while `source` is the same value, so its
+  // render image outlives the frame; null when the switch fails.
+  std::vector<GlassSwitch> switches;
+  auto switched_display = [&](const display::DisplayRelation& source,
+                              const std::string& attribute)
+      -> const display::DisplayRelation* {
+    auto same = [&](const GlassSwitch& s) {
+      return s.attribute == attribute && s.source.SameValue(source);
+    };
+    auto it = std::find_if(switches.begin(), switches.end(), same);
+    if (it != switches.end()) return &it->switched;
+    auto last = std::find_if(glass_switches_.begin(), glass_switches_.end(), same);
+    if (last != glass_switches_.end()) {
+      switches.push_back(*last);
+      return &switches.back().switched;
+    }
+    Result<display::DisplayRelation> built = source.SetDisplayAttribute(attribute);
+    if (!built.ok()) return nullptr;
+    switches.push_back(GlassSwitch{source, attribute, std::move(built).value()});
+    return &switches.back().switched;
+  };
   for (const MagnifyingGlass& glass : glasses_) {
     double focus_x = glass.center_x;
     double focus_y = glass.center_y;
@@ -378,9 +400,9 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
     display::Composite magnified = content_.members()[active_member_];
     if (glass.display_attribute.has_value()) {
       for (display::CompositeEntry& entry : magnified.mutable_entries()) {
-        Result<display::DisplayRelation> switched =
-            entry.relation.SetDisplayAttribute(*glass.display_attribute);
-        if (switched.ok()) entry.relation = std::move(switched).value();
+        const display::DisplayRelation* switched =
+            switched_display(entry.relation, *glass.display_attribute);
+        if (switched != nullptr) entry.relation = *switched;
       }
     }
     surface->PushViewport(glass.rect, inner_w, inner_h);
@@ -395,6 +417,7 @@ Result<RenderStats> Viewer::RenderTo(render::Surface* surface,
                       frame, draw::kBlack);
   }
   rendered_images_ = std::move(used);
+  glass_switches_ = std::move(switches);
   return stats;
 }
 

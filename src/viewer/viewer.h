@@ -204,6 +204,16 @@ class Viewer {
   // (a HitTestAt after a frame finds them built); DisplayRelation's slot
   // only points at it weakly.
   mutable ImageSet rendered_images_;
+  /// A relation a magnifying glass drew through another display attribute:
+  /// `switched` is `source` with `attribute` made its active display.
+  struct GlassSwitch {
+    display::DisplayRelation source;
+    std::string attribute;
+    display::DisplayRelation switched;
+  };
+  // The switches the last RenderTo drew. A glass over an unchanged member
+  // reuses them, so the switched values keep their render images.
+  mutable std::vector<GlassSwitch> glass_switches_;
 };
 
 }  // namespace tioga2::viewer

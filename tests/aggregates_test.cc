@@ -375,6 +375,141 @@ TEST(GroupByRowMapTest, IntsThatRoundToOneDoubleShareAGroup) {
   }
 }
 
+// ---- Group ids by direct index ------------------------------------------------
+// One non-null key of a small domain (dictionary codes, or an int or date
+// range spanning at most max(2 × rows, 4096) values) gives each row its group
+// id by indexing a flat array; every other key keeps the hash table. Both
+// must match the TupleKey loop cell for cell, on the relation itself and
+// through a Sample view's row map.
+
+/// `keys` as column k (int or date) of a relation with an aggregate input v.
+RelationPtr KeyedRows(const std::vector<Value>& keys, DataType key_type) {
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < keys.size(); ++r) {
+    rows.push_back({keys[r], Value::Float(static_cast<double>(r % 13) * 0.5 - 2.0)});
+  }
+  return MakeRelation({Column{"k", key_type}, Column{"v", DataType::kFloat}}, rows)
+      .value();
+}
+
+void ExpectKeyedGroupByAgrees(const RelationPtr& rel) {
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggFn::kCount, "", "n"}, AggSpec{AggFn::kSum, "v", "sum_v"},
+      AggSpec{AggFn::kMax, "v", "max_v"}, AggSpec{AggFn::kMin, "k", "min_k"}};
+  ExpectGroupByPathsAgree(rel, {"k"}, aggs);
+  auto scalar = GroupBy(Sample(rel, 0.7, 3, ScalarPolicy()).value(), {"k"}, aggs,
+                        ScalarPolicy());
+  auto vectorized = GroupBy(Sample(rel, 0.7, 3, VectorizedPolicy()).value(), {"k"},
+                            aggs, VectorizedPolicy());
+  ASSERT_TRUE(scalar.ok() && vectorized.ok());
+  ExpectSameCells(**scalar, **vectorized);
+}
+
+std::vector<Value> Ints(const std::vector<int64_t>& values) {
+  std::vector<Value> out;
+  for (int64_t v : values) out.push_back(Value::Int(v));
+  return out;
+}
+
+TEST(GroupByDirectIndexTest, IntKeysAtTheExactnessAndRangeEdges) {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // A two-value range above 2^53 whose values share one double image: the
+  // TupleKey loop makes one group, so the range must not be indexed.
+  RelationPtr shared = KeyedRows(Ints({k2To53, k2To53 + 1, k2To53 + 1, k2To53}),
+                                 DataType::kInt);
+  auto grouped = GroupBy(shared, {"k"}, {AggSpec{AggFn::kCount, "", "n"}},
+                         VectorizedPolicy());
+  ASSERT_TRUE(grouped.ok());
+  EXPECT_EQ((*grouped)->num_rows(), 1u);
+  ExpectKeyedGroupByAgrees(shared);
+  for (const std::vector<int64_t>& keys : std::vector<std::vector<int64_t>>{
+           {-k2To53, -k2To53 - 1, -k2To53, -k2To53 - 1},  // below -2^53
+           {k2To53, k2To53 - 1, k2To53 - 2, k2To53},      // the top of the exact range
+           {-k2To53, -k2To53 + 1, -k2To53},               // the bottom of it
+           {kMin, kMax, kMin, kMax, 0},                   // a range past INT64
+           {kMax, kMax - 1, kMax}, {kMin + 1, kMin, kMin},
+           {-5, -1, -3, -5, -2, -1, -4}}) {               // negative ints
+    SCOPED_TRACE(keys.front());
+    ExpectKeyedGroupByAgrees(KeyedRows(Ints(keys), DataType::kInt));
+  }
+}
+
+TEST(GroupByDirectIndexTest, RangesOneBelowAndOneAboveTheRule) {
+  // 3,000 rows may index a range of 6,000 values. Keys step by 2 from `lo`,
+  // and the last row sets the range to 6,000 or 6,001 values.
+  for (int64_t lo : {int64_t{0}, int64_t{-7000}, int64_t{1} << 40}) {
+    for (int64_t values : {6000, 6001}) {
+      SCOPED_TRACE(std::to_string(lo) + " + " + std::to_string(values));
+      std::vector<int64_t> keys;
+      for (int64_t r = 0; r < 2999; ++r) keys.push_back(lo + 2 * r);
+      keys.push_back(lo + values - 1);
+      ExpectKeyedGroupByAgrees(KeyedRows(Ints(keys), DataType::kInt));
+    }
+  }
+  // Under 2,048 rows the floor of 4,096 values applies.
+  for (int64_t values : {4096, 4097}) {
+    ExpectKeyedGroupByAgrees(KeyedRows(Ints({9, 9 + values - 1, 12, 9}), DataType::kInt));
+  }
+}
+
+TEST(GroupByDirectIndexTest, DateKeysInStationMajorAndShuffledOrders) {
+  // 40 stations × 90 days, row-major by station (each date recurs once per
+  // station) and then shuffled; both orders, keyed on the date and on the
+  // station, match the TupleKey loop. Far dates take the hash table.
+  std::vector<Value> dates;
+  std::vector<Value> stations;
+  for (int32_t s = 0; s < 40; ++s) {
+    for (int32_t d = 0; d < 90; ++d) {
+      dates.push_back(Value::DateVal(types::Date(5000 + d)));
+      stations.push_back(Value::Int(1000 + 7 * s));
+    }
+  }
+  ExpectKeyedGroupByAgrees(KeyedRows(dates, DataType::kDate));
+  ExpectKeyedGroupByAgrees(KeyedRows(stations, DataType::kInt));
+  uint64_t state = 12345;
+  for (size_t r = dates.size() - 1; r > 0; --r) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const size_t j = static_cast<size_t>(state >> 33) % (r + 1);
+    std::swap(dates[r], dates[j]);
+    std::swap(stations[r], stations[j]);
+  }
+  ExpectKeyedGroupByAgrees(KeyedRows(dates, DataType::kDate));
+  ExpectKeyedGroupByAgrees(KeyedRows(stations, DataType::kInt));
+  dates.push_back(Value::DateVal(types::Date(-2000000)));
+  ExpectKeyedGroupByAgrees(KeyedRows(dates, DataType::kDate));
+}
+
+TEST(GroupByDirectIndexTest, DictionaryKeyWithUnusedCodes) {
+  // The view keeps rows of two of the base's five values, so its key indexes
+  // a five-slot array of which three slots stay empty.
+  const std::string cats[] = {"alpha", "beta", "gamma", "delta", "\xc3\xa9" "clair"};
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < 500; ++r) {
+    rows.push_back({Value::String(cats[(r * 7) % 5]), Value::Int(static_cast<int64_t>(r)),
+                    Value::Float(static_cast<double>(r % 11) - 5.0)});
+  }
+  RelationPtr base =
+      MakeRelation({Column{"s", DataType::kString}, Column{"i", DataType::kInt},
+                    Column{"v", DataType::kFloat}},
+                   rows)
+          .value();
+  const std::vector<AggSpec> aggs = {AggSpec{AggFn::kCount, "", "n"},
+                                     AggSpec{AggFn::kAvg, "v", "avg_v"},
+                                     AggSpec{AggFn::kMax, "i", "max_i"}};
+  ExpectGroupByPathsAgree(base, {"s"}, aggs);
+  for (const char* predicate : {"s = \"gamma\" or s = \"beta\"", "i % 3 = 1"}) {
+    SCOPED_TRACE(predicate);
+    RelationPtr view = Restrict(base, predicate, VectorizedPolicy()).value();
+    RelationPtr rows_only = Restrict(base, predicate, ScalarPolicy()).value();
+    auto vectorized = GroupBy(view, {"s"}, aggs, VectorizedPolicy());
+    auto scalar = GroupBy(rows_only, {"s"}, aggs, ScalarPolicy());
+    ASSERT_TRUE(vectorized.ok() && scalar.ok());
+    ExpectSameCells(**scalar, **vectorized);
+  }
+}
+
 TEST(GroupByBoxPolicyTest, ScalarEngineRunsTheTupleKeyLoop) {
   Catalog catalog;
   RelationPtr keys = MakeRelation({Column{"k", DataType::kInt}},

@@ -165,15 +165,22 @@ TEST(BatchRestrictTest, NullLanesAtBitmapWordEdgesAndConstantPredicates) {
       const bool null = lane == 63 || lane == 64 || lane == 65 || lane == 127 ||
                         lane == 128 || r == n - 1;
       rows.push_back({null ? Value::Null() : Value::Int(static_cast<int64_t>(r % 5)),
-                      r % 3 == 2 ? Value::Null() : Value::Bool(r % 2 == 0)});
+                      r % 3 == 2 ? Value::Null() : Value::Bool(r % 2 == 0),
+                      null ? Value::Null()
+                           : Value::Float(static_cast<double>(r % 5) * 0.5 - 1.0)});
     }
     RelationPtr rel =
-        MakeRelation({Column{"v", DataType::kInt}, Column{"b", DataType::kBool}}, rows)
+        MakeRelation({Column{"v", DataType::kInt}, Column{"b", DataType::kBool},
+                      Column{"f", DataType::kFloat}},
+                     rows)
             .value();
+    // The float and computed leaves (f, v * 2, -f) read the same null lanes
+    // from a column view and from owned vectors.
     for (const char* predicate :
          {"v > -1", "v % 2 = 0", "v >= 1 and v < 4", "v = 0 or v > 3", "b",
           "b or v > -1", "true", "false", "v > null", "true and v > 2",
-          "false or v < 2"}) {
+          "false or v < 2", "f > -2.0", "f <= 0.0", "v * 2 > -1", "-f < 2.0",
+          "b and f >= 0.5"}) {
       ExpectSameRestrict(rel, predicate);
     }
   }
@@ -379,15 +386,18 @@ uint64_t ExpectSimdMatchesScalar(const expr::CompiledExpr& compiled,
 /// Rows cycling through every payload the kernels must not normalize: NaN,
 /// +0.0 vs -0.0, ±infinity, INT64_MIN/MAX (the doubles they round to), with
 /// nulls at mutually prime periods so null words fill differently per column.
-/// `big`/`big2` only ever appear under comparisons and division — never
-/// +,-,*,% — so the scalar reference stays free of signed overflow (this test
-/// also runs under UBSan via scripts/check.sh).
+/// `e` cycles ±2^53 and their outer neighbours, which share their double
+/// images. `big`/`big2`/`e` only ever appear under comparisons and division —
+/// never +,-,*,% — so the scalar reference stays free of signed overflow
+/// (this test also runs under UBSan via scripts/check.sh).
 RelationPtr SpecialRelation(size_t n) {
   const double kInf = std::numeric_limits<double>::infinity();
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double f_cycle[] = {kNaN, 0.0, -0.0, 1.5, -2.25, kInf, -kInf, 3.0};
   const int64_t big_cycle[] = {std::numeric_limits<int64_t>::min(),
                                std::numeric_limits<int64_t>::max(), 0, -1, 1};
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  const int64_t e_cycle[] = {k2To53, k2To53 + 1, -k2To53, -k2To53 - 1, 7, k2To53 - 1};
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (size_t r = 0; r < n; ++r) {
@@ -404,13 +414,15 @@ RelationPtr SpecialRelation(size_t n) {
                                : Value::Float(f_cycle[(r + 3) % 8]));
     row.push_back(r % 4 == 3 ? Value::Null() : Value::Bool(r % 2 == 0));
     row.push_back(r % 10 == 9 ? Value::Null() : Value::Bool((r / 2) % 2 == 0));
+    row.push_back(r % 8 == 7 ? Value::Null() : Value::Int(e_cycle[r % 6]));
     rows.push_back(std::move(row));
   }
   return MakeRelation(
              {Column{"i", DataType::kInt}, Column{"j", DataType::kInt},
               Column{"big", DataType::kInt}, Column{"big2", DataType::kInt},
               Column{"f", DataType::kFloat}, Column{"g", DataType::kFloat},
-              Column{"b", DataType::kBool}, Column{"c", DataType::kBool}},
+              Column{"b", DataType::kBool}, Column{"c", DataType::kBool},
+              Column{"e", DataType::kInt}},
              rows)
       .value();
 }
@@ -585,6 +597,80 @@ TEST(SimdEquivalenceTest, RestrictZooAtEachDispatchLevel) {
   }
 }
 
+/// FilterTrue over `sel` keeps exactly the rows of `sel` on which the scalar
+/// evaluator finds `compiled` non-null true, in order.
+void ExpectFilterMatchesScalar(const expr::CompiledExpr& compiled, const RelationPtr& rel,
+                               const expr::Selection& sel) {
+  expr::RelationBatchSource source(*rel);
+  expr::BatchEvaluator evaluator(source);
+  expr::Selection kept;
+  Status filtered = evaluator.FilterTrue(compiled.root(), sel, &kept);
+  expr::Selection expected;
+  bool scalar_ok = true;
+  for (uint32_t r : sel) {
+    expr::TupleAccessor accessor(rel->row(r));
+    auto v = compiled.Eval(accessor);
+    if (!v.ok()) {
+      scalar_ok = false;
+      break;
+    }
+    if (!v->is_null() && v->bool_value()) expected.push_back(r);
+  }
+  ASSERT_EQ(filtered.ok(), scalar_ok) << filtered.ToString();
+  if (scalar_ok) {
+    EXPECT_EQ(kept, expected);
+  }
+}
+
+TEST(SimdEquivalenceTest, RestrictLeavesMatchScalarOverSpecialPayloads) {
+  // A comparison of a typed column with a non-null constant compares and
+  // keeps each row in one loop (FilterTrue's leaf). Its survivors must be
+  // the scalar oracle's on every payload of the lane kernels' sweep: NaN, ±0,
+  // ±inf, INT64 extremes and ints that share a double image with 2^53, int
+  // columns against float constants and float columns against int ones,
+  // owned (computed) operands with and without nulls, in both operand orders,
+  // and under dense, sparse and offset selections. Shapes the leaf declines
+  // (two columns, bools) compare their operands into bools as before.
+  const char* sources[] = {
+      "f < 0.0", "f <= -0.0", "f > 1.5", "f >= 1.5", "f = -0.0", "f != 0.0",
+      "0.0 <= f", "1.5 > f", "-2 = f", "f < 3", "f >= -2", "3 != f",
+      "i < 0.5", "i >= -2.5", "j = 2.0", "j != -1.0", "2.5 > i", "i <= 1",
+      "big > 0.5", "big <= -9.2e18", "big = 9223372036854775807",
+      "big2 >= -9223372036854775807", "-1 < big2",
+      "e = 9007199254740993", "e != 9007199254740992", "e < 9007199254740993",
+      "e <= 9007199254740991", "-9007199254740993 = e", "e > -9007199254740992",
+      "i * 2 > 3", "f * 1.0 <= 0.0", "-f >= 0.0", "f / g > 0.5", "big / j < 0.0",
+      "f > g", "f = f", "b = true",
+      "f > 0.0 and i < 3", "i >= 0 and f <= 1.5", "f != f or e = 9007199254740992",
+  };
+  const size_t lengths[] = {1, 63, 64, 65, 129, 200, expr::kBatchSize + 130};
+  std::vector<RelationPtr> rels;
+  for (size_t n : lengths) rels.push_back(SpecialRelation(n));
+  for (db::SimdLevel level : DistinctLevels()) {
+    SCOPED_TRACE(expr::simd::LevelName(expr::simd::Resolve(level)));
+    SimdGuard guard(level);
+    for (const char* source : sources) {
+      SCOPED_TRACE(source);
+      auto compiled = expr::CompiledExpr::Compile(source, db::SchemaEnv(rels[0]->schema()));
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      for (size_t li = 0; li < std::size(lengths); ++li) {
+        SCOPED_TRACE("n=" + std::to_string(lengths[li]));
+        ExpectSameRestrictByText(rels[li], source);
+        const uint32_t n = static_cast<uint32_t>(lengths[li]);
+        expr::Selection dense;
+        expr::IdentitySelection(0, n, &dense);
+        expr::Selection sparse;
+        for (uint32_t r = 1; r < n; r += 3) sparse.push_back(r);
+        expr::Selection offset;
+        expr::IdentitySelection(std::min<uint32_t>(37, n), n, &offset);
+        for (const expr::Selection* sel : {&dense, &sparse, &offset}) {
+          ExpectFilterMatchesScalar(*compiled, rels[li], *sel);
+        }
+      }
+    }
+  }
+}
+
 // ---- Figure-program memo/stamp regression --------------------------------
 
 struct Target {
@@ -707,6 +793,29 @@ TEST(DictExecutionTest, CompareLoweringMatchesScalarAcrossOpsAndConstants) {
   }
   EXPECT_GT(expr::BatchMetrics::Global().dict_simd_batches.load(), before)
       << "the dictionary lowering never dispatched";
+}
+
+TEST(DictExecutionTest, RestrictLeafCountsOneDictBatchPerBatch) {
+  // A Restrict whose only string comparison is a filter leaf reads codes in
+  // the leaf alone, which counts one dict_simd_batch per batch it filters,
+  // the dense left conjunct's batches and the sparse right conjunct's alike.
+  RelationPtr rel = CategoricalRelation(expr::kBatchSize + 100);
+  const struct {
+    const char* source;
+    uint64_t dict_batches;
+  } cases[] = {{"s = \"beta\"", 2}, {"\"b\" <= s", 2}, {"i > 0 and s != \"omega\"", 2},
+               {"s < \"alpha\" and s > \"\"", 4}, {"i > 0", 0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.source);
+    ExpectSameRestrict(rel, c.source);
+    auto compiled = db::CompilePredicate(rel->schema(), c.source);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const uint64_t before = expr::BatchMetrics::Global().dict_simd_batches.load();
+    VectorizedGuard guard(true);
+    ASSERT_TRUE(db::Restrict(rel, compiled.value()).ok());
+    EXPECT_EQ(expr::BatchMetrics::Global().dict_simd_batches.load() - before,
+              c.dict_batches);
+  }
 }
 
 TEST(DictExecutionTest, DictOnAndOffProduceIdenticalRestricts) {

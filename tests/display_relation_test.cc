@@ -228,6 +228,48 @@ TEST(DisplayRelationTest, RestrictOverComputedAttributes) {
   EXPECT_TRUE(rel.Restrict("pop").status().IsTypeError());
 }
 
+TEST(DisplayRelationTest, RestrictOnComputedAttributesKeepsTheScalarPathsRows) {
+  // A computed attribute reaches a vectorized Restrict as an owned vector,
+  // and a translated stored one as a transformed column; a comparison with a
+  // constant filters either in one loop. `ratio` divides by zero where k is
+  // 0 and `temp` is null on some rows, so the loop must mask null rows.
+  std::vector<db::Tuple> rows;
+  for (int r = 0; r < 300; ++r) {
+    rows.push_back({r % 17 == 16 ? Value::Null() : Value::Float(r * 0.75 - 40.0),
+                    Value::Int(r % 9 - 4), Value::Int(r % 7)});
+  }
+  auto base = MakeRelation({Column{"temp", DataType::kFloat}, Column{"k", DataType::kInt},
+                            Column{"m", DataType::kInt}},
+                           rows);
+  ASSERT_TRUE(base.ok());
+  auto rel = DisplayRelation::WithDefaults("obs", base.value())
+                 .value()
+                 .AddAttribute("celsius", "(temp - 32.0) * 5.0 / 9.0")
+                 .value()
+                 .AddAttribute("ratio", "temp / k")
+                 .value()
+                 .AddAttribute("twice", "k * 2")
+                 .value()
+                 .TranslateAttribute("m", 0.5);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  db::ExecPolicy scalar;
+  scalar.vectorized = false;
+  db::ExecPolicy vectorized;
+  vectorized.vectorized = true;
+  for (const char* predicate :
+       {"celsius > 10.0", "celsius <= 0", "4.5 < celsius", "ratio >= 0.0",
+        "ratio != 2.5", "twice = -2", "twice > 1.5", "m > 3.0",
+        "celsius > 0.0 and ratio < 10.0"}) {
+    SCOPED_TRACE(predicate);
+    auto expected = rel->Restrict(predicate, scalar);
+    auto kept = rel->Restrict(predicate, vectorized);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_GT(expected->num_rows(), 0u);
+    EXPECT_EQ(expected->base()->ToString(1000), kept->base()->ToString(1000));
+  }
+}
+
 TEST(DisplayRelationTest, ProjectRemapsComputedReferences) {
   DisplayRelation rel = Cities().AddAttribute("dbl", "pop * 2").value();
   DisplayRelation projected = rel.Project({"pop", "name"}).value();

@@ -1,10 +1,11 @@
 // RasterSurface against a per-pixel reference. The rasterizer's filled
 // shapes, glyph blocks and thick points iterate only the rows and columns
-// inside the framebuffer, and its outline circles only the rows that can
-// reach it; ReferenceSurface below keeps the earlier loops, which walk a
-// primitive's whole device extent and let Framebuffer::Set drop what falls
-// outside. On coordinates both can run, every pixel must agree;
-// past that, the bounded loops must stay fast where the reference would not.
+// inside the framebuffer, its outline circles only the rows that can reach
+// it, and its lines only the steps that can; ReferenceSurface below keeps
+// the earlier loops, which walk a primitive's whole device extent and let
+// Framebuffer::Set drop what falls outside. On coordinates both can run,
+// every pixel must agree; past that, the bounded loops must stay fast where
+// the reference would not.
 
 #include <gtest/gtest.h>
 
@@ -493,6 +494,115 @@ TEST(RasterReferenceTest, HugeOutlineCircleCostsTheFramebufferNotItsExtent) {
   EXPECT_LT(far, 0.5);
   EXPECT_LT(crossing, 0.5);
   EXPECT_LT(diagonal, 0.5);
+}
+
+TEST(RasterReferenceTest, LineStepSkipsMatchTheFullLoop) {
+  // Lines in every octant (and along both axes and diagonals) that cross,
+  // enter, leave or pass by a 64x48 framebuffer, so the bounded loop skips
+  // steps before and after the ones it draws, re-entering at the exact
+  // Bresenham state and dash step. Thin and thick, solid, dashed and dotted,
+  // under up to two nested viewports and clips.
+  const double kPi = 3.14159265358979323846;
+  Rng rng(4242);
+  for (int i = 0; i < 4000; ++i) {
+    SCOPED_TRACE("line " + std::to_string(i));
+    const double angle = i % 4 == 0 ? (i / 4 % 16) * kPi / 8 : rng.Uniform(0, 2 * kPi);
+    const double length = std::pow(10.0, rng.Uniform(0, 4.5));
+    // A point the line's extension passes through, on or near the
+    // framebuffer, and where along the line it falls (past either end at
+    // times, so some lines stop short of it).
+    const double px = rng.Uniform(-12, 76);
+    const double py = rng.Uniform(-12, 60);
+    const double at = rng.Uniform(-0.3, 1.3);
+    const double x1 = px - at * length * std::cos(angle);
+    const double y1 = py - at * length * std::sin(angle);
+    const double x2 = x1 + length * std::cos(angle);
+    const double y2 = y1 + length * std::sin(angle);
+    draw::Style style;
+    style.line = static_cast<draw::LineStyle>(rng.NextBounded(3));
+    style.thickness = static_cast<int>(rng.NextBounded(8));
+    const draw::Color color{static_cast<uint8_t>(rng.NextBounded(256)), 60, 120};
+    const int frames = static_cast<int>(rng.NextBounded(3));
+    std::vector<std::pair<bool, DeviceRect>> stack;
+    for (int f = 0; f < frames; ++f) {
+      stack.push_back({rng.NextBounded(2) == 0,
+                       DeviceRect{rng.Uniform(-10, 30), rng.Uniform(-10, 20),
+                                  rng.Uniform(20, 70), rng.Uniform(20, 60)}});
+    }
+    Framebuffer bounded_fb(64, 48);
+    Framebuffer reference_fb(64, 48);
+    RasterSurface bounded(&bounded_fb);
+    ReferenceSurface reference(&reference_fb);
+    for (Surface* surface : {static_cast<Surface*>(&bounded),
+                             static_cast<Surface*>(&reference)}) {
+      for (const auto& [viewport, rect] : stack) {
+        if (viewport) {
+          surface->PushViewport(rect, 64, 48);
+        } else {
+          surface->PushClip(rect);
+        }
+      }
+      surface->DrawLine(x1, y1, x2, y2, style, color);
+    }
+    ASSERT_EQ(bounded_fb.ToPpm(), reference_fb.ToPpm());
+  }
+}
+
+TEST(RasterReferenceTest, HugeLinesCostTheFramebufferNotTheirLength) {
+  // Lines 10^12 pixels long: the framebuffer's pixels come out as a short
+  // line's would, and the loop visits only the steps near the framebuffer.
+  const draw::Color red{200, 30, 30};
+  const double kFar = 1e12;
+  Framebuffer fb(64, 64, draw::kWhite);
+  RasterSurface surface(&fb);
+  draw::Style thin;
+  auto row_set = [&](int y, int x0, int x1) {
+    for (int x = x0; x <= x1; ++x) EXPECT_EQ(fb.Get(x, y), red) << x << "," << y;
+  };
+  double seconds = Seconds([&] {
+    surface.DrawLine(-kFar, 10, kFar, 10, thin, red);  // crossing, horizontal
+    EXPECT_EQ(fb.CountPixels(red), 64u);
+    row_set(10, 0, 63);
+    fb.Clear(draw::kWhite);
+    surface.DrawLine(20, kFar, 20, -kFar, thin, red);  // crossing, vertical
+    EXPECT_EQ(fb.CountPixels(red), 64u);
+    for (int y = 0; y < 64; ++y) EXPECT_EQ(fb.Get(20, y), red) << y;
+    fb.Clear(draw::kWhite);
+    surface.DrawLine(-kFar, -kFar, kFar, kFar, thin, red);  // centred diagonal
+    EXPECT_EQ(fb.CountPixels(red), 64u);
+    for (int k = 0; k < 64; ++k) EXPECT_EQ(fb.Get(k, k), red) << k;
+    fb.Clear(draw::kWhite);
+    // Slope 10^-6: the minor axis moves 10^6 pixels before the framebuffer,
+    // and row 10 is where the loop's own arithmetic puts it.
+    surface.DrawLine(-kFar, 10 - 1e6, kFar, 10 + 1e6, thin, red);
+    EXPECT_EQ(fb.CountPixels(red), 64u);
+    row_set(10, 0, 63);
+    fb.Clear(draw::kWhite);
+    surface.DrawLine(-kFar, 20, 30, 20, thin, red);  // entering, ends inside
+    surface.DrawLine(40, 30, kFar, 30, thin, red);   // starts inside, leaving
+    EXPECT_EQ(fb.CountPixels(red), 31u + 24u);
+    row_set(20, 0, 30);
+    row_set(30, 40, 63);
+    fb.Clear(draw::kWhite);
+    // Dashes of four: step k of this line is pixel x = k - 10^12, and 10^12
+    // is a multiple of 8, so x in [0, 4) is on and [4, 8) off.
+    draw::Style dashed;
+    dashed.line = draw::LineStyle::kDashed;
+    surface.DrawLine(-kFar, 5, kFar, 5, dashed, red);
+    EXPECT_EQ(fb.CountPixels(red), 32u);
+    for (int x = 0; x < 64; ++x) EXPECT_EQ(fb.Get(x, 5) == red, x % 8 < 4) << x;
+    fb.Clear(draw::kWhite);
+    draw::Style thick;
+    thick.thickness = 3;
+    surface.DrawLine(-kFar, 40, kFar, 40, thick, red);
+    EXPECT_EQ(fb.CountPixels(red), 3u * 64);
+    fb.Clear(draw::kWhite);
+    surface.DrawLine(5 * kFar, -7 * kFar, 6 * kFar, -8 * kFar, thin, red);  // far off
+    surface.DrawLine(-kFar, -3, kFar, -3, thin, red);  // passes above the top row
+    surface.DrawRect(-kFar, -kFar, 3 * kFar, 3 * kFar, thin, red);  // outline around
+    EXPECT_EQ(fb.CountPixels(red), 0u);
+  });
+  EXPECT_LT(seconds, 0.5);
 }
 
 TEST(RasterReferenceTest, HugePrimitivesStayBounded) {

@@ -187,6 +187,66 @@ TEST(RenderImageParityTest, EveryFigureCanvasIdenticalUnderScalarAndDefault) {
   }
 }
 
+TEST(RenderImageParityTest, MagnifyingGlassKeepsItsSwitchedValueAcrossFrames) {
+  // fig09's glass draws the canvas's value through its precipitation display.
+  // Frames of an unchanged canvas reuse the switched value, so three frames
+  // build one image for the canvas and one for the glass. An edit rebuilds
+  // each once, and the edited frame matches a fresh viewer's.
+  const auto programs = testing::AllFigPrograms();
+  const auto fig09 = std::find_if(programs.begin(), programs.end(),
+                                  [](const auto& p) { return p.name == "fig09"; });
+  ASSERT_NE(fig09, programs.end());
+  Environment env;
+  ASSERT_TRUE(env.LoadDemoData(fig09->extra_stations, fig09->num_days).ok());
+  ASSERT_TRUE(fig09->build(&env).ok());
+  viewer::MagnifyingGlass glass;
+  glass.rect = render::DeviceRect{100, 70, 120, 100};
+  glass.zoom = 3.0;
+  glass.display_attribute = "precip_d";
+  auto frame = [](const viewer::Viewer& viewer) {
+    render::Framebuffer fb(kWidth, kHeight);
+    render::RasterSurface surface(&fb);
+    surface.Clear(draw::kWhite);
+    Result<viewer::RenderStats> stats = viewer.RenderTo(&surface);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return fb.ToPpm();
+  };
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  auto builds = [&] {
+    return metrics.render_location_batches.load() + metrics.render_scalar_fallbacks.load();
+  };
+
+  viewer::Viewer viewer("glass", "fig9", &env.session().registry());
+  ASSERT_TRUE(viewer.FitContent(kWidth, kHeight).ok());
+  viewer.AddMagnifyingGlass(glass);
+  const uint64_t before = builds();
+  const std::string first = frame(viewer);
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(frame(viewer) == first);
+  EXPECT_EQ(builds() - before, 2u);
+
+  std::string restrict_box;
+  for (const std::string& id : env.session().graph().BoxIds()) {
+    if (env.session().graph().GetBox(id).value()->type_name() == "Restrict") {
+      restrict_box = id;
+    }
+  }
+  ASSERT_TRUE(
+      env.session().ReplaceBox(restrict_box, "Restrict", {{"predicate", "station_id = 2"}})
+          .ok());
+  ASSERT_TRUE(viewer.Refresh().ok());
+  const uint64_t edited = builds();
+  const std::string after = frame(viewer);
+  EXPECT_TRUE(frame(viewer) == after);
+  EXPECT_EQ(builds() - edited, 2u);
+  EXPECT_FALSE(after == first);
+
+  viewer::Viewer fresh("fresh", "fig9", &env.session().registry());
+  ASSERT_TRUE(fresh.Refresh().ok());
+  *fresh.mutable_camera() = viewer.camera();
+  fresh.AddMagnifyingGlass(glass);
+  EXPECT_TRUE(frame(fresh) == after);
+}
+
 /// Rows (x, y, z, hue) displayed as `circle(1.0, hue, true)`, with z a
 /// slider dimension: a bad `hue` makes that row's display fail.
 DisplayRelation Dots(const std::vector<std::string>& hues) {

@@ -4,7 +4,8 @@
 #   1. docs   — lint that every DESIGN.md / ARCHITECTURE.md / EXPERIMENTS.md
 #               section anchor referenced from README.md (and between those
 #               documents) resolves, so renaming a heading cannot silently
-#               orphan the execution-model documentation;
+#               orphan the execution-model documentation, and that every
+#               file path those four documents name in backticks exists;
 #   2. tier 1 — build everything and run the full test suite;
 #   3. dict-smoke — a small-N run of the dictionary-encoding ablation
 #               (bench_dict_strings --smoke): runs the categorical restrict /
@@ -30,8 +31,8 @@
 #               catalog-churn torture case), catalog_csv_test (a ReadPin
 #               held across a ReplaceTable on another thread), the thread
 #               pool and shared memo tier in runtime_test, the
-#               determinism, delta-propagation and morsel suites, and
-#               render_image_test, whose threads render one shared value and
+#               determinism and delta-propagation suites, batch_eval_test,
+#               and render_image_test, whose threads render one shared value and
 #               must build its render image once. An evaluation runs on its
 #               calling thread, so the races left to find are between
 #               sessions, not inside one;
@@ -73,7 +74,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== docs: markdown anchor lint =="
+echo "== docs: markdown anchor and file-path lint =="
 scripts/lint_docs.sh
 
 echo "== tier 1: build + ctest =="
@@ -114,7 +115,7 @@ if correct is not True or compared < 1:
 ' "$workload"
 done
 
-echo "== tsan: session server + catalog + runtime + determinism + morsel + render image tests =="
+echo "== tsan: session server + catalog + runtime + determinism + batch evaluation + render image tests =="
 cmake -B build-tsan -S . -DTIOGA2_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target \
   runtime_test session_server_test runtime_determinism_test delta_update_test \

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Markdown anchor lint (scripts/check.sh step "docs").
+# Markdown anchor and file-path lint (scripts/check.sh step "docs").
 #
 # Fails when a section link of the form ](DOC.md#anchor) or ](#anchor) in
 # one of the tracked documents does not resolve to a real heading, using
@@ -8,6 +8,13 @@
 # keeps README's pointers into DESIGN.md / ARCHITECTURE.md / EXPERIMENTS.md
 # honest: renaming a heading without updating its references breaks CI
 # instead of silently orphaning the docs.
+#
+# Also fails when README, DESIGN, ARCHITECTURE or EXPERIMENTS names, in
+# backticks, a file path (it contains "/" and ends in .h, .cc, .py, .sh,
+# .json or .md; a ":line" suffix is dropped) that exists neither under the
+# repository root nor under src/, so deleting or moving a file without
+# updating the prose that names it breaks CI too. bench_out/ artifacts are
+# generated by the benches and are not checked.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,8 +68,24 @@ while IFS=' ' read -r doc ref; do
   fi
 done < "$refs"
 
+paths=0
+for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; do
+  [[ -f "$doc" ]] || continue
+  while IFS= read -r path; do
+    paths=$((paths + 1))
+    if [[ ! -e "$path" && ! -e "src/$path" ]]; then
+      echo "lint_docs: $doc names a missing file: $path" >&2
+      fail=1
+    fi
+  done < <(grep -oE '`[^`]+`' "$doc" | tr -d '`' | tr -s ' \t' '\n' \
+             | sed -E 's/:[0-9][0-9,-]*$//' \
+             | grep -E '^[A-Za-z0-9_.-]*/[A-Za-z0-9_./-]*\.(h|cc|py|sh|json|md)$' \
+             | grep -v '^bench_out/' || true)
+done
+
 if [[ "$fail" -ne 0 ]]; then
-  echo "lint_docs: FAILED (see above; anchors are GitHub heading slugs)" >&2
+  echo "lint_docs: FAILED (see above; anchors are GitHub heading slugs," \
+    "paths resolve under the root or src/)" >&2
   exit 1
 fi
-echo "lint_docs: all $(wc -l < "$refs" | tr -d ' ') anchor references resolve"
+echo "lint_docs: all $(wc -l < "$refs" | tr -d ' ') anchor references and $paths file paths resolve"

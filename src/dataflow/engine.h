@@ -119,7 +119,7 @@ class BoxObserver {
 /// the nodes in that order, stopping at the first failure. Resolving a node
 /// is one step: stamp fold, memo lookup, shared-tier adoption, coercion,
 /// Fire, arity check, insert and publish. A fired box runs on the calling
-/// thread too; its operators walk their morsels in order (db/morsel.h).
+/// thread too; each of its operators is one scan of its input.
 ///
 /// The memo cache may be shared with other engines (MemoCache is
 /// thread-safe). The Engine itself serves one caller at a time; concurrency

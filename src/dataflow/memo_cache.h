@@ -31,7 +31,7 @@ namespace tioga2::dataflow {
 /// the same stamp may trade entries, and Insert can keep the first of two
 /// concurrently computed entries precisely because both are guaranteed
 /// byte-identical. Evaluation strategy (scalar or vectorized, row or
-/// columnar, any morsel size) is invisible to this cache; nothing about
+/// columnar, any SIMD tier) is invisible to this cache; nothing about
 /// a Relation's lazily materialized columnar() view participates in
 /// stamping or equality.
 class MemoCache {

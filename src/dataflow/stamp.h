@@ -12,7 +12,7 @@ namespace tioga2::dataflow {
 // The stamp algebra shared by the Engine and delta propagation. Both paths
 // MUST key memo-cache entries with the exact same stamps so that a cache
 // populated by one is valid for the other, and so that engines under any
-// execution policy and morsel size are bit-identical (asserted by
+// execution policy are bit-identical (asserted by
 // runtime_determinism_test).
 //
 // The stamp/memoization contract (see also DESIGN.md "The stamp contract"):
@@ -27,7 +27,7 @@ namespace tioga2::dataflow {
 //    and the stamps of its inputs. It never inspects the produced values.
 // 2. Consequently a stamp is independent of *how* a value was computed or
 //    represented: scalar vs vectorized evaluation, row vs columnar access,
-//    and every morsel size must all yield byte-identical outputs
+//    and every SIMD tier must all yield byte-identical outputs
 //    for the same stamp (enforced by determinism_test and
 //    runtime_determinism_test over every figure program). An optimization
 //    that changes output bytes is a correctness bug, not a new cache key.

@@ -8,9 +8,6 @@ namespace {
 std::atomic<bool> g_default_vectorized{true};
 std::atomic<int> g_default_simd{static_cast<int>(SimdLevel::kAuto)};
 std::atomic<bool> g_default_dict_encode{true};
-std::atomic<double> g_default_sparse_gather_density{
-    ExecPolicy{}.sparse_gather_density};
-std::atomic<size_t> g_default_morsel_rows{ExecPolicy{}.morsel_rows};
 }  // namespace
 
 ExecPolicy DefaultExecPolicy() {
@@ -19,9 +16,6 @@ ExecPolicy DefaultExecPolicy() {
   policy.simd =
       static_cast<SimdLevel>(g_default_simd.load(std::memory_order_relaxed));
   policy.dict_encode = g_default_dict_encode.load(std::memory_order_relaxed);
-  policy.sparse_gather_density =
-      g_default_sparse_gather_density.load(std::memory_order_relaxed);
-  policy.morsel_rows = g_default_morsel_rows.load(std::memory_order_relaxed);
   return policy;
 }
 
@@ -29,9 +23,6 @@ void SetDefaultExecPolicy(const ExecPolicy& policy) {
   g_default_vectorized.store(policy.vectorized, std::memory_order_relaxed);
   g_default_simd.store(static_cast<int>(policy.simd), std::memory_order_relaxed);
   g_default_dict_encode.store(policy.dict_encode, std::memory_order_relaxed);
-  g_default_sparse_gather_density.store(policy.sparse_gather_density,
-                                        std::memory_order_relaxed);
-  g_default_morsel_rows.store(policy.morsel_rows, std::memory_order_relaxed);
 }
 
 }  // namespace tioga2::db

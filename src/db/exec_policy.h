@@ -50,23 +50,6 @@ struct ExecPolicy {
   /// policy cannot apply); flip it with SetDefaultExecPolicy before the
   /// first columnar() touch.
   bool dict_encode = true;
-
-  /// Density bound for gathering a sparse selection into a dense scratch
-  /// window before the SIMD kernels (selected_rows / spanned_rows). After a
-  /// selective Restrict the surviving selection is sparse, which used to
-  /// force every downstream numeric node onto the per-element typed loops;
-  /// when the density is at or below this bound the operand is gathered
-  /// once into contiguous storage and the lane kernels run on the copy.
-  /// 0 disables gathering; results are bit-identical either way.
-  double sparse_gather_density = 0.5;
-
-  /// Rows per morsel (db/morsel.h). Each vectorized operator splits its
-  /// input into morsels of this many rows, evaluates them in order, and
-  /// merges the per-morsel results in morsel order, so the knob never
-  /// changes output bytes. Multiples of expr::kBatchSize keep inner batch
-  /// boundaries aligned with the unsplit path; anything >= 1 is legal (0
-  /// clamps to 1).
-  size_t morsel_rows = 32768;
 };
 
 /// The process-wide default policy, used whenever no explicit policy is

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "db/morsel.h"
 #include "expr/batch.h"
 
 namespace tioga2::db {
@@ -83,40 +82,25 @@ Result<std::vector<uint32_t>> RestrictSurvivors(const expr::BatchSource& source,
                                                 const expr::ExprNode& predicate,
                                                 const ExecPolicy& policy) {
   expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  metrics.restrict_rows += source.num_rows();
-  // Each morsel filters its row range with its own BatchEvaluator
-  // (kBatchSize batches inside) and appends the surviving row ids to its own
-  // slot. Shared state touched from workers — the source's lazily built
-  // columnar image and the metrics counters — is call_once / atomic.
-  std::vector<expr::Selection> survivors(NumMorsels(policy, source.num_rows()));
-  TIOGA2_RETURN_IF_ERROR(ForEachMorsel(
-      policy, source.num_rows(),
-      [&](size_t morsel, size_t begin, size_t end) -> Status {
-        expr::BatchEvaluator evaluator(source, policy);
-        expr::Selection sel;
-        survivors[morsel].reserve(end - begin);
-        for (size_t b = begin; b < end; b += expr::kBatchSize) {
-          expr::IdentitySelection(b, std::min(b + expr::kBatchSize, end), &sel);
-          TIOGA2_RETURN_IF_ERROR(
-              evaluator.FilterTrue(predicate, sel, &survivors[morsel]));
-          ++metrics.restrict_batches;
-        }
-        metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
-        metrics.nodes_fallback += evaluator.stats().fallback_nodes;
-        return Status::OK();
-      }));
-  // Row ids ascend within each morsel and morsels cover ascending ranges, so
-  // joining the slots in morsel order reproduces the serial scan. The joined
-  // list is sized exactly: a selection view holds it for as long as it is
-  // cached.
-  size_t total = 0;
-  for (const expr::Selection& s : survivors) total += s.size();
-  expr::Selection merged;
-  merged.reserve(total);
-  for (const expr::Selection& s : survivors) {
-    merged.insert(merged.end(), s.begin(), s.end());
+  const size_t n = source.num_rows();
+  metrics.restrict_rows += n;
+  // One evaluator filters [0, n) in kBatchSize batches, appending each
+  // batch's survivors (ascending row ids) to one list.
+  expr::BatchEvaluator evaluator(source, policy);
+  expr::Selection sel;
+  expr::Selection kept;
+  kept.reserve(n);
+  for (size_t b = 0; b < n; b += expr::kBatchSize) {
+    expr::IdentitySelection(b, std::min(b + expr::kBatchSize, n), &sel);
+    TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(predicate, sel, &kept));
+    ++metrics.restrict_batches;
   }
-  return merged;
+  metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
+  metrics.nodes_fallback += evaluator.stats().fallback_nodes;
+  // A selection view holds the list for as long as it is cached, so it is
+  // handed over exactly sized.
+  kept.shrink_to_fit();
+  return kept;
 }
 
 Result<RelationPtr> Restrict(const RelationPtr& input,
@@ -419,52 +403,43 @@ void ReorderLeftMajor(size_t left_num_rows, JoinPairs* pairs) {
 /// update grew one input past the other).
 template <typename BuildNull, typename BuildHash, typename ProbeNull,
           typename ProbeHash, typename EqualFn>
-JoinPairs HashJoinPairs(const ExecPolicy& policy, size_t left_num_rows,
-                        size_t build_num_rows, size_t probe_num_rows,
-                        bool build_left, const BuildNull& build_null,
-                        const BuildHash& build_hash, const ProbeNull& probe_null,
-                        const ProbeHash& probe_hash, const EqualFn& equal) {
-  // One build table; the probe runs in morsels of probe rows. Each morsel
-  // emits matches into its own JoinPairs slot; concatenating the slots in
-  // morsel order reproduces an unsplit probe's emission order exactly,
-  // because probe rows are scanned ascending and morsels cover ascending
-  // disjoint ranges.
+JoinPairs HashJoinPairs(size_t left_num_rows, size_t build_num_rows,
+                        size_t probe_num_rows, bool build_left,
+                        const BuildNull& build_null, const BuildHash& build_hash,
+                        const ProbeNull& probe_null, const ProbeHash& probe_hash,
+                        const EqualFn& equal) {
+  // One build table and one ascending scan of the probe rows, so pairs come
+  // out grouped by probe row, in probe-row order.
   JoinHashTable table;
   table.Build(build_num_rows, build_null, build_hash);
-  const size_t num_morsels = NumMorsels(policy, probe_num_rows);
-  std::vector<JoinPairs> per(num_morsels);
-  const Status probe_status = ForEachMorsel(
-      policy, probe_num_rows,
-      [&](size_t morsel, size_t begin, size_t end) -> Status {
-        JoinPairs& out = per[morsel];
-        for (size_t j = begin; j < end; ++j) {
-          if (probe_null(j)) continue;
-          const uint64_t h = probe_hash(j);
-          table.ForEachCandidate(h, [&](uint32_t i) {
-            // Hash collisions are resolved by a real equality check.
-            if (!equal(i, j)) return;
-            if (build_left) {
-              out.left.push_back(i);
-              out.right.push_back(static_cast<uint32_t>(j));
-            } else {
-              out.left.push_back(static_cast<uint32_t>(j));
-              out.right.push_back(i);
-            }
-          });
-        }
-        return Status::OK();
-      });
-  (void)probe_status;  // the body is infallible
+  // With unique build keys, as in a key-to-foreign-key join, each probe row
+  // joins at most once, so this much room spares that case regrowth copies.
   JoinPairs pairs;
-  size_t total = 0;
-  for (const JoinPairs& p : per) total += p.left.size();
-  pairs.left.reserve(total);
-  pairs.right.reserve(total);
-  for (JoinPairs& p : per) {
-    pairs.left.insert(pairs.left.end(), p.left.begin(), p.left.end());
-    pairs.right.insert(pairs.right.end(), p.right.begin(), p.right.end());
+  pairs.left.reserve(probe_num_rows);
+  pairs.right.reserve(probe_num_rows);
+  for (size_t j = 0; j < probe_num_rows; ++j) {
+    if (probe_null(j)) continue;
+    const uint64_t h = probe_hash(j);
+    table.ForEachCandidate(h, [&](uint32_t i) {
+      // Hash collisions are resolved by a real equality check.
+      if (!equal(i, j)) return;
+      if (build_left) {
+        pairs.left.push_back(i);
+        pairs.right.push_back(static_cast<uint32_t>(j));
+      } else {
+        pairs.left.push_back(static_cast<uint32_t>(j));
+        pairs.right.push_back(i);
+      }
+    });
   }
-  if (build_left) ReorderLeftMajor(left_num_rows, &pairs);
+  // A join view holds the pairs for as long as it is cached, so they are
+  // handed over exactly sized; the reorder writes exactly sized copies.
+  if (build_left) {
+    ReorderLeftMajor(left_num_rows, &pairs);
+  } else {
+    pairs.left.shrink_to_fit();
+    pairs.right.shrink_to_fit();
+  }
   return pairs;
 }
 
@@ -550,52 +525,28 @@ Result<RelationPtr> RunNestedLoopBatched(const RelationPtr& left,
                                          const expr::CompiledExpr& predicate,
                                          const ExecPolicy& policy) {
   expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  // Morselize over *left* rows, but each left row costs a full scan of the
-  // right side, so scale the per-morsel left-row count down so one morsel
-  // still covers roughly policy.morsel_rows cells of the cross product.
-  ExecPolicy morsel_policy = policy;
-  morsel_policy.morsel_rows = std::max<size_t>(
-      1, policy.morsel_rows / std::max<size_t>(1, right->num_rows()));
-  const size_t num_morsels = NumMorsels(morsel_policy, left->num_rows());
-  std::vector<JoinPairs> per(num_morsels);
-  TIOGA2_RETURN_IF_ERROR(ForEachMorsel(
-      morsel_policy, left->num_rows(),
-      [&](size_t morsel, size_t lbegin, size_t lend) -> Status {
-        CrossBlockSource source(*left, *right);
-        JoinPairs& out = per[morsel];
-        expr::Selection sel;
-        expr::Selection kept;
-        for (size_t l = lbegin; l < lend; ++l) {
-          source.SetLeftRow(l);
-          expr::BatchEvaluator evaluator(source, policy);
-          for (size_t begin = 0; begin < right->num_rows();
-               begin += expr::kBatchSize) {
-            const size_t end =
-                std::min(begin + expr::kBatchSize, right->num_rows());
-            expr::IdentitySelection(begin, end, &sel);
-            kept.clear();
-            TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(predicate.root(), sel, &kept));
-            for (uint32_t r : kept) {
-              out.left.push_back(static_cast<uint32_t>(l));
-              out.right.push_back(r);
-            }
-            ++metrics.join_nested_batches;
-          }
-          metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
-          metrics.nodes_fallback += evaluator.stats().fallback_nodes;
-        }
-        return Status::OK();
-      }));
-  // Left-major merge in morsel order — identical to the serial double loop.
+  const size_t right_rows = right->num_rows();
+  CrossBlockSource source(*left, *right);
+  expr::BatchEvaluator evaluator(source, policy);
   JoinPairs pairs;
-  size_t total = 0;
-  for (const JoinPairs& p : per) total += p.left.size();
-  pairs.left.reserve(total);
-  pairs.right.reserve(total);
-  for (JoinPairs& p : per) {
-    pairs.left.insert(pairs.left.end(), p.left.begin(), p.left.end());
-    pairs.right.insert(pairs.right.end(), p.right.begin(), p.right.end());
+  expr::Selection sel;
+  for (size_t l = 0; l < left->num_rows(); ++l) {
+    source.SetLeftRow(l);
+    for (size_t begin = 0; begin < right_rows; begin += expr::kBatchSize) {
+      expr::IdentitySelection(begin, std::min(begin + expr::kBatchSize, right_rows),
+                              &sel);
+      TIOGA2_RETURN_IF_ERROR(
+          evaluator.FilterTrue(predicate.root(), sel, &pairs.right));
+      ++metrics.join_nested_batches;
+    }
+    pairs.left.resize(pairs.right.size(), static_cast<uint32_t>(l));
   }
+  metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
+  metrics.nodes_fallback += evaluator.stats().fallback_nodes;
+  // Left-major, like the scalar double loop. A join view holds the pairs for
+  // as long as it is cached, so they are handed over exactly sized.
+  pairs.left.shrink_to_fit();
+  pairs.right.shrink_to_fit();
   return Relation::MakeJoinView(out_schema, left, std::move(pairs.left), right,
                                 std::move(pairs.right));
 }
@@ -675,8 +626,7 @@ Result<JoinResult> Join(const RelationPtr& left, const RelationPtr& right,
           return shared ? c : remap[c];
         };
         pairs = HashJoinPairs(
-            policy, left->num_rows(), build->num_rows(), probe->num_rows(),
-            build_left,
+            left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
             [&](size_t i) {
               return bcol.IsNull(i) || build_code(i) == kNoMatch;
             },
@@ -695,8 +645,8 @@ Result<JoinResult> Join(const RelationPtr& left, const RelationPtr& right,
     }
     if (!pairs.has_value()) {
       pairs = HashJoinPairs(
-          policy, left->num_rows(), build->num_rows(), probe->num_rows(),
-          build_left, [&](size_t i) { return bcol.IsNull(i); },
+          left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
+          [&](size_t i) { return bcol.IsNull(i); },
           [&](size_t i) { return HashKeyCell(bcol, i); },
           [&](size_t j) { return pcol.IsNull(j); },
           [&](size_t j) { return HashKeyCell(pcol, j); },
@@ -709,9 +659,8 @@ Result<JoinResult> Join(const RelationPtr& left, const RelationPtr& right,
   }
 
   // Scalar oracle path: hash Values tuple-at-a-time, materialize rows.
-  // ForEachMorsel sees vectorized == false here and stays serial.
   JoinPairs pairs = HashJoinPairs(
-      policy, left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
+      left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
       [&](size_t i) { return build->at(i, build_key).is_null(); },
       [&](size_t i) { return HashKeyValue(build->at(i, build_key)); },
       [&](size_t j) { return probe->at(j, probe_key).is_null(); },

@@ -48,8 +48,8 @@ Result<RelationPtr> Restrict(const RelationPtr& input,
 
 /// Rows of `source` for which `predicate` is non-null true, ascending: the
 /// vectorized Restrict scan behind db::Restrict and DisplayRelation's
-/// Restrict. Morsel-driven (db/morsel.h); the survivors equal one unsplit
-/// scan's, byte for byte, under every morsel size.
+/// Restrict. One scan in expr::kBatchSize batches; the list is exactly
+/// sized, since a selection view holds it while cached.
 Result<std::vector<uint32_t>> RestrictSurvivors(const expr::BatchSource& source,
                                                 const expr::ExprNode& predicate,
                                                 const ExecPolicy& policy);

@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "db/morsel.h"
 #include "db/operators.h"
 #include "expr/batch.h"
 
@@ -348,45 +347,31 @@ Result<std::vector<Value>> AttributeValuesFrom(const DisplayRelation& relation,
     if (attr->source == AttrSource::kExpr) {
       ++metrics.display_attr_batches;
       metrics.display_attr_rows += n;
-      // Morsels share one source (its column cache is mutex-guarded) but
-      // each gets its own evaluator; results land in preassigned slots, so
-      // the merged vector is byte-identical to the serial sweep.
-      std::vector<Value> slots(n);
-      TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
-          policy, n, [&](size_t, size_t begin, size_t end) -> Status {
-            expr::BatchEvaluator evaluator(source, policy);
-            expr::Selection sel;
-            for (size_t b = begin; b < end; b += expr::kBatchSize) {
-              const size_t bend = std::min(b + expr::kBatchSize, end);
-              expr::IdentitySelection(b, bend, &sel);
-              TIOGA2_ASSIGN_OR_RETURN(
-                  expr::Vec vec, evaluator.Eval(attr->definition->root(), sel));
-              for (size_t k = 0; k < sel.size(); ++k) {
-                TIOGA2_ASSIGN_OR_RETURN(Value v,
-                                        ApplyTransform(*attr, vec.ValueAt(k)));
-                slots[sel[k]] = std::move(v);
-              }
-            }
-            metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
-            metrics.nodes_fallback += evaluator.stats().fallback_nodes;
-            return Status::OK();
-          }));
-      return slots;
+      // One evaluator over [0, n) in kBatchSize batches; identity
+      // selections keep each batch's values in row order.
+      expr::BatchEvaluator evaluator(source, policy);
+      expr::Selection sel;
+      for (size_t b = 0; b < n; b += expr::kBatchSize) {
+        expr::IdentitySelection(b, std::min(b + expr::kBatchSize, n), &sel);
+        TIOGA2_ASSIGN_OR_RETURN(expr::Vec vec,
+                                evaluator.Eval(attr->definition->root(), sel));
+        for (size_t k = 0; k < sel.size(); ++k) {
+          TIOGA2_ASSIGN_OR_RETURN(Value v, ApplyTransform(*attr, vec.ValueAt(k)));
+          out.push_back(std::move(v));
+        }
+      }
+      metrics.nodes_vectorized += evaluator.stats().vectorized_nodes;
+      metrics.nodes_fallback += evaluator.stats().fallback_nodes;
+      return out;
     }
   }
   // Per-row fallback (kCombine, kDefaultDisplay, transformed non-numeric
-  // stored columns). Rows are independent, so each morsel writes its rows
-  // into preassigned slots.
-  std::vector<Value> slots(n);
-  TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
-      policy, n, [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          TIOGA2_ASSIGN_OR_RETURN(Value v, relation.AttributeValue(r, name));
-          slots[r] = std::move(v);
-        }
-        return Status::OK();
-      }));
-  return slots;
+  // stored columns).
+  for (size_t r = 0; r < n; ++r) {
+    TIOGA2_ASSIGN_OR_RETURN(Value v, relation.AttributeValue(r, name));
+    out.push_back(std::move(v));
+  }
+  return out;
 }
 
 }  // namespace
@@ -782,22 +767,15 @@ Result<size_t> DisplayRelation::CountKept(const std::string& predicate,
   size_t count = 0;
   if (policy.vectorized) {
     DisplayBatchSource source(*this);
-    std::vector<size_t> counts(db::NumMorsels(policy, end));
-    TIOGA2_RETURN_IF_ERROR(db::ForEachMorsel(
-        policy, end,
-        [&](size_t morsel, size_t mbegin, size_t mend) -> Status {
-          expr::BatchEvaluator evaluator(source, policy);
-          expr::Selection sel;
-          expr::Selection kept;
-          for (size_t b = mbegin; b < mend; b += expr::kBatchSize) {
-            expr::IdentitySelection(b, std::min(b + expr::kBatchSize, mend), &sel);
-            kept.clear();
-            TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(compiled.root(), sel, &kept));
-            counts[morsel] += kept.size();
-          }
-          return Status::OK();
-        }));
-    for (size_t c : counts) count += c;
+    expr::BatchEvaluator evaluator(source, policy);
+    expr::Selection sel;
+    expr::Selection kept;
+    for (size_t b = 0; b < end; b += expr::kBatchSize) {
+      expr::IdentitySelection(b, std::min(b + expr::kBatchSize, end), &sel);
+      kept.clear();
+      TIOGA2_RETURN_IF_ERROR(evaluator.FilterTrue(compiled.root(), sel, &kept));
+      count += kept.size();
+    }
   } else {
     for (size_t r = 0; r < end; ++r) {
       DisplayRowAccessor accessor(*this, r);

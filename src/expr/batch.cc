@@ -139,8 +139,6 @@ void BatchMetrics::Reset() {
   dict_simd_batches = 0;
   dict_remap_fallbacks = 0;
   sparse_gathers = 0;
-  morsel_groups = 0;
-  morsels_executed = 0;
 }
 
 BatchEvaluator::BatchEvaluator(const BatchSource& source)
@@ -148,9 +146,7 @@ BatchEvaluator::BatchEvaluator(const BatchSource& source)
 
 BatchEvaluator::BatchEvaluator(const BatchSource& source,
                                const db::ExecPolicy& policy)
-    : source_(source),
-      simd_level_(static_cast<int>(simd::Resolve(policy.simd))),
-      sparse_gather_density_(policy.sparse_gather_density) {}
+    : source_(source), simd_level_(static_cast<int>(simd::Resolve(policy.simd))) {}
 
 namespace {
 
@@ -486,18 +482,24 @@ bool AppendComparisonSurvivors(BinaryOp op, const Vec& lhs, const Vec& rhs,
   return false;
 }
 
+/// Density (selected / spanned rows) at or below which MaybeGatherSparse
+/// gathers an operand. After a selective Restrict the surviving selection is
+/// sparse, which would otherwise put every downstream numeric node on the
+/// per-element typed loops.
+constexpr double kSparseGatherDensity = 0.5;
+
 /// Gathers a sparse numeric kView operand into dense kOwned storage when its
-/// density (selected / spanned rows) is at or below `density_bound`, so the
-/// SIMD kernels — which require dense selections — still apply after a
-/// selective Restrict. Bit-identical either way; only the storage moves.
-bool MaybeGatherSparse(Vec* v, size_t n, double density_bound) {
+/// density is at or below kSparseGatherDensity, so the SIMD kernels — which
+/// require dense selections — still apply after a selective Restrict.
+/// Bit-identical either way; only the storage moves.
+bool MaybeGatherSparse(Vec* v, size_t n) {
   if (v->rep != Vec::Rep::kView || n == 0) return false;
   const db::ColumnVector& col = *v->view;
   if (col.type != DataType::kInt && col.type != DataType::kFloat) return false;
   const Selection& vs = *v->view_sel;
   const size_t span = static_cast<size_t>(vs.back() - vs.front()) + 1;
   if (span == n) return false;  // dense run: FlattenNumeric takes it as-is
-  if (static_cast<double>(n) > density_bound * static_cast<double>(span)) {
+  if (static_cast<double>(n) > kSparseGatherDensity * static_cast<double>(span)) {
     return false;
   }
   Vec gathered = MakeTypedVec(col.type, n);
@@ -949,14 +951,12 @@ Result<Vec> BatchEvaluator::ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n)
   // SIMD fast path: dense numeric comparisons and + - * / run as explicit
   // lane kernels (expr/simd/), bit-identical to the typed loops below.
   // Boxed operands and kMod fall through unchanged; sparse selections are
-  // gathered dense first when selective enough (ExecPolicy's
-  // sparse_gather_density), otherwise they fall through too.
+  // gathered dense first when selective enough (kSparseGatherDensity),
+  // otherwise they fall through too.
   if (simd_level_ != static_cast<int>(simd::Level::kScalar) && both_numeric &&
       op != BinaryOp::kMod) {
-    if (sparse_gather_density_ > 0) {
-      MaybeGatherSparse(&lhs, n, sparse_gather_density_);
-      MaybeGatherSparse(&rhs, n, sparse_gather_density_);
-    }
+    MaybeGatherSparse(&lhs, n);
+    MaybeGatherSparse(&rhs, n);
     Vec out;
     if (simd::TryNumericBinary(static_cast<simd::Level>(simd_level_), op, lhs,
                                rhs, n, &out)) {

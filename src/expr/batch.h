@@ -160,8 +160,7 @@ struct BatchMetrics {
   std::atomic<uint64_t> dict_simd_batches{0};
   std::atomic<uint64_t> dict_remap_fallbacks{0};
   std::atomic<uint64_t> sparse_gathers{0};
-  // Morsel loops (see db/morsel.h): groups run and morsels executed.
-  std::atomic<uint64_t> morsel_groups{0};
+  // Read by interaction_bench/workload.cc only; nothing bumps it.
   std::atomic<uint64_t> morsels_executed{0};
 
   static BatchMetrics& Global();
@@ -229,7 +228,6 @@ class BatchEvaluator {
   const BatchSource& source_;
   int simd_level_ = 0;  // resolved simd::Level, stored as int to keep
                         // expr/simd/simd.h out of this header
-  double sparse_gather_density_ = 0.0;  // ExecPolicy::sparse_gather_density
   // Computed attributes currently being expanded through NamedExpr — guards
   // against self-referential definitions (those fall back to NamedAt, which
   // reports the recursion error the scalar path reports).

@@ -165,8 +165,6 @@ MetricsSnapshot Metrics::snapshot() const {
   snap.batch_restrict_rows = batch.restrict_rows.load();
   snap.batch_nodes_vectorized = batch.nodes_vectorized.load();
   snap.batch_nodes_fallback = batch.nodes_fallback.load();
-  snap.batch_morsel_groups = batch.morsel_groups.load();
-  snap.batch_morsels_executed = batch.morsels_executed.load();
   const storage::StorageMetrics& stor = storage::StorageMetrics::Global();
   snap.wal_records = stor.wal_records.load();
   snap.wal_bytes = stor.wal_bytes.load();
@@ -258,9 +256,6 @@ std::string Metrics::ToJson() const {
   json += ",\"dict_remap_fallbacks\":" +
           std::to_string(batch.dict_remap_fallbacks.load());
   json += ",\"sparse_gathers\":" + std::to_string(batch.sparse_gathers.load());
-  json += ",\"morsel_groups\":" + std::to_string(batch.morsel_groups.load());
-  json += ",\"morsels_executed\":" +
-          std::to_string(batch.morsels_executed.load());
   json += "}";
   const storage::StorageMetrics& stor = storage::StorageMetrics::Global();
   json += ",\"storage\":{";

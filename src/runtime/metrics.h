@@ -74,9 +74,6 @@ struct MetricsSnapshot {
   uint64_t batch_restrict_rows = 0;
   uint64_t batch_nodes_vectorized = 0;
   uint64_t batch_nodes_fallback = 0;
-  // Morsel loop counters (db/morsel.h), same global-copy pattern.
-  uint64_t batch_morsel_groups = 0;
-  uint64_t batch_morsels_executed = 0;
   // Persistence counters, copied from storage::StorageMetrics::Global() at
   // snapshot time (same pattern: storage cannot depend on runtime).
   uint64_t wal_records = 0;

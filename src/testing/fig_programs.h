@@ -15,7 +15,7 @@ namespace tioga2::testing {
 /// One figure-reproduction program, buildable on demand into a fresh
 /// Environment. Mirrors the programs the bench/bench_fig* binaries
 /// construct, packaged so runtime_determinism_test can evaluate every one of
-/// them under every execution policy and morsel size.
+/// them under every execution policy.
 struct FigProgram {
   std::string name;
   /// LoadDemoData sizing (kept small: these run in tests).

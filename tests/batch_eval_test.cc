@@ -21,7 +21,6 @@
 
 #include "boxes/relational_boxes.h"
 #include "common/rng.h"
-#include "db/morsel.h"
 #include "db/operators.h"
 #include "display/display_relation.h"
 #include "expr/batch.h"
@@ -347,17 +346,11 @@ std::vector<db::SimdLevel> DistinctLevels() {
 /// checks Describe-identity (runtime type + text + nullness) against the
 /// row-at-a-time scalar evaluator. Returns how many node-batches the SIMD
 /// kernels served, so callers can assert dispatch did/did not happen.
-/// `sparse_gather_density` overrides ExecPolicy::sparse_gather_density when
-/// non-negative (pass 0 to disable the sparse gather).
 uint64_t ExpectSimdMatchesScalar(const expr::CompiledExpr& compiled,
                                  const RelationPtr& rel, db::SimdLevel level,
-                                 const expr::Selection& sel,
-                                 double sparse_gather_density = -1.0) {
+                                 const expr::Selection& sel) {
   db::ExecPolicy policy = db::DefaultExecPolicy();
   policy.simd = level;
-  if (sparse_gather_density >= 0.0) {
-    policy.sparse_gather_density = sparse_gather_density;
-  }
   expr::RelationBatchSource batch_source(*rel);
   expr::BatchEvaluator evaluator(batch_source, policy);
   auto vec = evaluator.Eval(compiled.root(), sel);
@@ -477,19 +470,19 @@ TEST(SimdEquivalenceTest, SelectionShapesDispatchOrFallBack) {
   // still needs the right branch), so those cases build a true-or-null /
   // false-or-null lhs deliberately: dense 3 = two comparisons + the merge.
   //
-  // Sparse selections dispatch two ways, keyed off
-  // ExecPolicy::sparse_gather_density. At the default (0.5), an every-3rd-row
-  // selection (density 1/3 <= 0.5) gathers its column operands into dense
-  // scratch first, so the kernels dispatch exactly as they do for the dense
-  // window. With the knob at 0 the gather is disabled and the comparisons
-  // fall back to the typed loops (their operands are per-row gathers), but
-  // the and/or merge still runs — it consumes the typed bool vectors the
-  // fallback loops materialized, which are contiguous whatever the selection
-  // shape.
+  // Sparse selections dispatch two ways, keyed off their density against
+  // the gather bound (0.5, kSparseGatherDensity in expr/batch.cc). An
+  // every-3rd-row selection (density 1/3) gathers its column operands into
+  // dense scratch first, so the kernels dispatch exactly as they do for the
+  // dense window. A two-rows-in-three selection (density 2/3) is not
+  // gathered: the comparisons fall back to the typed loops (their operands
+  // are per-row gathers), but the and/or merge still runs — it consumes the
+  // typed bool vectors the fallback loops materialized, which are contiguous
+  // whatever the selection shape.
   const struct {
     const char* source;
     uint64_t dense_nodes;
-    uint64_t no_gather_nodes;  // sparse selection, sparse_gather_density = 0
+    uint64_t no_gather_nodes;  // two-in-three selection, not gathered
   } cases[] = {
       {"f + g", 1, 0},
       {"f < g", 1, 0},
@@ -516,11 +509,14 @@ TEST(SimdEquivalenceTest, SelectionShapesDispatchOrFallBack) {
     EXPECT_EQ(sparse_dispatched, 0u);
 #endif
 
-    // Same selection with the gather disabled: column reads take the typed
-    // loops (no contiguous window to hand a kernel) and still match the
-    // oracle.
+    // A selection above the gather bound: column reads take the typed loops
+    // (no contiguous window to hand a kernel) and still match the oracle.
+    expr::Selection two_in_three;
+    for (uint32_t r = 0; r < 200; ++r) {
+      if (r % 3 != 2) two_in_three.push_back(r);
+    }
     uint64_t no_gather_dispatched = ExpectSimdMatchesScalar(
-        *compiled, rel, db::SimdLevel::kAVX2, sparse, /*sparse_gather_density=*/0.0);
+        *compiled, rel, db::SimdLevel::kAVX2, two_in_three);
 #if defined(TIOGA2_SIMD_ENABLED)
     EXPECT_EQ(no_gather_dispatched, c.no_gather_nodes);
 #else
@@ -1058,151 +1054,178 @@ TEST(DisplayBatchTest, RestrictMatchesScalarOverComputedAttributes) {
   EXPECT_TRUE(db::RelationEquals(*on->base(), *off->base()));
 }
 
-// ---- Morsel-driven fan-out ------------------------------------------------
-// db/morsel.h: morsel boundaries may only change scheduling granularity,
-// never output bytes. The cases below pin the boundary conditions — morsel
-// size 1, sizes straddling the 64-row null-bitmap words (63/64/65), a size
-// larger than the input (exactly one morsel) — each with and without a
-// worker pool attached.
+// ---- kBatchSize boundaries -------------------------------------------------
+// Every vectorized operator scans its input once, in expr::kBatchSize
+// batches. The cases below put the input one row short of one batch, at
+// exactly one, one row past it and one row past two, with null stripes that
+// cross the null bitmap's 64-row words, and hold each operator to the scalar
+// oracle.
 
-RelationPtr NullStripes() {
-  // 130 rows spans three null-bitmap words; the stripes put nulls on both
-  // sides of every word boundary a morsel edge can land on.
+constexpr size_t kBoundaryRows[] = {expr::kBatchSize - 1, expr::kBatchSize,
+                                    expr::kBatchSize + 1, 2 * expr::kBatchSize + 1};
+
+db::ExecPolicy ScalarOracle() {
+  db::ExecPolicy policy;
+  policy.vectorized = false;
+  policy.simd = db::SimdLevel::kScalar;
+  return policy;
+}
+
+/// `n` rows of (id, a, f, tag). `a` is null on 30 rows of every 97 and `f`
+/// on every other run of 61 rows, so both stripes cross bitmap words and
+/// batch edges. `a` is positive at rows 4,096 and 8,192, where the second
+/// and third batches start, so a scan that skips a tail batch loses rows.
+RelationPtr BoundaryStripes(size_t n) {
   std::vector<Tuple> rows;
-  for (int i = 0; i < 130; ++i) {
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     Tuple row;
-    row.push_back(i % 3 == 0 ? Value::Null() : Value::Int(i - 65));
-    row.push_back(i % 7 == 0 ? Value::Null() : Value::Float(i * 0.5 - 20.0));
-    row.push_back(Value::String(i % 2 == 0 ? "even" : "odd"));
+    row.push_back(Value::Int(static_cast<int64_t>(i)));
+    row.push_back((i + 31) % 97 < 30 ? Value::Null()
+                                     : Value::Int(static_cast<int64_t>(i % 211) - 50));
+    row.push_back((i / 61) % 2 == 1
+                      ? Value::Null()
+                      : Value::Float(static_cast<double>(i % 173) * 0.5 - 40.0));
+    row.push_back(Value::String(i % 3 == 0 ? "tri" : (i % 2 == 0 ? "even" : "odd")));
     rows.push_back(std::move(row));
   }
-  return MakeRelation({Column{"a", DataType::kInt},
+  return MakeRelation({Column{"id", DataType::kInt}, Column{"a", DataType::kInt},
                        Column{"f", DataType::kFloat},
                        Column{"tag", DataType::kString}},
                       rows)
       .value();
 }
 
-constexpr size_t kMorselSizes[] = {1, 63, 64, 65, 129, 130, 1000};
-
-TEST(MorselTest, RestrictByteIdenticalAcrossMorselSizes) {
-  RelationPtr rel = NullStripes();
-  auto compiled = db::CompilePredicate(
-      rel->schema(), "a > 0 or (f < 0.0 and tag = \"odd\")");
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  auto reference = db::RestrictScalar(rel, compiled.value());
-  ASSERT_TRUE(reference.ok());
-  for (size_t morsel_rows : kMorselSizes) {
-    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
-    db::ExecPolicy policy;
-    policy.morsel_rows = morsel_rows;
-    auto result = db::Restrict(rel, compiled.value(), policy);
+TEST(BatchBoundaryTest, RestrictMatchesScalarAcrossBatchEdges) {
+  for (size_t n : kBoundaryRows) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    RelationPtr rel = BoundaryStripes(n);
+    auto compiled = db::CompilePredicate(
+        rel->schema(), "a > 0 or (f < 0.0 and tag = \"odd\")");
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    auto reference = db::RestrictScalar(rel, compiled.value());
+    ASSERT_TRUE(reference.ok());
+    // The last batch keeps a row, so a scan that stops early shows.
+    const RelationPtr& kept = *reference;
+    ASSERT_GT(kept->num_rows(), 0u);
+    EXPECT_GE(kept->at(kept->num_rows() - 1, 0).int_value(),
+              static_cast<int64_t>((n - 1) / expr::kBatchSize * expr::kBatchSize));
+    auto result = db::Restrict(rel, compiled.value(), db::ExecPolicy{});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(db::RelationEquals(**reference, **result))
-        << "scalar:\n"
-        << (*reference)->ToString() << "morselized:\n"
-        << (*result)->ToString();
+    EXPECT_TRUE(db::RelationEquals(*kept, **result));
   }
 }
 
-TEST(MorselTest, JoinsByteIdenticalAcrossMorselSizes) {
-  // "k = j" takes the morselized hash probe, "k < j" the morselized batched
-  // nested loop; the scalar tuple-at-a-time paths are the oracle for both.
-  std::vector<Tuple> lrows;
-  for (int i = 0; i < 90; ++i) {
-    lrows.push_back({i % 5 == 0 ? Value::Null() : Value::Int(i % 11),
-                     Value::String("l" + std::to_string(i))});
+TEST(BatchBoundaryTest, HashJoinProbesPastOneBatch) {
+  // 170 build keys cover most of `a`'s range. Stripes on the left probe from
+  // the left; stripes on the right probe from the right, and the pairs are
+  // reordered left-major.
+  std::vector<Tuple> krows;
+  for (int i = 0; i < 170; ++i) {
+    krows.push_back({i % 9 == 0 ? Value::Null() : Value::Int(i - 50),
+                     Value::String("k" + std::to_string(i))});
   }
-  std::vector<Tuple> rrows;
-  for (int i = 0; i < 140; ++i) {
-    rrows.push_back({i % 4 == 0 ? Value::Null() : Value::Int(i % 13),
-                     Value::Float(i * 0.25)});
-  }
-  RelationPtr left =
+  RelationPtr keys =
       MakeRelation({Column{"k", DataType::kInt}, Column{"name", DataType::kString}},
-                   lrows)
+                   krows)
           .value();
-  RelationPtr right =
-      MakeRelation({Column{"j", DataType::kInt}, Column{"w", DataType::kFloat}},
-                   rrows)
-          .value();
-  db::ExecPolicy scalar;
-  scalar.vectorized = false;
-  for (const char* predicate : {"k = j", "k < j"}) {
-    SCOPED_TRACE(predicate);
-    auto oracle = db::Join(left, right, predicate, scalar);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    for (size_t morsel_rows : kMorselSizes) {
-      SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
-      db::ExecPolicy policy;
-      policy.morsel_rows = morsel_rows;
-      auto result = db::Join(left, right, predicate, policy);
+  for (size_t n : kBoundaryRows) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    RelationPtr stripes = BoundaryStripes(n);
+    for (bool stripes_left : {true, false}) {
+      SCOPED_TRACE(stripes_left ? "stripes left" : "stripes right");
+      const RelationPtr& left = stripes_left ? stripes : keys;
+      const RelationPtr& right = stripes_left ? keys : stripes;
+      auto oracle = db::Join(left, right, "a = k", ScalarOracle());
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      auto result = db::Join(left, right, "a = k", db::ExecPolicy{});
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(db::RelationEquals(*oracle->relation, *result->relation))
-          << "scalar:\n"
-          << oracle->relation->ToString() << "morselized:\n"
-          << result->relation->ToString();
+      EXPECT_EQ(result->algorithm, db::JoinAlgorithm::kHash);
+      EXPECT_TRUE(db::RelationEquals(*oracle->relation, *result->relation));
     }
   }
 }
 
-TEST(MorselTest, DisplayPathsByteIdenticalAcrossMorselSizes) {
-  RelationPtr rel = NullStripes();
-  auto dr = display::DisplayRelation::WithDefaults("stripes", rel);
-  ASSERT_TRUE(dr.ok());
-  // "score" exercises the vectorized kExpr path (with a per-row _y
-  // fallback inside); "_display" exercises the per-row fallback morsels.
-  auto with_attr = dr->AddAttribute("score", "coalesce(a, 0) * 2 + _y");
-  ASSERT_TRUE(with_attr.ok()) << with_attr.status().ToString();
-  const display::DisplayRelation& relation = with_attr.value();
+TEST(BatchBoundaryTest, NestedLoopSplitsTheRightSideIntoBatches) {
+  // "k < a" is not an equi-join, so each left row evaluates the predicate
+  // over the right side in kBatchSize batches.
+  RelationPtr left =
+      MakeRelation({Column{"k", DataType::kInt}},
+                   {{Value::Null()}, {Value::Int(-3)}, {Value::Int(40)}, {Value::Int(120)}})
+          .value();
+  for (size_t n : kBoundaryRows) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    RelationPtr right = BoundaryStripes(n);
+    auto oracle = db::Join(left, right, "k < a", ScalarOracle());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    auto result = db::Join(left, right, "k < a", db::ExecPolicy{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->algorithm, db::JoinAlgorithm::kNestedLoop);
+    EXPECT_TRUE(db::RelationEquals(*oracle->relation, *result->relation));
+  }
+}
 
-  db::ExecPolicy serial;
-  for (size_t morsel_rows : kMorselSizes) {
-    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
-    db::ExecPolicy policy;
-    policy.morsel_rows = morsel_rows;
+TEST(BatchBoundaryTest, DisplayPathsMatchScalarAcrossBatchEdges) {
+  const db::ExecPolicy vectorized;
+  const db::ExecPolicy scalar = ScalarOracle();
+  const char* kPredicate = "score > 10.0 and tag != \"tri\"";
+  for (size_t n : kBoundaryRows) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    auto dr = display::DisplayRelation::WithDefaults("stripes", BoundaryStripes(n));
+    ASSERT_TRUE(dr.ok());
+    // "score" takes the batched kExpr path, "_display" the per-row fallback.
+    auto with_attr = dr->AddAttribute("score", "coalesce(a, 0) * 2 + _y");
+    ASSERT_TRUE(with_attr.ok()) << with_attr.status().ToString();
+    const display::DisplayRelation& relation = with_attr.value();
 
     for (const char* name : {"score", "_display"}) {
       SCOPED_TRACE(name);
-      auto expected = relation.AttributeValues(name, serial);
+      auto expected = relation.AttributeValues(name, scalar);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      auto values = relation.AttributeValues(name, policy);
+      auto values = relation.AttributeValues(name, vectorized);
       ASSERT_TRUE(values.ok()) << values.status().ToString();
-      ASSERT_EQ(values->size(), expected->size());
-      for (size_t r = 0; r < values->size(); ++r) {
-        EXPECT_EQ(Describe((*values)[r]), Describe((*expected)[r])) << "row " << r;
+      ASSERT_EQ(values->size(), n);
+      ASSERT_EQ(expected->size(), n);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(Describe((*values)[r]), Describe((*expected)[r])) << "row " << r;
       }
     }
 
-    auto expected_restrict = relation.Restrict("score > 10.0", serial);
+    auto expected_restrict = relation.Restrict(kPredicate, scalar);
     ASSERT_TRUE(expected_restrict.ok());
-    auto restricted = relation.Restrict("score > 10.0", policy);
+    auto restricted = relation.Restrict(kPredicate, vectorized);
     ASSERT_TRUE(restricted.ok()) << restricted.status().ToString();
     EXPECT_TRUE(
         db::RelationEquals(*expected_restrict->base(), *restricted->base()));
 
-    auto expected_count =
-        relation.CountKept("score > 10.0", relation.num_rows(), serial);
-    ASSERT_TRUE(expected_count.ok());
-    auto count = relation.CountKept("score > 10.0", relation.num_rows(), policy);
-    ASSERT_TRUE(count.ok()) << count.status().ToString();
-    EXPECT_EQ(count.value(), expected_count.value());
+    for (size_t end : {expr::kBatchSize - 1, expr::kBatchSize, expr::kBatchSize + 1, n}) {
+      SCOPED_TRACE("end=" + std::to_string(end));
+      auto expected_count = relation.CountKept(kPredicate, end, scalar);
+      ASSERT_TRUE(expected_count.ok());
+      auto count = relation.CountKept(kPredicate, end, vectorized);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(count.value(), expected_count.value());
+    }
   }
 }
 
-TEST(MorselTest, SerialModeStopsAtFirstFailureInMorselOrder) {
-  db::ExecPolicy policy;
-  policy.morsel_rows = 1;
-  int ran = 0;
-  Status status =
-      db::ForEachMorsel(policy, 64, [&](size_t m, size_t, size_t) -> Status {
-        ++ran;
-        if (m == 5) return Status::InvalidArgument("morsel 5");
-        return Status::OK();
-      });
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "morsel 5");
-  EXPECT_EQ(ran, 6);  // the first failure returns at once
+TEST(BatchBoundaryTest, RestrictFailingPastTheFirstBatchFailsLikeScalar) {
+  // Rows from 4,100 on hold a string date() cannot parse, so the predicate
+  // fails only in the second batch.
+  const size_t n = 2 * expr::kBatchSize + 1;
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({Value::String(i < 4100 ? "1996-02-26" : "not a date")});
+  }
+  RelationPtr rel = MakeRelation({Column{"d", DataType::kString}}, rows).value();
+  auto compiled = db::CompilePredicate(rel->schema(), "date(d) > date(\"1990-01-01\")");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto scalar = db::RestrictScalar(rel, compiled.value());
+  ASSERT_FALSE(scalar.ok());
+  auto vectorized = db::Restrict(rel, compiled.value(), db::ExecPolicy{});
+  ASSERT_FALSE(vectorized.ok());
+  EXPECT_EQ(vectorized.status().code(), scalar.status().code());
+  EXPECT_EQ(vectorized.status().message(), scalar.status().message());
 }
 
 TEST(SortTest, VectorizedMatchesScalarIncludingNulls) {

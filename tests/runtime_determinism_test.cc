@@ -1,7 +1,6 @@
-// Morsel-size and shared-tier equivalence over the full figure suite: every
-// figure program evaluates to bit-identical outputs and stamps whatever
-// morsel size the dataflow::Engine's boxes split their inputs into, and
-// whichever engine filled the shared memo tier it adopts from.
+// Shared-tier equivalence over the full figure suite: every figure program
+// evaluates to bit-identical outputs and stamps whichever engine filled the
+// shared memo tier it adopts from, and however often that tier evicts.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "boxes/relational_boxes.h"
-#include "expr/batch.h"
 #include "testing/fig_programs.h"
 #include "tioga2/environment.h"
 
@@ -38,13 +36,6 @@ std::vector<Target> TargetsOf(const dataflow::Graph& graph) {
   return targets;
 }
 
-/// Sets the morsel size `engine`'s boxes split their inputs into.
-void SetMorselRows(dataflow::Engine* engine, size_t morsel_rows) {
-  db::ExecPolicy policy = db::DefaultExecPolicy();
-  policy.morsel_rows = morsel_rows;
-  engine->set_exec_policy(policy);
-}
-
 /// Builds `program` into a fresh environment.
 std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   auto env = std::make_unique<Environment>();
@@ -55,80 +46,14 @@ std::unique_ptr<Environment> BuildEnv(const FigProgram& program) {
   return env;
 }
 
-// A pinned morsel size that does not align with expr::kBatchSize splits
-// every operator into many morsels whose inner batch boundaries differ from
-// the unsplit sweep; a size larger than every input degenerates to one
-// morsel. Outputs and stamps must stay bit-identical to the session engine
-// in all cases, and the unaligned size must actually split a morsel site.
-TEST(RuntimeDeterminismTest, MorselSizesMatchOnEveryFigProgram) {
-  const size_t morsel_sizes[] = {
-      db::ExecPolicy{}.morsel_rows,  // the default
-      7,                             // unaligned: splits every input
-      1u << 20,  // larger than every input: exactly one morsel
-  };
-  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
-  size_t split_runs = 0;
-  for (const FigProgram& program : AllFigPrograms()) {
-    SCOPED_TRACE(program.name);
-    // Serial reference: evaluate every canvas target through the session's
-    // engine, recording output fingerprints and the resulting stamp map.
-    auto serial_env = BuildEnv(program);
-    ui::Session& serial_session = serial_env->session();
-    std::vector<Target> targets = TargetsOf(serial_session.graph());
-    ASSERT_EQ(targets.size(), program.canvases.size());
-    std::map<std::string, std::string> expected;
-    for (const Target& t : targets) {
-      auto value = serial_session.engine().Evaluate(serial_session.graph(),
-                                                    t.from, t.from_port);
-      ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-      expected[t.canvas] = FingerprintBoxValue(value.value());
-    }
-    std::map<std::string, std::optional<uint64_t>> expected_stamps;
-    for (const std::string& id : serial_session.graph().BoxIds()) {
-      expected_stamps[id] = serial_session.engine().cache().StampOf(id);
-    }
-
-    for (const size_t morsel_rows : morsel_sizes) {
-      SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
-      // A fresh environment regenerates identical demo data (seeded), so
-      // the run starts from the same tables and versions.
-      auto env = BuildEnv(program);
-      ui::Session& session = env->session();
-      dataflow::Engine engine(session.catalog());
-      SetMorselRows(&engine, morsel_rows);
-      const uint64_t groups_before = metrics.morsel_groups;
-      const uint64_t morsels_before = metrics.morsels_executed;
-      for (const Target& t : TargetsOf(session.graph())) {
-        auto value = engine.Evaluate(session.graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-        ASSERT_EQ(expected.count(t.canvas), 1u);
-        EXPECT_EQ(FingerprintBoxValue(value.value()), expected.at(t.canvas))
-            << t.canvas;
-      }
-      for (const std::string& id : session.graph().BoxIds()) {
-        ASSERT_EQ(expected_stamps.count(id), 1u) << id;
-        EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
-      }
-      // More morsels than groups: some group split into two or more.
-      const bool split = metrics.morsels_executed - morsels_before >
-                         metrics.morsel_groups - groups_before;
-      if (morsel_rows == 1u << 20) {
-        EXPECT_FALSE(split);
-      }
-      if (split) ++split_runs;
-    }
-  }
-  EXPECT_GT(split_runs, 0u);
-}
-
 // Cross-session sharing: a stamp-keyed SharedMemoCache populated by one
 // environment's engine serves another environment's engine byte-identical
-// entries — from a session engine, and from an engine splitting its inputs
-// into 7-row morsels. An adopting engine fires ZERO boxes (so it runs no
-// morsel either): every value arrives through the shared tier, which is the
-// §7 many-viewers convergence claim in its strongest form. Demo data is
-// seeded, so distinct environments carry identical tables at identical
-// versions and therefore identical stamps.
+// entries — from a session engine, and from a standalone engine over the
+// session's catalog. An adopting engine fires ZERO boxes: every value
+// arrives through the shared tier, which is the §7 many-viewers convergence
+// claim in its strongest form. Demo data is seeded, so distinct
+// environments carry identical tables at identical versions and therefore
+// identical stamps.
 TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
   for (const FigProgram& program : AllFigPrograms()) {
     SCOPED_TRACE(program.name);
@@ -181,15 +106,13 @@ TEST(RuntimeDeterminismTest, SharedCacheParityOnEveryFigProgram) {
           << id;
     }
 
-    // Reverse direction: an engine with 7-row morsels populates a fresh
-    // shared tier and a session engine adopts its entries without firing
-    // anything.
+    // Reverse direction: a standalone engine populates a fresh shared tier
+    // and a session engine adopts its entries without firing anything.
     dataflow::SharedMemoCache reverse(4096);
-    auto split_env = BuildEnv(program);
+    auto pub2_env = BuildEnv(program);
     {
-      ui::Session& session = split_env->session();
+      ui::Session& session = pub2_env->session();
       dataflow::Engine engine(session.catalog());
-      SetMorselRows(&engine, 7);  // splits every table the program reads
       engine.set_shared_cache(&reverse);
       for (const Target& t : TargetsOf(session.graph())) {
         auto value = engine.Evaluate(session.graph(), t.from, t.from_port);

@@ -1,7 +1,7 @@
-// Tests for the evaluation runtime: the ThreadPool, a dataflow::Engine whose
-// boxes split their inputs into one-row morsels — equivalent to the default
-// morsel size (same results, stamps, counters, warnings, and error messages)
-// — the shared memo tier, and the metrics surface.
+// Tests for the evaluation runtime: the ThreadPool, engine behaviour that
+// engine_test does not cover (two engines sharing one cache, error messages,
+// skip and post-order warnings), the shared memo tier, and the metrics
+// surface.
 
 #include <gtest/gtest.h>
 
@@ -137,7 +137,9 @@ TEST(SharedMemoCacheTest, EvictedEntryIsReleasedOutsideTheLock) {
   EXPECT_TRUE(released);
 }
 
-class EngineWithOneRowMorselsTest : public ::testing::Test {
+/// Engine behaviour beyond engine_test's: two engines sharing one cache,
+/// error messages, skip warnings, and the metrics observer.
+class RuntimeEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto table = db::MakeRelation({Column{"v", DataType::kInt}},
@@ -156,14 +158,6 @@ class EngineWithOneRowMorselsTest : public ::testing::Test {
     return restrict;
   }
 
-  /// One-row morsels split even the 4-row table, so every Restrict the
-  /// engine fires runs one morsel per row and merges them.
-  static void SplitIntoOneRowMorsels(Engine* engine) {
-    db::ExecPolicy policy = db::DefaultExecPolicy();
-    policy.morsel_rows = 1;
-    engine->set_exec_policy(policy);
-  }
-
   static Result<size_t> RowsOf(Result<BoxValue> value) {
     TIOGA2_ASSIGN_OR_RETURN(BoxValue v, std::move(value));
     TIOGA2_ASSIGN_OR_RETURN(display::Displayable d, dataflow::AsDisplayable(v));
@@ -175,93 +169,46 @@ class EngineWithOneRowMorselsTest : public ::testing::Test {
   Graph graph_;
 };
 
-TEST_F(EngineWithOneRowMorselsTest, MatchesInlineResultsAndStamps) {
+TEST_F(RuntimeEngineTest, SharesCacheBetweenEngines) {
   std::string tail = BuildChain();
-  Engine serial(&catalog_);
-  Engine split(&catalog_);
-  SplitIntoOneRowMorsels(&split);
-  EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(), 3u);
-  EXPECT_EQ(RowsOf(split.Evaluate(graph_, tail, 0)).value(), 3u);
-  // Identical stamp algebra: both caches hold the same stamps per box.
-  std::vector<std::string> order = graph_.TopologicalOrder().value();
-  for (const std::string& id : order) {
-    ASSERT_TRUE(serial.cache().StampOf(id).has_value()) << id;
-    EXPECT_EQ(serial.cache().StampOf(id), split.cache().StampOf(id)) << id;
-  }
+  Engine first(&catalog_);
+  // A second engine memoizing into the first engine's cache.
+  Engine second(&catalog_, nullptr, &first.cache());
+  ASSERT_TRUE(RowsOf(second.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_EQ(second.stats().boxes_fired, 2u);
+  // The first engine finds everything memoized: zero fires, two hits.
+  ASSERT_TRUE(RowsOf(first.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_EQ(first.stats().boxes_fired, 0u);
+  EXPECT_GE(first.stats().cache_hits, 1u);
+  // And the reverse direction: the first engine's work is visible to the
+  // second.
+  ASSERT_TRUE(first.Invalidate(graph_, dataflow::Invalidation::All()).ok());
+  ASSERT_TRUE(RowsOf(first.Evaluate(graph_, tail, 0)).ok());
+  second.ResetStats();
+  ASSERT_TRUE(RowsOf(second.Evaluate(graph_, tail, 0)).ok());
+  EXPECT_EQ(second.stats().boxes_fired, 0u);
 }
 
-TEST_F(EngineWithOneRowMorselsTest, WideProgramMatchesInline) {
-  // One table feeding 16 restricts feeding nothing — EvaluateAll fires all
-  // 16, each split into one-row morsels; results must match the default
-  // engine box for box.
-  std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
-  std::vector<std::string> tails;
-  for (int i = 0; i < 16; ++i) {
-    std::string r = graph_
-                        .AddBox(std::make_unique<RestrictBox>(
-                            "v > " + std::to_string(i % 4)))
-                        .value();
-    ASSERT_TRUE(graph_.Connect(table, 0, r, 0).ok());
-    tails.push_back(r);
-  }
-  Engine serial(&catalog_);
-  Engine split(&catalog_);
-  SplitIntoOneRowMorsels(&split);
-  ASSERT_TRUE(split.EvaluateAll(graph_).ok());
-  EXPECT_EQ(split.stats().boxes_fired, 17u);
-  for (const std::string& tail : tails) {
-    EXPECT_EQ(RowsOf(serial.Evaluate(graph_, tail, 0)).value(),
-              RowsOf(split.Evaluate(graph_, tail, 0)).value())
-        << tail;
-    EXPECT_EQ(serial.cache().StampOf(tail), split.cache().StampOf(tail));
-  }
-}
-
-TEST_F(EngineWithOneRowMorselsTest, SharesCacheWithInlineEngine) {
-  std::string tail = BuildChain();
-  Engine serial(&catalog_);
-  // An engine with one-row morsels memoizing into the default engine's cache.
-  Engine split(&catalog_, nullptr, &serial.cache());
-  SplitIntoOneRowMorsels(&split);
-  ASSERT_TRUE(RowsOf(split.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(split.stats().boxes_fired, 2u);
-  // The default engine finds everything memoized: zero fires, two hits.
-  ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(serial.stats().boxes_fired, 0u);
-  EXPECT_GE(serial.stats().cache_hits, 1u);
-  // And the reverse direction: the default engine's work is visible to the
-  // split engine.
-  ASSERT_TRUE(serial.Invalidate(graph_, dataflow::Invalidation::All()).ok());
-  ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
-  split.ResetStats();
-  ASSERT_TRUE(RowsOf(split.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(split.stats().boxes_fired, 0u);
-}
-
-TEST_F(EngineWithOneRowMorselsTest, ErrorMessagesMatchInline) {
+TEST_F(RuntimeEngineTest, ErrorCodesAndMessages) {
   std::string lone =
       graph_.AddBox(std::make_unique<RestrictBox>("v > 0")).value();
-  Engine serial(&catalog_);
-  Engine split(&catalog_);
-  SplitIntoOneRowMorsels(&split);
-  Status serial_status = serial.Evaluate(graph_, lone, 0).status();
-  Status split_status = split.Evaluate(graph_, lone, 0).status();
-  EXPECT_TRUE(serial_status.IsFailedPrecondition());
-  EXPECT_TRUE(split_status.IsFailedPrecondition());
-  EXPECT_EQ(serial_status.message(), split_status.message());
+  Engine engine(&catalog_);
+  Status dangling = engine.Evaluate(graph_, lone, 0).status();
+  EXPECT_TRUE(dangling.IsFailedPrecondition());
+  EXPECT_EQ(dangling.message(),
+            "box '" + lone + "' (Restrict) input 0 is not connected");
 
-  // Missing table, bad output port, unknown box: same codes as the default.
+  // Missing table, bad output port, unknown box.
   std::string bad = graph_.AddBox(std::make_unique<TableBox>("Nope")).value();
-  EXPECT_TRUE(split.Evaluate(graph_, bad, 0).status().IsNotFound());
+  EXPECT_TRUE(engine.Evaluate(graph_, bad, 0).status().IsNotFound());
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
-  Status oor = split.Evaluate(graph_, table, 3).status();
+  Status oor = engine.Evaluate(graph_, table, 3).status();
   EXPECT_TRUE(oor.IsOutOfRange());
-  EXPECT_EQ(oor.message(),
-            serial.Evaluate(graph_, table, 3).status().message());
-  EXPECT_TRUE(split.Evaluate(graph_, "missing", 0).status().IsNotFound());
+  EXPECT_EQ(oor.message(), "box '" + table + "' has no output 3");
+  EXPECT_TRUE(engine.Evaluate(graph_, "missing", 0).status().IsNotFound());
 }
 
-TEST_F(EngineWithOneRowMorselsTest, EvaluateAllSkipsDanglingLikeInline) {
+TEST_F(RuntimeEngineTest, EvaluateAllWarnsForEachSkippedBox) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   std::string a = graph_.AddBox(std::make_unique<RestrictBox>("v > 1")).value();
   std::string dangling =
@@ -270,58 +217,23 @@ TEST_F(EngineWithOneRowMorselsTest, EvaluateAllSkipsDanglingLikeInline) {
       graph_.AddBox(std::make_unique<RestrictBox>("v > 4")).value();
   ASSERT_TRUE(graph_.Connect(table, 0, a, 0).ok());
   ASSERT_TRUE(graph_.Connect(dangling, 0, downstream, 0).ok());
-  Engine serial(&catalog_);
-  ASSERT_TRUE(serial.EvaluateAll(graph_).ok());
-  Engine split(&catalog_);
-  SplitIntoOneRowMorsels(&split);
-  ASSERT_TRUE(split.EvaluateAll(graph_).ok());
-  EXPECT_EQ(split.stats().boxes_fired, serial.stats().boxes_fired);
-  EXPECT_EQ(split.stats().boxes_skipped, serial.stats().boxes_skipped);
-  EXPECT_EQ(split.stats().boxes_skipped, 2u);
-  EXPECT_EQ(split.warnings(), serial.warnings());
-}
-
-TEST_F(EngineWithOneRowMorselsTest, MemoizesAcrossEvaluations) {
-  std::string tail = BuildChain();
   Engine engine(&catalog_);
-  SplitIntoOneRowMorsels(&engine);
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
+  ASSERT_TRUE(engine.EvaluateAll(graph_).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
-  EXPECT_EQ(engine.stats().boxes_fired, 2u);
-  EXPECT_GE(engine.stats().cache_hits, 1u);
+  EXPECT_EQ(engine.stats().boxes_skipped, 2u);
+  // Each skipped box is reported, with why, in box order.
+  EXPECT_EQ(engine.warnings(),
+            (std::vector<std::string>{
+                "EvaluateAll: skipped box '" + dangling +
+                    "' (dangling input, cannot fire)",
+                "EvaluateAll: skipped box '" + downstream +
+                    "' (upstream of it has a dangling input)"}));
 }
 
-TEST_F(EngineWithOneRowMorselsTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
-  auto other = db::MakeRelation({Column{"w", DataType::kInt}},
-                                {{Value::Int(10)}, {Value::Int(20)}})
-                   .value();
-  ASSERT_TRUE(catalog_.RegisterTable("U", other).ok());
-  std::string t_tail = BuildChain();
-  std::string u = graph_.AddBox(std::make_unique<TableBox>("U")).value();
-  std::string u_tail =
-      graph_.AddBox(std::make_unique<RestrictBox>("w > 5")).value();
-  ASSERT_TRUE(graph_.Connect(u, 0, u_tail, 0).ok());
-  Engine engine(&catalog_);
-  SplitIntoOneRowMorsels(&engine);
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
-  EXPECT_EQ(engine.stats().boxes_fired, 4u);
-  EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
-                .value()
-                .entries_evicted,
-            2u);
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
-  EXPECT_EQ(engine.stats().boxes_fired, 6u);  // U's chain re-fired
-  ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
-  EXPECT_EQ(engine.stats().boxes_fired, 6u);  // T's chain stayed memoized
-}
-
-TEST_F(EngineWithOneRowMorselsTest, RecordsMetrics) {
+TEST_F(RuntimeEngineTest, RecordsMetrics) {
   std::string tail = BuildChain();
   Metrics metrics;
   Engine engine(&catalog_);
-  SplitIntoOneRowMorsels(&engine);
   engine.set_observer(&metrics);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, tail, 0)).ok());
@@ -383,9 +295,8 @@ class WarnBox : public dataflow::Box {
   size_t num_inputs_;
 };
 
-TEST_F(EngineWithOneRowMorselsTest, WarningsKeepPostOrder) {
+TEST_F(RuntimeEngineTest, WarningsKeepPostOrder) {
   // T -> {z, a} -> m. Post-order fires z, a, m; box-id order is a, m, z.
-  // Warnings are reported in post-order under every morsel size.
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("z", 1), "z").ok());
   ASSERT_TRUE(graph_.AddBox(std::make_unique<WarnBox>("a", 1), "a").ok());
@@ -394,16 +305,11 @@ TEST_F(EngineWithOneRowMorselsTest, WarningsKeepPostOrder) {
   ASSERT_TRUE(graph_.Connect(table, 0, "a", 0).ok());
   ASSERT_TRUE(graph_.Connect("z", 0, "m", 0).ok());
   ASSERT_TRUE(graph_.Connect("a", 0, "m", 1).ok());
-  const std::vector<std::string> expected = {
-      "warning from z", "warning from a", "warning from m"};
-
-  Engine serial(&catalog_);
-  ASSERT_TRUE(serial.Evaluate(graph_, "m", 0).ok());
-  EXPECT_EQ(serial.warnings(), expected);
-  Engine split(&catalog_);
-  SplitIntoOneRowMorsels(&split);
-  ASSERT_TRUE(split.Evaluate(graph_, "m", 0).ok());
-  EXPECT_EQ(split.warnings(), serial.warnings());
+  Engine engine(&catalog_);
+  ASSERT_TRUE(engine.Evaluate(graph_, "m", 0).ok());
+  EXPECT_EQ(engine.warnings(), (std::vector<std::string>{
+                                   "warning from z", "warning from a",
+                                   "warning from m"}));
 }
 
 TEST(LatencyHistogramTest, QuantilesAndCounts) {

@@ -5,8 +5,7 @@
 // columnar snapshot format (atomic publish, fingerprint verification,
 // corrupt-snapshot fallback), and the StorageEngine end to end: kill an
 // environment, recover the directory, and every fig program evaluates to
-// byte-identical fingerprints and memo stamps — under the session engine and
-// under an engine with 7-row morsels.
+// byte-identical fingerprints and memo stamps.
 
 #include <gtest/gtest.h>
 
@@ -691,11 +690,9 @@ Status NudgeRow(db::Catalog* catalog, const std::string& table, int i) {
 ///         then either close cleanly (snapshot) or drop abruptly (WAL-only).
 ///   env2: fresh environment; open the same dir; load the program; evaluate;
 ///         everything must be byte-identical.
-void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
-                          bool split_morsels) {
+void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close) {
   const std::string dir =
-      TestDir("engine_" + program.name + (clean_close ? "_clean" : "_kill") +
-              (split_morsels ? "_split" : "_whole"));
+      TestDir("engine_" + program.name + (clean_close ? "_clean" : "_kill"));
   std::map<std::string, std::string> ref_fingerprints;
   std::map<std::string, std::optional<uint64_t>> ref_stamps;
   std::map<std::string, uint64_t> ref_tables;
@@ -745,34 +742,17 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
     EXPECT_EQ(TableFingerprints(env.catalog()), ref_tables);
     EXPECT_EQ(TableVersions(env.catalog()), ref_versions);
     ASSERT_TRUE(env.session().LoadProgram("fig").ok());
-    if (split_morsels) {
-      dataflow::Engine engine(env.session().catalog());
-      db::ExecPolicy policy = db::DefaultExecPolicy();
-      policy.morsel_rows = 7;  // splits every table the program reads
-      engine.set_exec_policy(policy);
-      for (const Target& t : TargetsOf(env.session().graph())) {
-        auto value = engine.Evaluate(env.session().graph(), t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-        EXPECT_EQ(testing::FingerprintBoxValue(value.value()),
-                  ref_fingerprints.at(t.canvas))
-            << t.canvas;
-      }
-      for (const std::string& id : env.session().graph().BoxIds()) {
-        EXPECT_EQ(engine.cache().StampOf(id), ref_stamps.at(id)) << id;
-      }
-    } else {
-      for (const Target& t : TargetsOf(env.session().graph())) {
-        auto value = env.session().engine().Evaluate(env.session().graph(),
-                                                     t.from, t.from_port);
-        ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
-        EXPECT_EQ(testing::FingerprintBoxValue(value.value()),
-                  ref_fingerprints.at(t.canvas))
-            << t.canvas;
-      }
-      for (const std::string& id : env.session().graph().BoxIds()) {
-        EXPECT_EQ(env.session().engine().cache().StampOf(id), ref_stamps.at(id))
-            << id;
-      }
+    for (const Target& t : TargetsOf(env.session().graph())) {
+      auto value = env.session().engine().Evaluate(env.session().graph(), t.from,
+                                                   t.from_port);
+      ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
+      EXPECT_EQ(testing::FingerprintBoxValue(value.value()),
+                ref_fingerprints.at(t.canvas))
+          << t.canvas;
+    }
+    for (const std::string& id : env.session().graph().BoxIds()) {
+      EXPECT_EQ(env.session().engine().cache().StampOf(id), ref_stamps.at(id))
+          << id;
     }
     ASSERT_TRUE(env.ClosePersistent().ok());
   }
@@ -781,22 +761,14 @@ void CheckRestartIdentity(const testing::FigProgram& program, bool clean_close,
 TEST(StorageEngineTest, KillAndRecoverIsByteIdenticalOnEveryFigProgram) {
   for (const testing::FigProgram& program : testing::AllFigPrograms()) {
     SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/false, /*split_morsels=*/false);
+    CheckRestartIdentity(program, /*clean_close=*/false);
   }
 }
 
 TEST(StorageEngineTest, CleanCloseRecoversFromSnapshotOnEveryFigProgram) {
   for (const testing::FigProgram& program : testing::AllFigPrograms()) {
     SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/true, /*split_morsels=*/false);
-  }
-}
-
-TEST(StorageEngineTest, SplitMorselEvaluationAfterRecoveryMatches) {
-  std::vector<testing::FigProgram> programs = testing::AllFigPrograms();
-  for (const testing::FigProgram& program : programs) {
-    SCOPED_TRACE(program.name);
-    CheckRestartIdentity(program, /*clean_close=*/false, /*split_morsels=*/true);
+    CheckRestartIdentity(program, /*clean_close=*/true);
   }
 }
 

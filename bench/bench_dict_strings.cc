@@ -1,12 +1,11 @@
-// Dictionary-encoded string execution ablation (db/columnar.h dictionaries,
-// the comparison lowering in expr/batch.cc, code-hashed joins in
+// Dictionary-encoded string execution (db/columnar.h dictionaries, the
+// comparison lowering in expr/batch.cc, code-hashed joins in
 // db/operators.cc, and the columnar group-by in db/aggregates.cc). Three
-// categorical workloads over a ~200k-row station relation, each run three
-// ways — tuple-at-a-time scalar, vectorized without dictionaries, vectorized
-// with dictionaries — plus a fig07 program trace recording how the batch
-// counters move with encoding on vs off. Every variant is checked
-// cell-identical against the scalar oracle before anything is timed.
-// Writes bench_out/dict_strings.json.
+// categorical workloads over a ~200k-row station relation, each run two
+// ways — tuple-at-a-time scalar and vectorized on dictionary codes — plus a
+// fig07 program trace recording the batch counters a vectorized run moves.
+// The vectorized output is checked cell-identical against the scalar oracle
+// before anything is timed. Writes bench_out/dict_strings.json.
 //
 // Usage:
 //   bench_dict_strings [--rows=N] [--smoke] [--out=PATH]
@@ -71,25 +70,10 @@ Config ParseFlags(int argc, char** argv) {
 
 // Five string comparisons (two equalities, one inequality, one range) over
 // the two categorical columns, merged through and/or — every one lowers to
-// an integer-code lane kernel when `state`/`name` are dictionary-encoded.
+// an integer comparison on the `state`/`name` dictionary codes.
 constexpr const char* kCategoricalPredicate =
     "state = \"LA\" or state = \"CA\" or "
     "(state >= \"TN\" and state <= \"TX\") or name < \"B\"";
-
-/// Sets the process-default ExecPolicy for a scope — dictionaries are built
-/// when a relation first materializes its columnar image, so relations meant
-/// to differ in encoding must be *created and warmed* inside this scope.
-class PolicyScope {
- public:
-  explicit PolicyScope(const db::ExecPolicy& policy)
-      : saved_(db::DefaultExecPolicy()) {
-    db::SetDefaultExecPolicy(policy);
-  }
-  ~PolicyScope() { db::SetDefaultExecPolicy(saved_); }
-
- private:
-  db::ExecPolicy saved_;
-};
 
 db::ExecPolicy Vectorized() {
   db::ExecPolicy policy;
@@ -112,28 +96,19 @@ double TimeUs(int iters, Fn&& fn) {
   return std::chrono::duration<double, std::micro>(end - start).count() / iters;
 }
 
-/// Columns materialize lazily (one call_once per column), consulting the
-/// process-default policy at that moment — so "warm under this policy" means
-/// touching every column, not just grabbing the table.
-void WarmColumns(const db::RelationPtr& rel) {
-  for (size_t c = 0; c < rel->num_columns(); ++c) rel->columnar().column(c);
-}
-
-/// Builds the station relation and warms its columnar image under the given
-/// encoding policy, so one build carries dictionaries and the other does not.
-db::RelationPtr BuildStations(size_t rows, bool dict_encode) {
-  db::ExecPolicy policy = db::DefaultExecPolicy();
-  policy.dict_encode = dict_encode;
-  PolicyScope scope(policy);
+/// Builds the station relation with its columnar image (and so its
+/// dictionaries) built, so no timed run pays for materialization.
+db::RelationPtr BuildStations(size_t rows) {
   auto stations = Must(data::MakeStations(rows, 7), "stations");
-  WarmColumns(stations);
+  for (size_t c = 0; c < stations->num_columns(); ++c) stations->columnar().column(c);
   return stations;
 }
 
 /// Dimension relation keyed on the station states: one row per distinct
 /// state plus two keys no station carries (exercising unmatched probe
-/// entries), built under the given encoding policy.
-db::RelationPtr BuildStateDim(const db::RelationPtr& stations, bool dict_encode) {
+/// entries). Its key column has its own dictionary, so the join remaps the
+/// build side's codes into the probe side's.
+db::RelationPtr BuildStateDim(const db::RelationPtr& stations) {
   size_t state_col = stations->num_columns();
   for (size_t c = 0; c < stations->num_columns(); ++c) {
     if (stations->schema()->column(c).name == "state") state_col = c;
@@ -153,14 +128,11 @@ db::RelationPtr BuildStateDim(const db::RelationPtr& stations, bool dict_encode)
   }
   rows.push_back({Value::String("ZZ"), Value::Int(region++)});
   rows.push_back({Value::String(""), Value::Int(region++)});
-  db::ExecPolicy policy = db::DefaultExecPolicy();
-  policy.dict_encode = dict_encode;
-  PolicyScope scope(policy);
   auto dim = Must(db::MakeRelation({db::Column{"state_name", DataType::kString},
                                     db::Column{"region", DataType::kInt}},
                                    rows),
                   "state dim");
-  WarmColumns(dim);
+  for (size_t c = 0; c < dim->num_columns(); ++c) dim->columnar().column(c);
   return dim;
 }
 
@@ -192,18 +164,15 @@ struct Fig07Trace {
   uint64_t dict_columns_built = 0;
 };
 
-/// Evaluates the fig07 drill-down program end to end with dictionary
-/// encoding on or off and returns the batch counters the run produced.
-Fig07Trace TraceFig07(bool dict_encode) {
+/// Evaluates the fig07 drill-down program end to end under the default
+/// (vectorized) policy and returns the batch counters the run produced.
+Fig07Trace TraceFig07() {
   const testing::FigProgram* fig7 = nullptr;
   for (const testing::FigProgram& program : testing::AllFigPrograms()) {
     if (program.name.find("fig07") != std::string::npos) fig7 = &program;
   }
   Fig07Trace trace;
   if (fig7 == nullptr) return trace;
-  db::ExecPolicy policy = db::DefaultExecPolicy();
-  policy.dict_encode = dict_encode;
-  PolicyScope scope(policy);
   expr::BatchMetrics::Global().Reset();
   Environment env;
   MustOk(env.LoadDemoData(fig7->extra_stations, fig7->num_days), "fig07 data");
@@ -225,45 +194,27 @@ int Run(int argc, char** argv) {
                "categorical restrict / group-by / join on integer code lanes "
                "(§4.2 database operations over categorical attributes)");
 
-  auto stations_dict = BuildStations(config.rows, /*dict_encode=*/true);
-  auto stations_plain = BuildStations(config.rows, /*dict_encode=*/false);
+  auto stations = BuildStations(config.rows);
   const int scalar_iters = config.smoke ? 2 : 3;
   const int vec_iters = config.smoke ? 3 : 10;
 
   // ---- Workload 1: categorical compound Restrict. -------------------------
-  auto predicate_dict = Must(
-      db::CompilePredicate(stations_dict->schema(), kCategoricalPredicate),
-      "predicate");
-  auto predicate_plain = Must(
-      db::CompilePredicate(stations_plain->schema(), kCategoricalPredicate),
-      "predicate");
-  auto r_oracle =
-      Must(db::RestrictScalar(stations_dict, predicate_dict), "restrict oracle");
+  auto predicate = Must(
+      db::CompilePredicate(stations->schema(), kCategoricalPredicate), "predicate");
+  auto r_oracle = Must(db::RestrictScalar(stations, predicate), "restrict oracle");
   const uint64_t dict_batches_before =
       expr::BatchMetrics::Global().dict_simd_batches.load();
-  MustMatch(*r_oracle,
-            *Must(db::Restrict(stations_dict, predicate_dict, Vectorized()),
-                  "restrict dict"),
-            "restrict(dict)");
-  if (expr::BatchMetrics::Global().dict_simd_batches.load() <=
-      dict_batches_before) {
-    std::fprintf(stderr, "FATAL: restrict(dict) never dispatched a dict batch\n");
+  MustMatch(*r_oracle, *Must(db::Restrict(stations, predicate, Vectorized()), "restrict"),
+            "restrict");
+  if (expr::BatchMetrics::Global().dict_simd_batches.load() <= dict_batches_before) {
+    std::fprintf(stderr, "FATAL: restrict never dispatched a dictionary-code batch\n");
     return 1;
   }
-  MustMatch(*r_oracle,
-            *Must(db::Restrict(stations_plain, predicate_plain, Vectorized()),
-                  "restrict plain"),
-            "restrict(plain)");
   double restrict_scalar_us = TimeUs(scalar_iters, [&] {
-    benchmark::DoNotOptimize(db::RestrictScalar(stations_dict, predicate_dict));
+    benchmark::DoNotOptimize(db::RestrictScalar(stations, predicate));
   });
-  double restrict_plain_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::Restrict(stations_plain, predicate_plain, Vectorized()));
-  });
-  double restrict_dict_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::Restrict(stations_dict, predicate_dict, Vectorized()));
+  double restrict_vec_us = TimeUs(vec_iters, [&] {
+    benchmark::DoNotOptimize(db::Restrict(stations, predicate, Vectorized()));
   });
 
   // ---- Workload 2: group-by on the string key. ----------------------------
@@ -271,135 +222,72 @@ int Run(int argc, char** argv) {
       db::AggSpec{db::AggFn::kCount, "", "n"},
       db::AggSpec{db::AggFn::kAvg, "altitude", "avg_altitude"},
       db::AggSpec{db::AggFn::kMax, "name", "max_name"}};
-  auto g_oracle =
-      Must(db::GroupBy(stations_dict, {"state"}, aggs, Scalar()), "groupby oracle");
+  auto g_oracle = Must(db::GroupBy(stations, {"state"}, aggs, Scalar()), "groupby oracle");
   MustMatch(*g_oracle,
-            *Must(db::GroupBy(stations_dict, {"state"}, aggs, Vectorized()),
-                  "groupby dict"),
-            "groupby(dict)");
-  MustMatch(*g_oracle,
-            *Must(db::GroupBy(stations_plain, {"state"}, aggs, Vectorized()),
-                  "groupby plain"),
-            "groupby(plain)");
+            *Must(db::GroupBy(stations, {"state"}, aggs, Vectorized()), "groupby"),
+            "group-by");
   double groupby_scalar_us = TimeUs(scalar_iters, [&] {
-    benchmark::DoNotOptimize(db::GroupBy(stations_dict, {"state"}, aggs, Scalar()));
+    benchmark::DoNotOptimize(db::GroupBy(stations, {"state"}, aggs, Scalar()));
   });
-  double groupby_plain_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::GroupBy(stations_plain, {"state"}, aggs, Vectorized()));
-  });
-  double groupby_dict_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::GroupBy(stations_dict, {"state"}, aggs, Vectorized()));
+  double groupby_vec_us = TimeUs(vec_iters, [&] {
+    benchmark::DoNotOptimize(db::GroupBy(stations, {"state"}, aggs, Vectorized()));
   });
 
   // ---- Workload 3: string-key hash join against a state dimension. --------
-  auto dim_dict = BuildStateDim(stations_dict, /*dict_encode=*/true);
-  auto dim_plain = BuildStateDim(stations_dict, /*dict_encode=*/false);
-  auto j_oracle = Must(
-      db::Join(stations_dict, dim_dict, "state = state_name", Scalar()),
-      "join oracle");
-  const uint64_t remap_before =
-      expr::BatchMetrics::Global().dict_remap_fallbacks.load();
+  auto dim = BuildStateDim(stations);
+  auto j_oracle =
+      Must(db::Join(stations, dim, "state = state_name", Scalar()), "join oracle");
   MustMatch(*j_oracle.relation,
-            *Must(db::Join(stations_dict, dim_dict, "state = state_name",
-                           Vectorized()),
-                  "join dict")
+            *Must(db::Join(stations, dim, "state = state_name", Vectorized()), "join")
                  .relation,
-            "join(dict)");
-  if (expr::BatchMetrics::Global().dict_remap_fallbacks.load() != remap_before) {
-    std::fprintf(stderr, "FATAL: join(dict) fell back to string hashing\n");
-    return 1;
-  }
-  MustMatch(*j_oracle.relation,
-            *Must(db::Join(stations_plain, dim_plain, "state = state_name",
-                           Vectorized()),
-                  "join plain")
-                 .relation,
-            "join(plain)");
-  if (expr::BatchMetrics::Global().dict_remap_fallbacks.load() == remap_before) {
-    std::fprintf(stderr, "FATAL: join(plain) did not record its fallback\n");
-    return 1;
-  }
+            "join");
   double join_scalar_us = TimeUs(scalar_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::Join(stations_dict, dim_dict, "state = state_name", Scalar()));
+    benchmark::DoNotOptimize(db::Join(stations, dim, "state = state_name", Scalar()));
   });
-  double join_plain_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::Join(stations_plain, dim_plain, "state = state_name", Vectorized()));
-  });
-  double join_dict_us = TimeUs(vec_iters, [&] {
-    benchmark::DoNotOptimize(
-        db::Join(stations_dict, dim_dict, "state = state_name", Vectorized()));
+  double join_vec_us = TimeUs(vec_iters, [&] {
+    benchmark::DoNotOptimize(db::Join(stations, dim, "state = state_name", Vectorized()));
   });
 
-  // ---- fig07 trace: counters with encoding on vs off. ---------------------
-  Fig07Trace fig_on = TraceFig07(/*dict_encode=*/true);
-  Fig07Trace fig_off = TraceFig07(/*dict_encode=*/false);
-  if (fig_on.dict_columns_built > 0 && fig_on.dict_simd_batches == 0) {
-    std::fprintf(stderr,
-                 "FATAL: fig07 built dictionaries but never used them\n");
+  // ---- fig07 trace: the counters a vectorized run moves. ------------------
+  Fig07Trace fig = TraceFig07();
+  if (fig.dict_columns_built > 0 && fig.dict_simd_batches == 0) {
+    std::fprintf(stderr, "FATAL: fig07 built dictionaries but never used them\n");
     return 1;
   }
 
-  auto section = [](const char* name, double scalar_us, double plain_us,
-                    double dict_us) {
-    return std::string("\"") + name + "\":{" +
-           "\"scalar_us\":" + std::to_string(scalar_us) +
-           ",\"vectorized_plain_us\":" + std::to_string(plain_us) +
-           ",\"vectorized_dict_us\":" + std::to_string(dict_us) +
-           ",\"dict_vs_plain\":" + std::to_string(plain_us / dict_us) +
-           ",\"dict_vs_scalar\":" + std::to_string(scalar_us / dict_us) + "}";
+  auto section = [](const char* name, double scalar_us, double vec_us) {
+    return std::string("\"") + name + "\":{" + "\"scalar_us\":" +
+           std::to_string(scalar_us) + ",\"vectorized_us\":" + std::to_string(vec_us) +
+           ",\"vectorized_vs_scalar\":" + std::to_string(scalar_us / vec_us) + "}";
   };
   std::string json =
       std::string("{\"rows\":") + std::to_string(config.rows) +
       ",\"smoke\":" + (config.smoke ? "true" : "false") +
       ",\"predicate\":\"categorical compound (5 string comparisons)\"," +
-      section("restrict", restrict_scalar_us, restrict_plain_us,
-              restrict_dict_us) +
-      "," +
-      section("group_by", groupby_scalar_us, groupby_plain_us, groupby_dict_us) +
-      "," + section("join", join_scalar_us, join_plain_us, join_dict_us) +
-      ",\"fig07\":{\"dict_on\":{\"nodes_fallback\":" +
-      std::to_string(fig_on.nodes_fallback) +
-      ",\"nodes_vectorized\":" + std::to_string(fig_on.nodes_vectorized) +
-      ",\"dict_simd_batches\":" + std::to_string(fig_on.dict_simd_batches) +
-      ",\"dict_columns_built\":" + std::to_string(fig_on.dict_columns_built) +
-      "},\"dict_off\":{\"nodes_fallback\":" +
-      std::to_string(fig_off.nodes_fallback) +
-      ",\"nodes_vectorized\":" + std::to_string(fig_off.nodes_vectorized) +
-      ",\"dict_simd_batches\":" + std::to_string(fig_off.dict_simd_batches) +
-      ",\"dict_columns_built\":" + std::to_string(fig_off.dict_columns_built) +
-      "}}}";
+      section("restrict", restrict_scalar_us, restrict_vec_us) + "," +
+      section("group_by", groupby_scalar_us, groupby_vec_us) + "," +
+      section("join", join_scalar_us, join_vec_us) +
+      ",\"fig07\":{\"nodes_fallback\":" + std::to_string(fig.nodes_fallback) +
+      ",\"nodes_vectorized\":" + std::to_string(fig.nodes_vectorized) +
+      ",\"dict_simd_batches\":" + std::to_string(fig.dict_simd_batches) +
+      ",\"dict_columns_built\":" + std::to_string(fig.dict_columns_built) + "}}";
   std::ofstream out(config.out);
   out << json << "\n";
   out.close();
 
-  std::printf(
-      "  categorical restrict (%zu rows): %.0f us scalar, %.0f us plain "
-      "vectorized, %.0f us dict (%.2fx over plain, %.2fx over scalar)\n",
-      config.rows, restrict_scalar_us, restrict_plain_us, restrict_dict_us,
-      restrict_plain_us / restrict_dict_us,
-      restrict_scalar_us / restrict_dict_us);
-  std::printf(
-      "  state group-by:                  %.0f us scalar, %.0f us plain "
-      "vectorized, %.0f us dict (%.2fx over plain, %.2fx over scalar)\n",
-      groupby_scalar_us, groupby_plain_us, groupby_dict_us,
-      groupby_plain_us / groupby_dict_us, groupby_scalar_us / groupby_dict_us);
-  std::printf(
-      "  state-key join:                  %.0f us scalar, %.0f us plain "
-      "vectorized, %.0f us dict (%.2fx over plain, %.2fx over scalar)\n",
-      join_scalar_us, join_plain_us, join_dict_us, join_plain_us / join_dict_us,
-      join_scalar_us / join_dict_us);
-  std::printf(
-      "  fig07 trace: dict on — fallback %llu / vectorized %llu / dict "
-      "batches %llu; dict off — fallback %llu / vectorized %llu\n",
-      static_cast<unsigned long long>(fig_on.nodes_fallback),
-      static_cast<unsigned long long>(fig_on.nodes_vectorized),
-      static_cast<unsigned long long>(fig_on.dict_simd_batches),
-      static_cast<unsigned long long>(fig_off.nodes_fallback),
-      static_cast<unsigned long long>(fig_off.nodes_vectorized));
+  std::printf("  categorical restrict (%zu rows): %.0f us scalar, %.0f us vectorized (%.2fx)\n",
+              config.rows, restrict_scalar_us, restrict_vec_us,
+              restrict_scalar_us / restrict_vec_us);
+  std::printf("  state group-by:                  %.0f us scalar, %.0f us vectorized (%.2fx)\n",
+              groupby_scalar_us, groupby_vec_us, groupby_scalar_us / groupby_vec_us);
+  std::printf("  state-key join:                  %.0f us scalar, %.0f us vectorized (%.2fx)\n",
+              join_scalar_us, join_vec_us, join_scalar_us / join_vec_us);
+  std::printf("  fig07 trace: fallback %llu / vectorized %llu / dict batches %llu / "
+              "dictionaries built %llu\n",
+              static_cast<unsigned long long>(fig.nodes_fallback),
+              static_cast<unsigned long long>(fig.nodes_vectorized),
+              static_cast<unsigned long long>(fig.dict_simd_batches),
+              static_cast<unsigned long long>(fig.dict_columns_built));
   std::printf("  -> %s\n", config.out.c_str());
   return 0;
 }

@@ -7,13 +7,12 @@
 #               orphan the execution-model documentation, and that every
 #               file path those four documents name in backticks exists;
 #   2. tier 1 — build everything and run the full test suite;
-#   3. dict-smoke — a small-N run of the dictionary-encoding ablation
-#               (bench_dict_strings --smoke): runs the categorical restrict /
-#               group-by / string-key join workloads scalar, vectorized
-#               without dictionaries, and vectorized with dictionaries,
-#               asserting cell-identical outputs across all three, that the
-#               dict restrict actually dispatched code-lane batches, and that
-#               the dict join never fell back to string hashing; then
+#   3. dict-smoke — a small-N run of bench_dict_strings --smoke: runs the
+#               categorical restrict / group-by / string-key join workloads
+#               scalar and vectorized (a string column is its sorted
+#               dictionary, so the vectorized runs work on codes), asserting
+#               cell-identical outputs between the two and that the
+#               vectorized restrict dispatched dictionary-code batches; then
 #               validates the JSON.
 #   4. bench-smoke — 3-second runs of the interaction benchmark
 #               (interaction_bench/run.py) for drill, serve, and navigate,
@@ -39,7 +38,9 @@
 #   6. asan   — rebuild with Address+UB sanitizers and run the columnar /
 #               batch-evaluation / aggregates tests (the paths that index raw
 #               column vectors through selection vectors, row maps and
-#               dictionary codes), determinism_test, whose drill chain
+#               dictionary codes), join_test, whose string-key joins index
+#               remap tables and code arrays by raw index,
+#               determinism_test, whose drill chain
 #               groups a Sample view through its composed row map under
 #               every policy, program_io_test, which parses hostile
 #               saved programs, render_image_test, whose render images
@@ -53,10 +54,12 @@
 #               join/operator/aggregates tests, display_relation_test
 #               (whose Restricts feed computed-attribute vectors to the
 #               filter's comparison loop), determinism_test,
-#               program_io_test and the render-image and raster tests — the
-#               class of bug this catches mechanically is an out-of-range
-#               double->integer cast, like the old HashKey one or a pixel
-#               coordinate past INT_MAX;
+#               program_io_test, the render-image and raster tests, and the
+#               date, builtins and storage tests (integer and date arithmetic
+#               at the INT64 extremes, day counts decoded from raw bytes) —
+#               the class of bug this catches mechanically is an
+#               out-of-range double->integer cast, like the old HashKey one
+#               or a pixel coordinate past INT_MAX, or a signed overflow;
 #   8. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread
@@ -88,7 +91,7 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 mkdir -p bench_out  # the smoke benches' --out paths below write into it
-echo "== dict-smoke: dictionary-encoded string execution ablation, small N =="
+echo "== dict-smoke: string workloads scalar vs vectorized on dictionary codes, small N =="
 cmake --build build -j "$(nproc)" --target bench_dict_strings
 build/bench/bench_dict_strings --smoke --out=bench_out/dict_strings_smoke.json
 if command -v python3 >/dev/null 2>&1; then
@@ -125,23 +128,23 @@ cmake --build build-tsan -j "$(nproc)" --target \
 
 # ^determinism_test$ is anchored so the filter skips runtime_determinism_test,
 # which these two passes do not build.
-echo "== asan: columnar + batch evaluation + aggregates + determinism + program_io + render image + raster tests =="
+echo "== asan: columnar + batch evaluation + join + aggregates + determinism + program_io + render image + raster tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
 cmake --build build-asan -j "$(nproc)" --target \
-  columnar_test batch_eval_test operators_test display_relation_test \
+  columnar_test batch_eval_test operators_test join_test display_relation_test \
   aggregates_test determinism_test program_io_test render_image_test render_test \
   raster_reference_test
 (cd build-asan && ctest --output-on-failure \
-  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
+  -R 'columnar_test|batch_eval_test|operators_test|join_test|display_relation_test|aggregates_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
 
-echo "== ubsan: join + operator + aggregates + display relation + determinism + program_io + render image + raster tests =="
+echo "== ubsan: join + operator + aggregates + display relation + determinism + program_io + render image + raster + date + builtins + storage tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j "$(nproc)" --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
   display_relation_test determinism_test program_io_test render_image_test render_test \
-  raster_reference_test
+  raster_reference_test date_test builtins_test storage_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|display_relation_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|display_relation_test|^determinism_test$|program_io_test|render_image_test|^render_test$|raster_reference_test|^date_test$|^builtins_test$|^storage_test$')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j "$(nproc)" --target storage_test

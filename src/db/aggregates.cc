@@ -95,7 +95,7 @@ DataType AggResultType(const AggSpec& spec, DataType column_type) {
 //           of the ints' double images (ints beyond 2^53 that round together
 //           collapse into one group on both paths).
 //   kBool / kDate — ToString is injective per stored value.
-//   kString with a dictionary — equality ⇔ code equality. The TupleKey cell
+//   kString — equality ⇔ dictionary code equality. The TupleKey cell
 //           is "\x01v" + QuoteString(value), which is injective per value
 //           (interior quotes are escaped, so no value can forge a cell
 //           boundary). Distinct values containing the '\x01' tag byte are
@@ -135,7 +135,6 @@ bool ColumnarGroupKeysEligible(const Relation& input,
       case DataType::kDate:
         break;
       case DataType::kString:
-        if (!col.has_dict()) return false;
         for (const std::string& s : *col.dict_values) {
           if (s.find('\x01') != std::string::npos) return false;
         }
@@ -169,7 +168,7 @@ uint64_t HashKeyRow(const std::vector<const ColumnVector*>& cols, size_t r) {
         case DataType::kDate:
           cell = static_cast<uint64_t>(col->dates[r]) ^ 0xe7037ed1a0b428dbULL;
           break;
-        default:  // kString with a dictionary (eligibility guarantees it)
+        default:  // kString
           cell = static_cast<uint64_t>(col->dict_codes[r]) ^
                  0x8ebc6af09c88c6e3ULL;
           break;
@@ -206,48 +205,6 @@ bool KeysEqualRows(const std::vector<const ColumnVector*>& cols, size_t a,
     }
   }
   return true;
-}
-
-/// Three-way compare of two cells of one column, mirroring Value::Compare's
-/// `a < b ? -1 : (a > b ? 1 : 0)` construction exactly (numerics compare as
-/// double including int pairs; a NaN operand yields 0, so min/max keep the
-/// earlier row — same as the scalar loop). Dictionary string cells compare
-/// codes, valid because code order == string order.
-int CompareCells(const ColumnVector& col, size_t a, size_t b) {
-  switch (col.type) {
-    case DataType::kInt: {
-      const double x = static_cast<double>(col.ints[a]);
-      const double y = static_cast<double>(col.ints[b]);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kFloat: {
-      const double x = col.floats[a];
-      const double y = col.floats[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kBool: {
-      const int x = col.bools[a] != 0 ? 1 : 0;
-      const int y = col.bools[b] != 0 ? 1 : 0;
-      return x - y;
-    }
-    case DataType::kDate: {
-      const int64_t x = col.dates[a];
-      const int64_t y = col.dates[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString: {
-      if (col.has_dict()) {
-        const uint32_t x = col.dict_codes[a];
-        const uint32_t y = col.dict_codes[b];
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      const int c = col.strings[a].compare(col.strings[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case DataType::kDisplay:
-      break;  // rejected during validation
-  }
-  return 0;
 }
 
 /// Open-addressing table from a group key to its group id: power-of-two

@@ -37,9 +37,9 @@ struct AggSpec {
 /// Types: count -> int; sum/avg -> float; min/max -> the column's type.
 ///
 /// With `policy.vectorized` set, keys whose columns are int/bool/date or
-/// dictionary-encoded strings group on a columnar path (hashing typed cells
-/// and dictionary codes instead of building a TupleKey string per row);
-/// float keys and un-encoded strings take the scalar row loop. Both paths
+/// string group on a columnar path (hashing typed cells and dictionary codes
+/// instead of building a TupleKey string per row); float keys and strings
+/// holding the '\x01' tag byte take the scalar row loop. Both paths
 /// produce identical relations — group order is first appearance either way,
 /// and the columnar path reproduces TupleKey's exact grouping semantics
 /// (see aggregates.cc for the eligibility argument).

@@ -1,12 +1,13 @@
 #include "db/columnar.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
 
-#include "db/exec_policy.h"
 #include "db/relation.h"
 #include "expr/batch.h"
 
@@ -25,7 +26,7 @@ types::Value ColumnVector::ValueAt(size_t row) const {
     case DataType::kFloat:
       return Value::Float(floats[row]);
     case DataType::kString:
-      return Value::String(strings[row]);
+      return Value::String(string_at(row));
     case DataType::kDate:
       return Value::DateVal(types::Date(dates[row]));
     case DataType::kDisplay:
@@ -48,7 +49,7 @@ void ResizeTyped(ColumnVector* out, size_t n) {
       out->floats.resize(n);
       break;
     case DataType::kString:
-      out->strings.resize(n);
+      out->dict_codes.resize(n);
       break;
     case DataType::kDate:
       out->dates.resize(n);
@@ -64,46 +65,52 @@ void SetNullBit(ColumnVector* out, size_t n, size_t r) {
   out->null_bits[r >> 6] |= uint64_t{1} << (r & 63);
 }
 
-/// Builds the sorted dictionary of a freshly materialized kString column:
-/// one hash-map pass assigns provisional ids in first-appearance order, the
-/// distinct set is sorted ascending (std::string order == Value::Compare's
-/// string order, the property every ordered-comparison lowering relies on),
-/// and the per-row codes are remapped onto the sorted ranks. Views never
-/// call this — they share the parent's dict_values and gather codes.
-void BuildDictionary(ColumnVector* out) {
-  const size_t n = out->num_rows;
-  if (n > std::numeric_limits<uint32_t>::max()) return;  // codes are uint32
-  // string_views point into out->strings, which is fully materialized and
-  // stable for the rest of this function.
-  std::unordered_map<std::string_view, uint32_t> ids;
-  std::vector<uint32_t> provisional(n, 0);
-  std::vector<uint32_t> first_row;  // provisional id -> a row holding the value
-  for (size_t r = 0; r < n; ++r) {
-    if (out->IsNull(r)) continue;
-    auto [it, inserted] = ids.emplace(std::string_view(out->strings[r]),
-                                      static_cast<uint32_t>(first_row.size()));
-    if (inserted) first_row.push_back(static_cast<uint32_t>(r));
-    provisional[r] = it->second;
+/// Encodes a kString column while it materializes: Add gives each distinct
+/// value a provisional code in first-appearance order, keyed by a view into
+/// the row store's own string (rows are immutable and outlive the build), and
+/// Finish sorts the distinct values ascending (std::string order ==
+/// Value::Compare's string order, the property every ordered-comparison
+/// lowering relies on) and remaps the codes onto their sorted ranks. Views
+/// never encode — they share the parent's dict_values and gather codes.
+class DictionaryBuilder {
+ public:
+  uint32_t Add(std::string_view s) {
+    const auto [it, inserted] =
+        ids_.try_emplace(s, static_cast<uint32_t>(distinct_.size()));
+    if (inserted) {
+      // Codes stay below UINT32_MAX, which the join keeps for "no match".
+      if (distinct_.size() == std::numeric_limits<uint32_t>::max()) {
+        std::fputs("string column exceeds the dictionary's code range\n", stderr);
+        std::abort();
+      }
+      distinct_.push_back(s);
+    }
+    return it->second;
   }
-  std::vector<uint32_t> order(first_row.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return out->strings[first_row[a]] < out->strings[first_row[b]];
-  });
-  auto values = std::make_shared<std::vector<std::string>>();
-  values->reserve(order.size());
-  std::vector<uint32_t> remap(order.size());
-  for (uint32_t rank = 0; rank < order.size(); ++rank) {
-    remap[order[rank]] = rank;
-    values->push_back(out->strings[first_row[order[rank]]]);
+
+  void Finish(ColumnVector* out) const {
+    std::vector<uint32_t> order(distinct_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return distinct_[a] < distinct_[b]; });
+    auto values = std::make_shared<std::vector<std::string>>();
+    values->reserve(order.size());
+    std::vector<uint32_t> remap(order.size());
+    for (uint32_t rank = 0; rank < order.size(); ++rank) {
+      remap[order[rank]] = rank;
+      values->emplace_back(distinct_[order[rank]]);
+    }
+    for (size_t r = 0; r < out->num_rows; ++r) {
+      if (!out->IsNull(r)) out->dict_codes[r] = remap[out->dict_codes[r]];
+    }
+    out->dict_values = std::move(values);
+    ++expr::BatchMetrics::Global().dict_columns_built;
   }
-  out->dict_codes.assign(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    if (!out->IsNull(r)) out->dict_codes[r] = remap[provisional[r]];
-  }
-  out->dict_values = std::move(values);
-  ++expr::BatchMetrics::Global().dict_columns_built;
-}
+
+ private:
+  std::unordered_map<std::string_view, uint32_t> ids_;
+  std::vector<std::string_view> distinct_;  // provisional code -> value
+};
 
 }  // namespace
 
@@ -115,6 +122,7 @@ ColumnVector MaterializeColumn(
   out.num_rows = rows.size();
   const size_t n = rows.size();
   ResizeTyped(&out, n);
+  DictionaryBuilder dictionary;
   for (size_t r = 0; r < n; ++r) {
     const Value& v = (*rows[r])[column];
     if (v.is_null()) {
@@ -132,7 +140,7 @@ ColumnVector MaterializeColumn(
         out.floats[r] = v.float_value();
         break;
       case DataType::kString:
-        out.strings[r] = v.string_value();
+        out.dict_codes[r] = dictionary.Add(v.string_value());
         break;
       case DataType::kDate:
         out.dates[r] = v.date_value().DaysValue();
@@ -142,9 +150,7 @@ ColumnVector MaterializeColumn(
         break;
     }
   }
-  if (type == DataType::kString && DefaultExecPolicy().dict_encode) {
-    BuildDictionary(&out);
-  }
+  if (type == DataType::kString) dictionary.Finish(&out);
   return out;
 }
 
@@ -155,18 +161,14 @@ ColumnVector GatherColumn(const ColumnVector& src,
   out.num_rows = rows.size();
   const size_t n = rows.size();
   ResizeTyped(&out, n);
-  if (src.has_dict()) {
-    // Share the value table, gather only the codes: views never re-encode.
-    out.dict_values = src.dict_values;
-    out.dict_codes.resize(n, 0);
-  }
+  // Share the value table, gather only the codes: views never re-encode.
+  out.dict_values = src.dict_values;
   for (size_t k = 0; k < n; ++k) {
     const size_t r = rows[k];
     if (src.IsNull(r)) {
       SetNullBit(&out, n, k);
       continue;
     }
-    if (!out.dict_codes.empty()) out.dict_codes[k] = src.dict_codes[r];
     switch (src.type) {
       case DataType::kBool:
         out.bools[k] = src.bools[r];
@@ -178,7 +180,7 @@ ColumnVector GatherColumn(const ColumnVector& src,
         out.floats[k] = src.floats[r];
         break;
       case DataType::kString:
-        out.strings[k] = src.strings[r];
+        out.dict_codes[k] = src.dict_codes[r];
         break;
       case DataType::kDate:
         out.dates[k] = src.dates[r];
@@ -196,10 +198,7 @@ ColumnVector SplatCell(const ColumnVector& src, size_t row, size_t n) {
   out.type = src.type;
   out.num_rows = n;
   ResizeTyped(&out, n);
-  if (src.has_dict()) {
-    out.dict_values = src.dict_values;
-    out.dict_codes.assign(n, src.IsNull(row) ? 0u : src.dict_codes[row]);
-  }
+  out.dict_values = src.dict_values;
   if (src.IsNull(row)) {
     // Every row null: saturate the bitmap (bits past n are never read).
     out.null_bits.assign((n + 63) / 64, ~uint64_t{0});
@@ -216,7 +215,7 @@ ColumnVector SplatCell(const ColumnVector& src, size_t row, size_t n) {
       out.floats.assign(n, src.floats[row]);
       break;
     case DataType::kString:
-      out.strings.assign(n, src.strings[row]);
+      out.dict_codes.assign(n, src.dict_codes[row]);
       break;
     case DataType::kDate:
       out.dates.assign(n, src.dates[row]);

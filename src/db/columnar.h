@@ -34,29 +34,31 @@ struct ColumnVector {
   std::vector<uint8_t> bools;     // kBool
   std::vector<int64_t> ints;      // kInt
   std::vector<double> floats;     // kFloat
-  std::vector<std::string> strings;  // kString
   std::vector<int64_t> dates;     // kDate, as days since epoch
   std::vector<types::Value> boxed;   // kDisplay
 
-  /// Dictionary encoding of a kString column, built once when the column
-  /// first materializes (gated by the process-default ExecPolicy's
-  /// `dict_encode`; see MaterializeColumn). `dict_values` is the
+  /// A kString column is its sorted dictionary: `dict_values` is the
   /// sorted-unique value table in ascending std::string order — exactly the
   /// order Value::Compare gives strings, so code order == string order and
-  /// ordered comparisons are valid on codes. `dict_codes[r]` indexes it for
-  /// every non-null row r (null rows hold 0, never read). The canonical
-  /// `strings` vector is always populated too: the dictionary accelerates
-  /// downstream operators, it never replaces the typed vector.
+  /// ordered comparisons are valid on codes — and `dict_codes[r]` indexes it
+  /// for every non-null row r (null rows hold 0, never read). `dict_values`
+  /// is set on every kString column, empty or all-null ones included, and on
+  /// no other. A column holds at most UINT32_MAX distinct values, so every
+  /// code is below UINT32_MAX; materializing one with more aborts the
+  /// process.
   ///
   /// Selection/join views *share* `dict_values` (one shared_ptr copy) and
-  /// gather only the codes, so an encoding decision made once at base
-  /// materialization propagates through arbitrarily deep view chains
-  /// without re-encoding — and two columns with the same `dict_values`
-  /// pointer can compare, group, and join on codes alone.
+  /// gather only the codes, so the table built once at base materialization
+  /// propagates through arbitrarily deep view chains without re-encoding —
+  /// and two columns with the same `dict_values` pointer can compare, group,
+  /// and join on codes alone.
   std::shared_ptr<const std::vector<std::string>> dict_values;
   std::vector<uint32_t> dict_codes;
 
-  bool has_dict() const { return dict_values != nullptr; }
+  /// The text of non-null row `row` of a kString column.
+  const std::string& string_at(size_t row) const {
+    return (*dict_values)[dict_codes[row]];
+  }
 
   bool has_nulls() const { return !null_bits.empty(); }
 
@@ -93,6 +95,33 @@ class ColumnarTable {
   mutable std::vector<std::once_flag> once_;
   mutable std::vector<ColumnVector> columns_;
 };
+
+/// Three-way compare of rows `a` and `b` of one column, mirroring
+/// Value::Compare's `x < y ? -1 : (x > y ? 1 : 0)`: nulls first, numerics
+/// as double (int pairs too, and a NaN operand yields 0), strings by code,
+/// which is string order. Display columns compare equal (callers reject
+/// them first). The vectorized Sort and GroupBy's min/max share it.
+inline int CompareCells(const ColumnVector& col, size_t a, size_t b) {
+  const bool an = col.IsNull(a);
+  const bool bn = col.IsNull(b);
+  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+  auto three_way = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  switch (col.type) {
+    case types::DataType::kInt:
+      return three_way(static_cast<double>(col.ints[a]), static_cast<double>(col.ints[b]));
+    case types::DataType::kFloat:
+      return three_way(col.floats[a], col.floats[b]);
+    case types::DataType::kString:
+      return three_way(col.dict_codes[a], col.dict_codes[b]);
+    case types::DataType::kDate:
+      return three_way(col.dates[a], col.dates[b]);
+    case types::DataType::kBool:
+      return three_way(col.bools[a] != 0, col.bools[b] != 0);
+    case types::DataType::kDisplay:
+      break;
+  }
+  return 0;
+}
 
 /// Builds one typed column from shared rows (exposed for tests; Relation
 /// callers go through Relation::columnar()).

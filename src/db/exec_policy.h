@@ -38,18 +38,6 @@ struct ExecPolicy {
   /// SIMD tier for the typed batch kernels. Only consulted on the
   /// vectorized paths; all tiers produce bit-identical results.
   SimdLevel simd = SimdLevel::kAuto;
-
-  /// Build sorted dictionaries for string columns at columnar
-  /// materialization (db/columnar.h, ColumnVector::dict_values). Encoded
-  /// columns let string comparisons, group-by keys, and join keys run on
-  /// integer codes; the canonical `strings` vector is always materialized
-  /// regardless, so the toggle never changes results — it is the escape
-  /// hatch that keeps scalar-oracle runs free of encoding work entirely.
-  /// Consulted through the *process default* policy at the moment a column
-  /// first materializes (columnar images are shared caches, so a per-call
-  /// policy cannot apply); flip it with SetDefaultExecPolicy before the
-  /// first columnar() touch.
-  bool dict_encode = true;
 };
 
 /// The process-wide default policy, used whenever no explicit policy is

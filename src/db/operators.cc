@@ -290,7 +290,7 @@ uint64_t HashKeyCell(const ColumnVector& col, size_t row) {
     case DataType::kDate:
       return MixHash(kDateSeed ^ static_cast<uint64_t>(col.dates[row]));
     case DataType::kString:
-      return HashStringKey(col.strings[row]);
+      return HashStringKey(col.string_at(row));
     case DataType::kDisplay:
       return HashStringKey(col.boxed[row].ToString());
   }
@@ -313,7 +313,7 @@ bool JoinCellsEqual(const ColumnVector& a, size_t ar, const ColumnVector& b,
     case DataType::kBool:
       return a.bools[ar] == b.bools[br];
     case DataType::kString:
-      return a.strings[ar] == b.strings[br];
+      return a.string_at(ar) == b.string_at(br);
     case DataType::kDate:
       return a.dates[ar] == b.dates[br];
     case DataType::kDisplay:
@@ -595,55 +595,41 @@ Result<JoinResult> Join(const RelationPtr& left, const RelationPtr& right,
     metrics.join_hash_probe_rows += probe->num_rows();
     const ColumnVector& bcol = build->columnar().column(build_key);
     const ColumnVector& pcol = probe->columnar().column(probe_key);
-    std::optional<JoinPairs> pairs;
+    JoinPairs pairs;
     if (bcol.type == DataType::kString && pcol.type == DataType::kString) {
-      if (bcol.has_dict() && pcol.has_dict()) {
-        // Dictionary key path: hash and compare integer codes, never the
-        // strings. Codes are only comparable within one dictionary, so when
-        // the sides' tables differ the build side's codes are remapped onto
-        // probe-side codes once (one binary search per *distinct* build
-        // value); a build value absent from the probe dictionary can never
-        // match any probe row, so its rows are skipped like null keys. Pair
-        // output is identical to string hashing because code equality ⇔
-        // string equality after the remap.
-        constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
-        const bool shared = bcol.dict_values == pcol.dict_values;
-        std::vector<uint32_t> remap;
-        if (!shared) {
-          const std::vector<std::string>& bdict = *bcol.dict_values;
-          const std::vector<std::string>& pdict = *pcol.dict_values;
-          remap.resize(bdict.size(), kNoMatch);
-          for (size_t c = 0; c < bdict.size(); ++c) {
-            const auto it =
-                std::lower_bound(pdict.begin(), pdict.end(), bdict[c]);
-            if (it != pdict.end() && *it == bdict[c]) {
-              remap[c] = static_cast<uint32_t>(it - pdict.begin());
-            }
+      // String keys join on dictionary codes, never the strings. Codes are
+      // only comparable within one dictionary, so when the sides' tables
+      // differ the build side's codes are remapped onto probe-side codes
+      // once (one binary search per *distinct* build value); a build value
+      // absent from the probe dictionary can never match any probe row, so
+      // its rows are skipped like null keys. Code equality ⇔ string
+      // equality after the remap.
+      constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
+      const bool shared = bcol.dict_values == pcol.dict_values;
+      std::vector<uint32_t> remap;
+      if (!shared) {
+        const std::vector<std::string>& bdict = *bcol.dict_values;
+        const std::vector<std::string>& pdict = *pcol.dict_values;
+        remap.resize(bdict.size(), kNoMatch);
+        for (size_t c = 0; c < bdict.size(); ++c) {
+          const auto it = std::lower_bound(pdict.begin(), pdict.end(), bdict[c]);
+          if (it != pdict.end() && *it == bdict[c]) {
+            remap[c] = static_cast<uint32_t>(it - pdict.begin());
           }
         }
-        auto build_code = [&](size_t i) {
-          const uint32_t c = bcol.dict_codes[i];
-          return shared ? c : remap[c];
-        };
-        pairs = HashJoinPairs(
-            left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
-            [&](size_t i) {
-              return bcol.IsNull(i) || build_code(i) == kNoMatch;
-            },
-            [&](size_t i) { return MixHash(kStringSeed ^ build_code(i)); },
-            [&](size_t j) { return pcol.IsNull(j); },
-            [&](size_t j) { return MixHash(kStringSeed ^ pcol.dict_codes[j]); },
-            [&](size_t i, size_t j) {
-              return build_code(i) == pcol.dict_codes[j];
-            });
-      } else {
-        // String keys without dictionaries on both sides (encoding off, or
-        // mixed-provenance inputs): the generic cell path below rehashes the
-        // strings.
-        ++metrics.dict_remap_fallbacks;
       }
-    }
-    if (!pairs.has_value()) {
+      auto build_code = [&](size_t i) {
+        const uint32_t c = bcol.dict_codes[i];
+        return shared ? c : remap[c];
+      };
+      pairs = HashJoinPairs(
+          left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
+          [&](size_t i) { return bcol.IsNull(i) || build_code(i) == kNoMatch; },
+          [&](size_t i) { return MixHash(kStringSeed ^ build_code(i)); },
+          [&](size_t j) { return pcol.IsNull(j); },
+          [&](size_t j) { return MixHash(kStringSeed ^ pcol.dict_codes[j]); },
+          [&](size_t i, size_t j) { return build_code(i) == pcol.dict_codes[j]; });
+    } else {
       pairs = HashJoinPairs(
           left->num_rows(), build->num_rows(), probe->num_rows(), build_left,
           [&](size_t i) { return bcol.IsNull(i); },
@@ -653,8 +639,8 @@ Result<JoinResult> Join(const RelationPtr& left, const RelationPtr& right,
           [&](size_t i, size_t j) { return JoinCellsEqual(bcol, i, pcol, j); });
     }
     RelationPtr rel =
-        Relation::MakeJoinView(std::move(out_schema), left, std::move(pairs->left),
-                               right, std::move(pairs->right));
+        Relation::MakeJoinView(std::move(out_schema), left, std::move(pairs.left),
+                               right, std::move(pairs.right));
     return JoinResult{std::move(rel), JoinAlgorithm::kHash};
   }
 
@@ -691,42 +677,6 @@ Result<RelationPtr> NestedLoopJoin(const RelationPtr& left, const RelationPtr& r
                            : RunNestedLoop(left, right, out_schema, predicate);
 }
 
-namespace {
-
-/// Three-way compare of two cells of one typed column, mirroring
-/// Value::Compare exactly: nulls first, numeric columns compare as double
-/// (Value::Compare routes int pairs through AsDouble as well — keeping that
-/// quirk here is what makes the typed sort bit-identical to the scalar one).
-int CompareColumnCells(const ColumnVector& col, size_t a, size_t b) {
-  const bool an = col.IsNull(a);
-  const bool bn = col.IsNull(b);
-  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  switch (col.type) {
-    case DataType::kInt:
-    case DataType::kFloat: {
-      double x = col.type == DataType::kInt ? static_cast<double>(col.ints[a])
-                                            : col.floats[a];
-      double y = col.type == DataType::kInt ? static_cast<double>(col.ints[b])
-                                            : col.floats[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString: {
-      int c = col.strings[a].compare(col.strings[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case DataType::kDate: {
-      return col.dates[a] < col.dates[b] ? -1 : (col.dates[a] > col.dates[b] ? 1 : 0);
-    }
-    case DataType::kBool:
-      return (col.bools[a] ? 1 : 0) - (col.bools[b] ? 1 : 0);
-    case DataType::kDisplay:
-      break;  // rejected before the sort starts
-  }
-  return 0;
-}
-
-}  // namespace
-
 Result<RelationPtr> Sort(const RelationPtr& input, const std::string& column,
                          bool ascending, const ExecPolicy& policy) {
   TIOGA2_ASSIGN_OR_RETURN(size_t index, input->schema()->ColumnIndex(column));
@@ -742,7 +692,7 @@ Result<RelationPtr> Sort(const RelationPtr& input, const std::string& column,
     std::vector<uint32_t> order(input->num_rows());
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      int cmp = CompareColumnCells(col, a, b);
+      int cmp = CompareCells(col, a, b);
       return ascending ? cmp < 0 : cmp > 0;
     });
     return Relation::MakeSelectionView(input, std::move(order));

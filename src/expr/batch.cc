@@ -137,7 +137,6 @@ void BatchMetrics::Reset() {
   simd_scalar_fallbacks = 0;
   dict_columns_built = 0;
   dict_simd_batches = 0;
-  dict_remap_fallbacks = 0;
   sparse_gathers = 0;
 }
 
@@ -212,7 +211,7 @@ const std::string& ReadString(const Vec& v, size_t k) {
     case Vec::Rep::kConst:
       return v.cval.string_value();
     case Vec::Rep::kView:
-      return v.view->strings[(*v.view_sel)[k]];
+      return v.view->string_at((*v.view_sel)[k]);
     case Vec::Rep::kOwned:
       return v.strings[k];
   }
@@ -295,11 +294,10 @@ void WithComparison(BinaryOp op, Fn&& fn) {
   }
 }
 
-/// True when `v` reads a dictionary-encoded string column: the operand a
-/// string comparison can lower onto integer codes.
+/// True when `v` reads a string column, whose dictionary codes a string
+/// comparison can lower onto.
 bool DictCompareOperand(const Vec& v) {
-  return v.rep == Vec::Rep::kView && v.view->type == DataType::kString &&
-         v.view->has_dict();
+  return v.rep == Vec::Rep::kView && v.view->type == DataType::kString;
 }
 
 BinaryOp FlipComparison(BinaryOp op) {
@@ -753,13 +751,12 @@ bool TryEvalDisplayBuiltin(const ExprNode& node, const std::vector<Vec>& args,
     if (argc < 2 || !string_ok(0) || !numeric_ok(1)) return false;
     const bool have_color = argc == 3;
     if (argc > 3 || (have_color && !parse_colors(2))) return false;
-    // Dictionary splat: with an encoded label column and a constant size and
+    // Dictionary splat: with a label column and a constant size and
     // colour, rows with the same code yield the same drawable — format each
     // distinct code once and share the DrawableList across its rows (sharing
     // is established practice: a kConst display Vec already shares one list).
-    if (args[0].rep == Vec::Rep::kView && args[0].view->has_dict() &&
-        args[1].rep == Vec::Rep::kConst && !args[1].cval.is_null() &&
-        (!have_color || args[2].rep == Vec::Rep::kConst)) {
+    if (args[0].rep == Vec::Rep::kView && args[1].rep == Vec::Rep::kConst &&
+        !args[1].cval.is_null() && (!have_color || args[2].rep == Vec::Rep::kConst)) {
       const db::ColumnVector& col = *args[0].view;
       const std::vector<std::string>& dict = *col.dict_values;
       const double size_arg = args[1].cval.AsDouble();
@@ -832,7 +829,7 @@ Result<Vec> BatchEvaluator::Eval(const ExprNode& node, const Selection& sel) {
           if (v.IsNull(k)) {
             out.SetNull(k);
           } else if (*t == DataType::kInt) {
-            out.ints[k] = -ReadInt(v, k);
+            out.ints[k] = IntArith(BinaryOp::kSub, 0, ReadInt(v, k));
           } else {
             out.floats[k] = -ReadDouble(v, k);
           }
@@ -974,7 +971,7 @@ Result<Vec> BatchEvaluator::ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n)
     ++BatchMetrics::Global().simd_scalar_fallbacks;
   }
 
-  // Dictionary lowering: `string_column <cmp> constant` over an encoded
+  // Dictionary lowering: `string_column <cmp> constant` over a stored string
   // column becomes an integer comparison on its dictionary codes, read in
   // place through the selection: the constant resolves to a code-space
   // threshold once per batch. The bool bits are identical to the string
@@ -1064,11 +1061,7 @@ Result<Vec> BatchEvaluator::ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n)
           continue;
         }
         if (both_int) {
-          int64_t a = ReadInt(lhs, k);
-          int64_t b = ReadInt(rhs, k);
-          out.ints[k] = op == BinaryOp::kAdd   ? a + b
-                        : op == BinaryOp::kSub ? a - b
-                                               : a * b;
+          out.ints[k] = IntArith(op, ReadInt(lhs, k), ReadInt(rhs, k));
         } else {
           double a = ReadDouble(lhs, k);
           double b = ReadDouble(rhs, k);
@@ -1108,7 +1101,7 @@ Result<Vec> BatchEvaluator::ApplyBinary(BinaryOp op, Vec lhs, Vec rhs, size_t n)
         if (b == 0) {
           out.SetNull(k);
         } else {
-          out.ints[k] = ReadInt(lhs, k) % b;
+          out.ints[k] = IntArith(op, ReadInt(lhs, k), b);
         }
       }
       return out;

@@ -153,12 +153,10 @@ struct BatchMetrics {
   // Dictionary-encoded string execution (db/columnar.h): string columns that
   // built a dictionary at materialization, node-batches served from
   // dictionary codes (string comparisons lowered to code comparisons,
-  // text() distinct-code splats), string-key joins that fell back to string
-  // hashing because the sides' dictionaries could not be remapped, and
-  // sparse selections gathered dense before a SIMD kernel.
+  // text() distinct-code splats), and sparse selections gathered dense
+  // before a SIMD kernel.
   std::atomic<uint64_t> dict_columns_built{0};
   std::atomic<uint64_t> dict_simd_batches{0};
-  std::atomic<uint64_t> dict_remap_fallbacks{0};
   std::atomic<uint64_t> sparse_gathers{0};
   // Read by interaction_bench/workload.cc only; nothing bumps it.
   std::atomic<uint64_t> morsels_executed{0};

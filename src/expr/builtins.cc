@@ -272,7 +272,8 @@ void Registry::RegisterAll() {
   });
   add("date_from_days", {ParamType::kInt}, DataType::kDate,
       [](const Args& a) -> Result<Value> {
-        return Value::DateVal(types::Date(a[0].int_value()));
+        TIOGA2_ASSIGN_OR_RETURN(types::Date date, types::Date::FromDays(a[0].int_value()));
+        return Value::DateVal(date);
       });
 
   // ---- Null handling (null-opaque) ----

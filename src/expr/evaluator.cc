@@ -100,7 +100,7 @@ Result<Value> EvalCall(const ExprNode& node, const RowAccessor& row) {
 Value ApplyUnaryOp(UnaryOp op, const Value& v) {
   if (v.is_null()) return Value::Null();
   if (op == UnaryOp::kNeg) {
-    if (v.is_int()) return Value::Int(-v.int_value());
+    if (v.is_int()) return Value::Int(IntArith(BinaryOp::kSub, 0, v.int_value()));
     return Value::Float(-v.float_value());
   }
   return Value::Bool(!v.bool_value());
@@ -159,29 +159,31 @@ Result<Value> ApplyBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs) {
     return Value::Display(
         draw::CombineDrawableLists(lhs.display_value(), rhs.display_value(), 0, 0));
   }
-  // Date arithmetic.
+  // Date arithmetic. A result outside Date's range is an error, not a value;
+  // a sum that wraps lands near INT64_MIN or INT64_MAX, far outside it.
   if (lhs.is_date()) {
-    if (op == BinaryOp::kAdd && rhs.is_int()) {
-      return Value::DateVal(lhs.date_value().AddDays(rhs.int_value()));
-    }
-    if (op == BinaryOp::kSub && rhs.is_int()) {
-      return Value::DateVal(lhs.date_value().AddDays(-rhs.int_value()));
+    if ((op == BinaryOp::kAdd || op == BinaryOp::kSub) && rhs.is_int()) {
+      TIOGA2_ASSIGN_OR_RETURN(
+          types::Date date,
+          types::Date::FromDays(IntArith(op, lhs.date_value().DaysValue(), rhs.int_value())));
+      return Value::DateVal(date);
     }
     if (op == BinaryOp::kSub && rhs.is_date()) {
-      return Value::Int(lhs.date_value().DaysValue() - rhs.date_value().DaysValue());
+      return Value::Int(IntArith(op, lhs.date_value().DaysValue(),
+                                 rhs.date_value().DaysValue()));
     }
   }
 
   bool both_int = lhs.is_int() && rhs.is_int();
+  if (both_int && (op == BinaryOp::kAdd || op == BinaryOp::kSub || op == BinaryOp::kMul)) {
+    return Value::Int(IntArith(op, lhs.int_value(), rhs.int_value()));
+  }
   switch (op) {
     case BinaryOp::kAdd:
-      if (both_int) return Value::Int(lhs.int_value() + rhs.int_value());
       return Value::Float(lhs.AsDouble() + rhs.AsDouble());
     case BinaryOp::kSub:
-      if (both_int) return Value::Int(lhs.int_value() - rhs.int_value());
       return Value::Float(lhs.AsDouble() - rhs.AsDouble());
     case BinaryOp::kMul:
-      if (both_int) return Value::Int(lhs.int_value() * rhs.int_value());
       return Value::Float(lhs.AsDouble() * rhs.AsDouble());
     case BinaryOp::kDiv: {
       double denominator = rhs.AsDouble();
@@ -190,7 +192,7 @@ Result<Value> ApplyBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs) {
     }
     case BinaryOp::kMod: {
       if (rhs.int_value() == 0) return Value::Null();
-      return Value::Int(lhs.int_value() % rhs.int_value());
+      return Value::Int(IntArith(op, lhs.int_value(), rhs.int_value()));
     }
     default:
       return Status::Internal("unhandled binary operator at evaluation");

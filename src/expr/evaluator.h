@@ -1,6 +1,7 @@
 #ifndef TIOGA2_EXPR_EVALUATOR_H_
 #define TIOGA2_EXPR_EVALUATOR_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -42,8 +43,28 @@ class TupleAccessor : public RowAccessor {
 /// Null semantics (SQL-flavored): arithmetic and comparisons with a null
 /// operand yield null; and/or are three-valued (false and null = false,
 /// true or null = true); division or modulo by zero yields null rather than
-/// an error so that one bad tuple cannot take down a visualization.
+/// an error so that one bad tuple cannot take down a visualization. Integer
+/// arithmetic wraps (see IntArith).
 Result<types::Value> EvalExpr(const ExprNode& node, const RowAccessor& row);
+
+/// Integer `a <op> b` for op in + - * %, the one definition both evaluators
+/// use: + - * wrap in two's complement (computed through uint64_t, so never
+/// signed overflow), and x % -1 is 0, where INT64_MIN % -1 would trap. The
+/// caller maps x % 0 to null first. Negation is IntArith(kSub, 0, a).
+inline int64_t IntArith(BinaryOp op, int64_t a, int64_t b) {
+  const auto x = static_cast<uint64_t>(a);
+  const auto y = static_cast<uint64_t>(b);
+  switch (op) {
+    case BinaryOp::kAdd:
+      return static_cast<int64_t>(x + y);
+    case BinaryOp::kSub:
+      return static_cast<int64_t>(x - y);
+    case BinaryOp::kMul:
+      return static_cast<int64_t>(x * y);
+    default:  // kMod
+      return b == -1 ? 0 : a % b;
+  }
+}
 
 /// Applies one unary operator to an already-evaluated operand. This is the
 /// single definition of unary semantics: EvalExpr calls it per row and the

@@ -253,8 +253,6 @@ std::string Metrics::ToJson() const {
           std::to_string(batch.dict_columns_built.load());
   json += ",\"dict_simd_batches\":" +
           std::to_string(batch.dict_simd_batches.load());
-  json += ",\"dict_remap_fallbacks\":" +
-          std::to_string(batch.dict_remap_fallbacks.load());
   json += ",\"sparse_gathers\":" + std::to_string(batch.sparse_gathers.load());
   json += "}";
   const storage::StorageMetrics& stor = storage::StorageMetrics::Global();

@@ -192,7 +192,8 @@ Result<Value> DecodeValue(Decoder* dec) {
     }
     case kTagDate: {
       TIOGA2_ASSIGN_OR_RETURN(int64_t days, dec->GetI64());
-      return Value::DateVal(types::Date(days));
+      TIOGA2_ASSIGN_OR_RETURN(types::Date date, types::Date::FromDays(days));
+      return Value::DateVal(date);
     }
     default:
       return Status::ParseError("unknown cell tag " + std::to_string(tag));
@@ -263,7 +264,10 @@ Status EncodeRelation(const db::Relation& relation, Encoder* enc) {
         for (size_t r = 0; r < num_rows; ++r) enc->PutDouble(col.floats[r]);
         break;
       case DataType::kString:
-        for (size_t r = 0; r < num_rows; ++r) enc->PutString(col.strings[r]);
+        // A null row's payload is empty, whatever its code indexes.
+        for (size_t r = 0; r < num_rows; ++r) {
+          enc->PutString(col.IsNull(r) ? std::string_view() : col.string_at(r));
+        }
         break;
       case DataType::kDate:
         for (size_t r = 0; r < num_rows; ++r) enc->PutI64(col.dates[r]);
@@ -352,7 +356,8 @@ Result<db::RelationPtr> DecodeRelation(Decoder* dec) {
         }
         case DataType::kDate: {
           TIOGA2_ASSIGN_OR_RETURN(int64_t days, dec->GetI64());
-          v = Value::DateVal(types::Date(days));
+          TIOGA2_ASSIGN_OR_RETURN(types::Date date, types::Date::FromDays(days));
+          v = Value::DateVal(date);
           break;
         }
         case DataType::kDisplay:

@@ -47,15 +47,27 @@ Date Date::FromYmd(int year, int month, int day) {
   return Date(DaysFromCivil(y, m, day));
 }
 
+Result<Date> Date::FromDays(int64_t days) {
+  if (days < kMinDays || days > kMaxDays) {
+    return Status::OutOfRange("day count " + std::to_string(days) +
+                              " is outside the dates 0000-01-01 to 9999-12-31");
+  }
+  return Date(days);
+}
+
 bool Date::Parse(const std::string& text, Date* out) {
   int year = 0;
   int month = 0;
   int day = 0;
   char trailing = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d%c", &year, &month, &day, &trailing) != 3) {
+  // The field widths bound each number, so no year overflows an int.
+  if (std::sscanf(text.c_str(), "%4d-%2d-%2d%c", &year, &month, &day, &trailing) != 3) {
     return false;
   }
-  if (month < 1 || month > 12 || day < 1 || day > 31) return false;
+  static constexpr int kMonthDays[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+  if (year < 0 || month < 1 || month > 12 || day < 1) return false;
+  const bool leap = year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+  if (day > kMonthDays[month - 1] + (month == 2 && leap ? 1 : 0)) return false;
   *out = FromYmd(year, month, day);
   return true;
 }

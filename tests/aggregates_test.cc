@@ -221,7 +221,7 @@ TEST(GroupByColumnarTest, TagByteValuesFallBackAndStillAgree) {
   ExpectGroupByPathsAgree(rel, {"s", "t"}, {AggSpec{AggFn::kSum, "v", "total"}});
 }
 
-TEST(GroupByColumnarTest, FloatKeysAndUnencodedStringsStayOnTheScalarPath) {
+TEST(GroupByColumnarTest, FloatKeysStayOnTheScalarPath) {
   // Float keys are ineligible for the columnar path (FormatDouble("-0") !=
   // "0" although -0.0 == 0.0, and all NaNs format as "nan" while comparing
   // unequal) — both paths must still agree because the vectorized policy
@@ -237,18 +237,6 @@ TEST(GroupByColumnarTest, FloatKeysAndUnencodedStringsStayOnTheScalarPath) {
           .value();
   ExpectGroupByPathsAgree(rel, {"k"}, {AggSpec{AggFn::kSum, "v", "total"},
                                        AggSpec{AggFn::kCount, "", "n"}});
-
-  // Un-encoded strings (dict_encode off at materialization) likewise decline.
-  ExecPolicy no_dict = DefaultExecPolicy();
-  no_dict.dict_encode = false;
-  SetDefaultExecPolicy(no_dict);
-  RelationPtr plain = Sales();
-  plain->columnar();
-  no_dict.dict_encode = true;
-  SetDefaultExecPolicy(no_dict);
-  ExpectGroupByPathsAgree(plain, {"region", "product"},
-                          {AggSpec{AggFn::kCount, "", "n"},
-                           AggSpec{AggFn::kSum, "units", "total"}});
 }
 
 // ---- Group-by through a selection view's row map ----------------------------

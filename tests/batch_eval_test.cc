@@ -53,22 +53,6 @@ class VectorizedGuard {
   db::ExecPolicy saved_;
 };
 
-/// Pins ExecPolicy::dict_encode for a scope. Dictionaries are built when a
-/// relation first materializes its columnar image, so the guard must be in
-/// scope before the relation under test is created.
-class DictGuard {
- public:
-  explicit DictGuard(bool dict_encode) : saved_(db::DefaultExecPolicy()) {
-    db::ExecPolicy policy = saved_;
-    policy.dict_encode = dict_encode;
-    db::SetDefaultExecPolicy(policy);
-  }
-  ~DictGuard() { db::SetDefaultExecPolicy(saved_); }
-
- private:
-  db::ExecPolicy saved_;
-};
-
 RelationPtr Mixed() {
   return MakeRelation(
              {Column{"i", DataType::kInt}, Column{"f", DataType::kFloat},
@@ -380,9 +364,10 @@ uint64_t ExpectSimdMatchesScalar(const expr::CompiledExpr& compiled,
 /// +0.0 vs -0.0, ±infinity, INT64_MIN/MAX (the doubles they round to), with
 /// nulls at mutually prime periods so null words fill differently per column.
 /// `e` cycles ±2^53 and their outer neighbours, which share their double
-/// images. `big`/`big2`/`e` only ever appear under comparisons and division —
-/// never +,-,*,% — so the scalar reference stays free of signed overflow
-/// (this test also runs under UBSan via scripts/check.sh).
+/// images. `big`/`big2` also feed +, -, *, % and negation, which wrap (and
+/// x % -1 is 0) on both paths through expr::IntArith, so neither evaluator
+/// overflows a signed integer (this test also runs under UBSan via
+/// scripts/check.sh).
 RelationPtr SpecialRelation(size_t n) {
   const double kInf = std::numeric_limits<double>::infinity();
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -439,9 +424,12 @@ TEST(SimdEquivalenceTest, BoundaryLengthsAndSpecialPayloads) {
            // Mixed int/float promotes through the cvt kernel.
            "i < f", "i + f", "i * f",
            // INT64 extremes: comparisons and division compare/convert as
-           // double exactly like the scalar path.
+           // double exactly like the scalar path; + - * and negation wrap,
+           // and INT64_MIN % -1 is 0.
            "big < big2", "big <= big2", "big = big2", "big != big2",
            "big >= big2", "big > big2", "big / j",
+           "big + big2", "big - big2", "big * big2", "big * j", "-big",
+           "big % big2", "big % j", "big2 % -1",
            // 3VL merges.
            "b and c", "b or c", "(f < g) and (i < j)", "(f = g) or (b and c)",
        }) {
@@ -461,6 +449,53 @@ TEST(SimdEquivalenceTest, BoundaryLengthsAndSpecialPayloads) {
 #if defined(TIOGA2_SIMD_ENABLED)
   EXPECT_GT(dispatched, 0u);  // the kernels actually ran
 #endif
+}
+
+TEST(IntegerOverflowTest, WrapsAndModMinusOneIsZeroUnderEveryPolicy) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  RelationPtr rel =
+      MakeRelation({Column{"i", DataType::kInt}, Column{"j", DataType::kInt}},
+                   {{Value::Int(kMin), Value::Int(-1)},
+                    {Value::Int(kMax), Value::Int(kMin)},
+                    {Value::Int(-7), Value::Int(kMax)},
+                    {Value::Int(0), Value::Int(-1)},
+                    {Value::Null(), Value::Int(-1)},
+                    {Value::Int(kMin), Value::Null()}})
+          .value();
+  for (const char* predicate : {
+           "i % -1 = 0", "i % j = 0", "-i = i", "i + j < i", "i - j > i",
+           "i * j = 0", "i * 2 = 0", "(-9223372036854775807 - 1) % -1 = 0",
+           "-(-9223372036854775807 - 1) < 0", "9223372036854775807 + 1 < 0",
+       }) {
+    ExpectSameRestrict(rel, predicate);
+  }
+  // The values themselves, folded at compile time and evaluated per row.
+  struct Case {
+    const char* source;
+    int64_t row0;  // i = INT64_MIN, j = -1
+  } cases[] = {{"i % -1", 0},     {"i % j", 0},    {"-i", kMin},
+               {"i - 1", kMax},   {"i * j", kMin}, {"i + i", 0},
+               {"(-9223372036854775807 - 1) % -1", 0},
+               {"-(-9223372036854775807 - 1)", kMin}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.source);
+    auto compiled = expr::CompiledExpr::Compile(c.source, db::SchemaEnv(rel->schema()));
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    expr::TupleAccessor accessor(rel->row(0));
+    auto scalar = compiled->Eval(accessor);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    EXPECT_EQ(scalar->int_value(), c.row0);
+    expr::Selection sel;
+    expr::IdentitySelection(0, rel->num_rows(), &sel);
+    for (db::SimdLevel level : DistinctLevels()) {
+      ExpectSimdMatchesScalar(*compiled, rel, level, sel);
+    }
+  }
+  // Restrict keeps the rows whose i % -1 is 0: every non-null one.
+  auto compiled = db::CompilePredicate(rel->schema(), "i % -1 = 0");
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(db::Restrict(rel, *compiled, db::ExecPolicy{}).value()->num_rows(), 5u);
 }
 
 TEST(SimdEquivalenceTest, SelectionShapesDispatchOrFallBack) {
@@ -694,18 +729,15 @@ TEST(BatchEvalStampRegressionTest, VectorizationCannotChangeFingerprintsOrStamps
 
     // Pass 0: scalar row-at-a-time. Pass 1: vectorized typed loops with the
     // SIMD tiers pinned off. Pass 2: vectorized with the best SIMD tier the
-    // host supports forced on (kAVX2 clamps down on lesser machines) and
-    // dictionary encoding at its default (on) — the dict-SIMD paths run here.
-    // Pass 3: like pass 2 but with dictionary encoding disabled, so the
-    // string comparisons/joins/group-bys take their generic paths. All four
-    // must agree bit-for-bit or memoization would churn on a policy flip.
-    std::map<std::string, std::string> fingerprints[4];
-    std::map<std::string, std::optional<uint64_t>> stamps[4];
-    for (int pass = 0; pass < 4; ++pass) {
+    // host supports forced on (kAVX2 clamps down on lesser machines). String
+    // work runs on dictionary codes in passes 1 and 2. All three must agree
+    // bit-for-bit or memoization would churn on a policy flip.
+    std::map<std::string, std::string> fingerprints[3];
+    std::map<std::string, std::optional<uint64_t>> stamps[3];
+    for (int pass = 0; pass < 3; ++pass) {
       VectorizedGuard guard(pass >= 1);
       SimdGuard simd_guard(pass >= 2 ? db::SimdLevel::kAVX2
                                      : db::SimdLevel::kScalar);
-      DictGuard dict_guard(pass != 3);
       Environment env;
       ASSERT_TRUE(env.LoadDemoData(program.extra_stations, program.num_days).ok());
       Status built = program.build(&env);
@@ -721,7 +753,7 @@ TEST(BatchEvalStampRegressionTest, VectorizationCannotChangeFingerprintsOrStamps
         stamps[pass][id] = session.engine().cache().StampOf(id);
       }
     }
-    for (int pass = 1; pass < 4; ++pass) {
+    for (int pass = 1; pass < 3; ++pass) {
       EXPECT_EQ(fingerprints[0], fingerprints[pass]) << "pass " << pass;
       EXPECT_EQ(stamps[0], stamps[pass]) << "pass " << pass;
     }
@@ -814,26 +846,22 @@ TEST(DictExecutionTest, RestrictLeafCountsOneDictBatchPerBatch) {
   }
 }
 
-TEST(DictExecutionTest, DictOnAndOffProduceIdenticalRestricts) {
-  // Dictionaries are built at materialization, so each policy needs its own
-  // freshly built relation. Every pairing — dict on/off × vectorized
-  // on/off — must produce the same relation bytes.
+TEST(DictExecutionTest, VectorizedRestrictsMatchScalar) {
+  // Each policy restricts its own freshly built relation, whose columns (and
+  // dictionaries) materialize under it; both must produce the same bytes.
   const char* predicates[] = {"s >= \"beta\"", "s != \"alpha\" and i <= 2",
                               "s < \"b\" or s > \"omeg\""};
   for (const char* predicate : predicates) {
     SCOPED_TRACE(predicate);
     std::vector<RelationPtr> results;
-    for (bool dict_on : {true, false}) {
-      for (bool vec_on : {true, false}) {
-        DictGuard dict_guard(dict_on);
-        VectorizedGuard vec_guard(vec_on);
-        RelationPtr rel = CategoricalRelation(150);
-        auto compiled = db::CompilePredicate(rel->schema(), predicate);
-        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-        auto restricted = db::Restrict(rel, compiled.value());
-        ASSERT_TRUE(restricted.ok()) << restricted.status().ToString();
-        results.push_back(restricted.value());
-      }
+    for (bool vec_on : {true, false}) {
+      VectorizedGuard vec_guard(vec_on);
+      RelationPtr rel = CategoricalRelation(150);
+      auto compiled = db::CompilePredicate(rel->schema(), predicate);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      auto restricted = db::Restrict(rel, compiled.value());
+      ASSERT_TRUE(restricted.ok()) << restricted.status().ToString();
+      results.push_back(restricted.value());
     }
     for (size_t k = 1; k < results.size(); ++k) {
       EXPECT_TRUE(db::RelationEquals(*results[0], *results[k]))
@@ -1251,6 +1279,40 @@ TEST(SortTest, VectorizedMatchesScalarIncludingNulls) {
           << "vectorized:\n"
           << (*on)->ToString() << "scalar:\n"
           << (*off)->ToString();
+    }
+  }
+}
+
+TEST(SortTest, StringColumnWithTiesAndNulBytesMatchesScalar) {
+  // The vectorized sort compares dictionary codes; the scalar one compares
+  // the strings. Ties must keep input order on both (the ids show it).
+  const std::string nul("a\0b", 3);
+  const std::string nul2("a\0a", 3);
+  const Value labels[] = {Value::String("b"), Value::String(nul),  Value::Null(),
+                          Value::String(""),  Value::String("a"),  Value::String(nul2),
+                          Value::String("b"), Value::String(nul),  Value::String("\x01"),
+                          Value::Null(),      Value::String(""),   Value::String("a")};
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < std::size(labels); ++r) {
+    rows.push_back({labels[r], Value::Int(static_cast<int64_t>(r))});
+  }
+  RelationPtr base =
+      MakeRelation({Column{"s", DataType::kString}, Column{"id", DataType::kInt}}, rows)
+          .value();
+  // Also sort a selection view, whose string column is gathered codes.
+  RelationPtr view = db::Relation::MakeSelectionView(base, {11, 3, 3, 7, 1, 9, 0, 5});
+  for (const RelationPtr& rel : {base, view}) {
+    for (bool ascending : {true, false}) {
+      SCOPED_TRACE(ascending ? "asc" : "desc");
+      auto vectorized = db::Sort(rel, "s", ascending, db::ExecPolicy{});
+      db::ExecPolicy scalar_policy;
+      scalar_policy.vectorized = false;
+      auto scalar = db::Sort(rel, "s", ascending, scalar_policy);
+      ASSERT_TRUE(vectorized.ok() && scalar.ok());
+      EXPECT_TRUE(db::RelationEquals(**vectorized, **scalar))
+          << "vectorized:\n"
+          << (*vectorized)->ToString() << "scalar:\n"
+          << (*scalar)->ToString();
     }
   }
 }

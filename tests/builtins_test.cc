@@ -129,6 +129,28 @@ TEST_F(BuiltinsTest, Dates) {
   EXPECT_TRUE(Eval("date(\"bogus\")").status().IsParseError());
 }
 
+TEST_F(BuiltinsTest, DatesOutsideTheRangeAreErrorsNotValues) {
+  // Impossible days and five-digit years do not parse.
+  EXPECT_TRUE(Eval("date(\"2023-02-29\")").status().IsParseError());
+  EXPECT_TRUE(Eval("date(\"2024-04-31\")").status().IsParseError());
+  EXPECT_TRUE(Eval("date(\"99999999999-01-01\")").status().IsParseError());
+  EXPECT_EQ(Eval("date(\"2024-02-29\") + 1")->date_value().ToString(), "2024-03-01");
+  // date_from_days and date ± int refuse day counts past 0000-01-01 and
+  // 9999-12-31, including ones whose sum would overflow int64.
+  EXPECT_EQ(Eval("date_from_days(2932896)")->date_value().ToString(), "9999-12-31");
+  EXPECT_EQ(Eval("date_from_days(-719528)")->date_value().ToString(), "0000-01-01");
+  EXPECT_TRUE(Eval("date_from_days(2932897)").status().IsOutOfRange());
+  EXPECT_TRUE(Eval("date_from_days(9223372036854775802)").status().IsOutOfRange());
+  EXPECT_TRUE(Eval("date_from_days(n - 9223372036854775807)").status().IsOutOfRange());
+  EXPECT_TRUE(Eval("date(\"9999-12-31\") + 1").status().IsOutOfRange());
+  EXPECT_TRUE(Eval("date(\"0000-01-01\") - 1").status().IsOutOfRange());
+  EXPECT_TRUE(Eval("date(\"1970-01-01\") + 9223372036854775807").status().IsOutOfRange());
+  EXPECT_TRUE(
+      Eval("date(\"1970-01-01\") - (-9223372036854775807 - 1)").status().IsOutOfRange());
+  EXPECT_EQ(Eval("date(\"9999-12-31\") - date(\"0000-01-01\")")->int_value(),
+            2932896 + 719528);
+}
+
 TEST_F(BuiltinsTest, Colors) {
   EXPECT_EQ(Eval("rgb(255, 0, 16)")->string_value(), "#ff0010");
   EXPECT_EQ(Eval("rgb(300, -5, 0)")->string_value(), "#ff0000");  // clamped

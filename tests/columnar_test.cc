@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "db/columnar.h"
-#include "db/exec_policy.h"
 #include "db/relation.h"
 #include "types/date.h"
 
@@ -167,26 +167,10 @@ TEST(ColumnarTest, ConcurrentMaterializationIsSafe) {
   EXPECT_EQ(rel->columnar().column(0).ints.size(), 10000u);
 }
 
-// ---- Dictionary encoding ---------------------------------------------------
-// kString columns additionally carry a sorted-unique dictionary plus per-row
-// codes (db/columnar.h). The canonical `strings` vector stays authoritative;
-// the dictionary is an accelerator, so every test here checks both that the
-// encoding round-trips and that the plain string data is untouched.
-
-/// Pins ExecPolicy::dict_encode for a scope (materialization consults the
-/// process default).
-class DictGuard {
- public:
-  explicit DictGuard(bool dict_encode) : saved_(DefaultExecPolicy()) {
-    ExecPolicy policy = saved_;
-    policy.dict_encode = dict_encode;
-    SetDefaultExecPolicy(policy);
-  }
-  ~DictGuard() { SetDefaultExecPolicy(saved_); }
-
- private:
-  ExecPolicy saved_;
-};
+// ---- The string column: a sorted dictionary --------------------------------
+// A kString column is stored only as its dictionary (db/columnar.h): sorted,
+// unique dict_values plus one code per row. Every way a string column is
+// built must decode, row by row, to exactly the values the row store holds.
 
 RelationPtr StringRelation(const std::vector<Value>& cells) {
   std::vector<Tuple> rows;
@@ -194,115 +178,116 @@ RelationPtr StringRelation(const std::vector<Value>& cells) {
   return MakeRelation({Column{"s", DataType::kString}}, rows).value();
 }
 
-/// Every non-null row's code must index a dictionary entry equal to its
-/// string; null rows carry code 0; the dictionary is sorted and unique.
-void ExpectDictConsistent(const ColumnVector& col) {
-  ASSERT_TRUE(col.has_dict());
-  ASSERT_EQ(col.dict_codes.size(), col.num_rows);
+/// Column `c` of `rel`, read from the row store.
+std::vector<Value> RowValues(const Relation& rel, size_t c) {
+  std::vector<Value> values;
+  for (size_t r = 0; r < rel.num_rows(); ++r) values.push_back(rel.at(r, c));
+  return values;
+}
+
+/// `col` decodes through its dictionary to exactly `want`: the dictionary
+/// is sorted and unique, a null row is null and holds code 0, and a non-null
+/// row's code is the rank of its value in the dictionary.
+void ExpectDecodesTo(const ColumnVector& col, const std::vector<Value>& want) {
+  ASSERT_EQ(col.type, DataType::kString);
+  ASSERT_NE(col.dict_values, nullptr);
+  ASSERT_EQ(col.num_rows, want.size());
+  ASSERT_EQ(col.dict_codes.size(), want.size());
   const std::vector<std::string>& dict = *col.dict_values;
-  EXPECT_TRUE(std::is_sorted(dict.begin(), dict.end()));
-  EXPECT_EQ(std::adjacent_find(dict.begin(), dict.end()), dict.end());
-  for (size_t r = 0; r < col.num_rows; ++r) {
-    if (col.IsNull(r)) {
+  EXPECT_TRUE(std::adjacent_find(dict.begin(), dict.end(),
+                                 std::greater_equal<std::string>()) == dict.end());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(col.IsNull(r), want[r].is_null()) << "row " << r;
+    if (want[r].is_null()) {
       EXPECT_EQ(col.dict_codes[r], 0u) << "row " << r;
-    } else {
-      ASSERT_LT(col.dict_codes[r], dict.size()) << "row " << r;
-      EXPECT_EQ(dict[col.dict_codes[r]], col.strings[r]) << "row " << r;
+      EXPECT_TRUE(col.ValueAt(r).is_null());
+      continue;
+    }
+    const std::string& text = want[r].string_value();
+    const auto rank = std::lower_bound(dict.begin(), dict.end(), text) - dict.begin();
+    EXPECT_EQ(col.dict_codes[r], static_cast<uint32_t>(rank)) << "row " << r;
+    EXPECT_EQ(col.string_at(r), text) << "row " << r;
+    EXPECT_TRUE(col.ValueAt(r) == want[r]) << "row " << r;
+  }
+}
+
+TEST(ColumnarDictTest, EveryStringColumnDecodesToTheRowStore) {
+  const std::string with_nul("a\0b", 3);
+  std::vector<Value> one(100, Value::String("only"));
+  std::vector<Value> distinct;
+  for (int i = 0; i < 50; ++i) distinct.push_back(Value::String("v" + std::to_string(i)));
+  const std::vector<std::vector<Value>> columns = {
+      // Duplicates, the empty string, an embedded NUL, the '\x01' tag byte,
+      // multi-byte UTF-8 and nulls.
+      {Value::String("pear"), Value::String("apple"), Value::String(""),
+       Value::String("pear"), Value::String("\xc3\xa9" "clair"), Value::Null(),
+       Value::String(with_nul), Value::String("\x01tag"), Value::String("apple"),
+       Value::Null(), Value::String("\xe6\x97\xa5\xe6\x9c\xac")},
+      one,
+      distinct,
+      {Value::Null(), Value::Null(), Value::Null()},
+      {},
+  };
+  for (const std::vector<Value>& cells : columns) {
+    SCOPED_TRACE(cells.size());
+    RelationPtr base = StringRelation(cells);
+    const ColumnVector& col = base->columnar().column(0);
+    ExpectDecodesTo(col, cells);
+    // The base's dictionary is exactly its distinct non-null values.
+    std::vector<std::string> values;
+    for (const Value& v : cells) {
+      if (!v.is_null()) values.push_back(v.string_value());
+    }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    EXPECT_EQ(*col.dict_values, values);
+
+    // Views share the base's dictionary and gather codes: a duplicated,
+    // out-of-order selection view, a view of it, and each side of a join
+    // view (here the base joined with itself, left rows reversed).
+    const auto n = static_cast<uint32_t>(cells.size());
+    std::vector<uint32_t> picks;
+    for (uint32_t r = n; r-- > 0;) picks.push_back(r);
+    if (n > 0) picks.insert(picks.end(), {0, n / 2, n / 2, n - 1});
+    RelationPtr view = Relation::MakeSelectionView(base, picks);
+    RelationPtr view2 = Relation::MakeSelectionView(view, std::vector<uint32_t>(
+                                                              picks.rbegin(), picks.rend()));
+    std::vector<uint32_t> rights(picks.size());
+    for (size_t k = 0; k < picks.size(); ++k) rights[k] = picks[(k * 7) % picks.size()];
+    SchemaPtr join_schema = std::make_shared<const Schema>(
+        Schema::Make({Column{"s", DataType::kString}, Column{"t", DataType::kString}})
+            .value());
+    RelationPtr join = Relation::MakeJoinView(join_schema, base, picks, base, rights);
+    for (const RelationPtr& rel : {view, view2, join}) {
+      for (size_t c = 0; c < rel->num_columns(); ++c) {
+        const ColumnVector& vcol = rel->columnar().column(c);
+        EXPECT_EQ(vcol.dict_values.get(), col.dict_values.get());
+        ExpectDecodesTo(vcol, RowValues(*rel, c));
+      }
+    }
+    ExpectDecodesTo(GatherColumn(col, picks), RowValues(*view, 0));
+
+    // SplatCell broadcasts one cell's code, a null cell as all-null.
+    for (size_t r = 0; r < cells.size(); ++r) {
+      ColumnVector splat = SplatCell(col, r, 5);
+      EXPECT_EQ(splat.dict_values.get(), col.dict_values.get());
+      ExpectDecodesTo(splat, std::vector<Value>(5, cells[r]));
     }
   }
 }
 
-TEST(ColumnarDictTest, SortedUniqueValuesAndCodes) {
-  // Duplicates, the empty string, UTF-8 payloads, an embedded NUL byte, and a
-  // null row — everything a dictionary must keep byte-exact.
+TEST(ColumnarDictTest, CompareCellsOrdersStringsByCodeWithNullsFirst) {
   const std::string with_nul("a\0b", 3);
-  RelationPtr rel = StringRelation(
-      {Value::String("pear"), Value::String("apple"), Value::String(""),
-       Value::String("pear"), Value::String("\xc3\xa9" "clair"), Value::Null(),
-       Value::String(with_nul), Value::String("apple")});
+  RelationPtr rel = StringRelation({Value::String("b"), Value::Null(), Value::String(with_nul),
+                                    Value::String("a"), Value::String(""),
+                                    Value::String("b")});
   const ColumnVector& col = rel->columnar().column(0);
-  ExpectDictConsistent(col);
-  EXPECT_EQ(col.dict_values->size(), 5u);  // "", a\0b, apple, pear, éclair
-  EXPECT_EQ((*col.dict_values)[0], "");
-  EXPECT_EQ((*col.dict_values)[1], with_nul);
-  // Canonical strings stay populated alongside the codes.
-  EXPECT_EQ(col.strings[0], "pear");
-  EXPECT_EQ(col.strings[6], with_nul);
-}
-
-TEST(ColumnarDictTest, DegenerateShapes) {
-  // All-null: an empty dictionary, but still encoded (has_dict() drives the
-  // fast paths, which all handle "no distinct values").
-  RelationPtr all_null =
-      StringRelation({Value::Null(), Value::Null(), Value::Null()});
-  const ColumnVector& nul_col = all_null->columnar().column(0);
-  ExpectDictConsistent(nul_col);
-  EXPECT_TRUE(nul_col.dict_values->empty());
-
-  // One distinct value shared by every row.
-  std::vector<Value> same(100, Value::String("only"));
-  RelationPtr one_rel = StringRelation(same);
-  const ColumnVector& one = one_rel->columnar().column(0);
-  ExpectDictConsistent(one);
-  EXPECT_EQ(one.dict_values->size(), 1u);
-
-  // All rows distinct: codes are a permutation of [0, n).
-  std::vector<Value> uniq;
-  for (int i = 0; i < 50; ++i) uniq.push_back(Value::String("v" + std::to_string(i)));
-  RelationPtr all_rel = StringRelation(uniq);
-  const ColumnVector& all = all_rel->columnar().column(0);
-  ExpectDictConsistent(all);
-  EXPECT_EQ(all.dict_values->size(), 50u);
-}
-
-TEST(ColumnarDictTest, ViewsShareTheDictionaryAndGatherCodes) {
-  std::vector<Value> cells;
-  for (size_t r = 0; r < 120; ++r) {
-    cells.push_back(r % 11 == 10 ? Value::Null()
-                                 : Value::String("cat" + std::to_string(r % 7)));
+  for (size_t a = 0; a < rel->num_rows(); ++a) {
+    for (size_t b = 0; b < rel->num_rows(); ++b) {
+      EXPECT_EQ(CompareCells(col, a, b), rel->at(a, 0).Compare(rel->at(b, 0)).value())
+          << a << " vs " << b;
+    }
   }
-  RelationPtr base = StringRelation(cells);
-  const ColumnVector& base_col = base->columnar().column(0);
-  ASSERT_TRUE(base_col.has_dict());
-
-  // A duplicated, out-of-order selection view shares the dict_values pointer
-  // (same shared_ptr, no re-encode) and gathers only the codes.
-  std::vector<uint32_t> sel = {9, 9, 118, 0, 42, 10, 77, 10};
-  RelationPtr view = Relation::MakeSelectionView(base, sel);
-  const ColumnVector& vcol = view->columnar().column(0);
-  EXPECT_EQ(vcol.dict_values.get(), base_col.dict_values.get());
-  ExpectDictConsistent(vcol);
-
-  // A view of the view still points at the original dictionary.
-  RelationPtr view2 = Relation::MakeSelectionView(view, {3, 1, 1, 0});
-  const ColumnVector& v2col = view2->columnar().column(0);
-  EXPECT_EQ(v2col.dict_values.get(), base_col.dict_values.get());
-  ExpectDictConsistent(v2col);
-
-  // SplatCell broadcasts one cell's code (and an all-null splat for null
-  // cells), sharing the dictionary the same way.
-  ColumnVector splat = SplatCell(base_col, 3, 5);
-  EXPECT_EQ(splat.dict_values.get(), base_col.dict_values.get());
-  ExpectDictConsistent(splat);
-  ColumnVector null_splat = SplatCell(base_col, 10, 4);  // row 10 is null
-  ExpectDictConsistent(null_splat);
-  for (size_t r = 0; r < 4; ++r) EXPECT_TRUE(null_splat.IsNull(r));
-
-  // GatherColumn is the same machinery exposed directly.
-  ColumnVector gathered = GatherColumn(base_col, {5, 5, 99, 10});
-  EXPECT_EQ(gathered.dict_values.get(), base_col.dict_values.get());
-  ExpectDictConsistent(gathered);
-}
-
-TEST(ColumnarDictTest, PolicyKnobDisablesEncoding) {
-  DictGuard guard(/*dict_encode=*/false);
-  RelationPtr rel = StringRelation({Value::String("x"), Value::String("y")});
-  const ColumnVector& col = rel->columnar().column(0);
-  EXPECT_FALSE(col.has_dict());
-  EXPECT_TRUE(col.dict_codes.empty());
-  // The canonical representation is unaffected.
-  EXPECT_EQ(col.strings[0], "x");
-  EXPECT_EQ(col.strings[1], "y");
 }
 
 }  // namespace

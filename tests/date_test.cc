@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "types/date.h"
 
 namespace tioga2::types {
@@ -71,6 +73,52 @@ TEST(DateTest, ParseInvalid) {
   EXPECT_FALSE(Date::Parse("1985-01-32", &date));
   EXPECT_FALSE(Date::Parse("1985-01-01x", &date));
   EXPECT_FALSE(Date::Parse("", &date));
+}
+
+TEST(DateTest, ParseRejectsDaysTheMonthLacks) {
+  Date date;
+  EXPECT_FALSE(Date::Parse("2023-02-29", &date));  // not a leap year
+  EXPECT_FALSE(Date::Parse("1900-02-29", &date));  // centuries skip it
+  EXPECT_FALSE(Date::Parse("2024-04-31", &date));
+  EXPECT_FALSE(Date::Parse("2024-06-31", &date));
+  EXPECT_FALSE(Date::Parse("2024-02-30", &date));
+  ASSERT_TRUE(Date::Parse("2024-02-29", &date));
+  EXPECT_EQ(date, Date::FromYmd(2024, 2, 29));
+  ASSERT_TRUE(Date::Parse("2000-02-29", &date));
+  EXPECT_EQ(date, Date::FromYmd(2000, 2, 29));
+  ASSERT_TRUE(Date::Parse("2024-12-31", &date));
+  EXPECT_EQ(date.ToString(), "2024-12-31");
+}
+
+TEST(DateTest, ParseRejectsYearsPastFourDigitsAndMalformedFields) {
+  Date date;
+  EXPECT_FALSE(Date::Parse("99999999999-01-01", &date));  // overflowed int before
+  EXPECT_FALSE(Date::Parse("10000-01-01", &date));
+  EXPECT_FALSE(Date::Parse("-0001-01-01", &date));
+  EXPECT_FALSE(Date::Parse("-1-01-01", &date));
+  EXPECT_FALSE(Date::Parse("1985-001-01", &date));
+  EXPECT_FALSE(Date::Parse("1985-01-001", &date));
+  EXPECT_FALSE(Date::Parse("1985--01", &date));
+  EXPECT_FALSE(Date::Parse("1985-01-", &date));
+  EXPECT_FALSE(Date::Parse("1985-01", &date));
+  ASSERT_TRUE(Date::Parse("9999-12-31", &date));
+  EXPECT_EQ(date.DaysValue(), Date::kMaxDays);
+  EXPECT_EQ(date.ToString(), "9999-12-31");
+  ASSERT_TRUE(Date::Parse("0000-01-01", &date));
+  EXPECT_EQ(date.DaysValue(), Date::kMinDays);
+  EXPECT_EQ(date.ToString(), "0000-01-01");
+}
+
+TEST(DateTest, DayCountsOutsideTheRangeAreRefused) {
+  EXPECT_EQ(Date::FromYmd(0, 1, 1).DaysValue(), Date::kMinDays);
+  EXPECT_EQ(Date::FromYmd(9999, 12, 31).DaysValue(), Date::kMaxDays);
+  EXPECT_TRUE(Date::FromDays(Date::kMinDays).ok());
+  EXPECT_TRUE(Date::FromDays(Date::kMaxDays).ok());
+  EXPECT_TRUE(Date::FromDays(Date::kMaxDays + 1).status().IsOutOfRange());
+  EXPECT_TRUE(Date::FromDays(Date::kMinDays - 1).status().IsOutOfRange());
+  EXPECT_TRUE(Date::FromDays(INT64_MAX - 5).status().IsOutOfRange());
+  EXPECT_TRUE(Date::FromDays(INT64_MIN).status().IsOutOfRange());
+  EXPECT_EQ(Date::FromDays(-1).value(), Date::FromYmd(1969, 12, 31));
 }
 
 TEST(DateTest, Ordering) {

@@ -75,8 +75,7 @@ TEST(DeterminismTest, SampleBoxStableAcrossEvaluations) {
 }
 
 /// Pins the process-default execution policy for a scope. Engines without
-/// their own policy, and every columnar image built inside the scope
-/// (dict_encode), follow it.
+/// their own policy follow it.
 class PolicyGuard {
  public:
   explicit PolicyGuard(const db::ExecPolicy& policy) : saved_(db::DefaultExecPolicy()) {
@@ -155,14 +154,12 @@ TEST(DeterminismTest, DrillChainIdenticalUnderEveryPolicy) {
   vectorized.simd = db::SimdLevel::kScalar;
   db::ExecPolicy avx2;
   avx2.simd = db::SimdLevel::kAVX2;  // clamps to the best level the host runs
-  db::ExecPolicy dict_off = avx2;
-  dict_off.dict_encode = false;
 
   const DrillOutcome oracle = EvaluateDrillChain(scalar);
   ASSERT_GT(oracle.joined_rows, 50u);  // one row per station with a kept day
   EXPECT_FALSE(oracle.sample_is_view);
   const std::pair<const char*, db::ExecPolicy> passes[] = {
-      {"vectorized", vectorized}, {"avx2", avx2}, {"dict-off", dict_off}};
+      {"vectorized", vectorized}, {"avx2", avx2}};
   for (const auto& [name, policy] : passes) {
     SCOPED_TRACE(name);
     const DrillOutcome outcome = EvaluateDrillChain(policy);

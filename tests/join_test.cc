@@ -179,24 +179,9 @@ RelationPtr StringKeyed(const char* key_name,
   return builder.Build();
 }
 
-/// Pins ExecPolicy::dict_encode while relations are built (dictionaries are
-/// created at columnar materialization).
-class DictGuard {
- public:
-  explicit DictGuard(bool dict_encode) : saved_(DefaultExecPolicy()) {
-    ExecPolicy policy = saved_;
-    policy.dict_encode = dict_encode;
-    SetDefaultExecPolicy(policy);
-  }
-  ~DictGuard() { SetDefaultExecPolicy(saved_); }
-
- private:
-  ExecPolicy saved_;
-};
-
 // ---- Dictionary-encoded string keys ----------------------------------------
-// The vectorized hash join hashes dictionary codes instead of string bytes
-// when both key columns are encoded (db/operators.cc). A self-join shares one
+// The vectorized hash join hashes string keys' dictionary codes instead of
+// their bytes (db/operators.cc). A self-join shares one
 // dictionary and compares codes directly; two independently built relations
 // have different dictionaries, so build codes are remapped into probe code
 // space by binary search. Either way the scalar string-hashing oracle defines
@@ -205,14 +190,10 @@ class DictGuard {
 TEST(JoinDictKeyTest, SharedDictionarySelfJoinComparesCodesDirectly) {
   RelationPtr rel =
       StringKeyed("a", {"x", "y", std::nullopt, "x", "z", std::nullopt});
-  const uint64_t fallbacks_before =
-      expr::BatchMetrics::Global().dict_remap_fallbacks.load();
   JoinResult result = JoinBothPaths(rel, rel, "a = a_2");
   EXPECT_EQ(result.algorithm, JoinAlgorithm::kHash);
   // x matches x twice each way (4), y and z match themselves; nulls never.
   EXPECT_EQ(result.relation->num_rows(), 6u);
-  EXPECT_EQ(expr::BatchMetrics::Global().dict_remap_fallbacks.load(),
-            fallbacks_before);
 }
 
 TEST(JoinDictKeyTest, DifferentDictionariesRemapBuildCodesToProbeSpace) {
@@ -253,19 +234,6 @@ TEST(JoinDictKeyTest, RemapChainsResolveTheExactMatchMultiset) {
   JoinResult result = JoinBothPaths(left, right, "a = b");
   EXPECT_EQ(result.algorithm, JoinAlgorithm::kHash);
   EXPECT_EQ(result.relation->num_rows(), expected);
-}
-
-TEST(JoinDictKeyTest, UnencodedStringKeysFallBackToStringHashingAndCount) {
-  DictGuard guard(/*dict_encode=*/false);
-  RelationPtr left = StringKeyed("a", {"x", "y", "z", "x"});
-  RelationPtr right = StringKeyed("b", {"y", "x", "w"});
-  const uint64_t fallbacks_before =
-      expr::BatchMetrics::Global().dict_remap_fallbacks.load();
-  JoinResult result = JoinBothPaths(left, right, "a = b");
-  EXPECT_EQ(result.algorithm, JoinAlgorithm::kHash);
-  EXPECT_EQ(result.relation->num_rows(), 3u);
-  EXPECT_GT(expr::BatchMetrics::Global().dict_remap_fallbacks.load(),
-            fallbacks_before);
 }
 
 TEST(JoinOrderTest, LeftMajorOrderSurvivesCardinalityFlip) {

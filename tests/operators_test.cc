@@ -244,15 +244,22 @@ RelationPtr Mixed() {
 }
 
 /// Typed vectors and null bitmaps equal, floats compared bit for bit (so
-/// -0.0 must stay -0.0). Dictionary codes are not compared: a view shares its base's
-/// dictionary while the oracle encodes only its own rows.
+/// -0.0 must stay -0.0), strings by their decoded text. Dictionary codes are
+/// not compared: a view shares its base's dictionary while the oracle encodes
+/// only its own rows.
 void ExpectSameColumn(const ColumnVector& view, const ColumnVector& oracle) {
   ASSERT_EQ(view.type, oracle.type);
   ASSERT_EQ(view.num_rows, oracle.num_rows);
   EXPECT_EQ(view.null_bits, oracle.null_bits);
   EXPECT_EQ(view.bools, oracle.bools);
   EXPECT_EQ(view.ints, oracle.ints);
-  EXPECT_EQ(view.strings, oracle.strings);
+  if (view.type == DataType::kString) {
+    for (size_t r = 0; r < view.num_rows; ++r) {
+      if (!view.IsNull(r)) {
+        EXPECT_EQ(view.string_at(r), oracle.string_at(r)) << "row " << r;
+      }
+    }
+  }
   EXPECT_EQ(view.dates, oracle.dates);
   ASSERT_EQ(view.floats.size(), oracle.floats.size());
   if (!view.floats.empty()) {
@@ -273,7 +280,6 @@ void ExpectViewMatchesOracle(const RelationPtr& input, const RelationPtr& view,
     const ColumnVector& col = view->columnar().column(c);
     ExpectSameColumn(col, oracle->columnar().column(c));
     if (col.type == DataType::kString) {
-      ASSERT_TRUE(col.has_dict());
       EXPECT_EQ(col.dict_values, input->columnar().column(c).dict_values);
     }
   }

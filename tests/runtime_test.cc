@@ -261,7 +261,6 @@ TEST_F(RuntimeEngineTest, RecordsMetrics) {
   // Dictionary-encoded string execution counters (likewise always present).
   EXPECT_NE(json.find("\"dict_columns_built\""), std::string::npos);
   EXPECT_NE(json.find("\"dict_simd_batches\""), std::string::npos);
-  EXPECT_NE(json.find("\"dict_remap_fallbacks\""), std::string::npos);
   EXPECT_NE(json.find("\"sparse_gathers\""), std::string::npos);
 }
 

@@ -97,6 +97,39 @@ TEST(StorageFormatTest, ValueRoundTripsAllTypesBitExactly) {
   }
 }
 
+TEST(StorageFormatTest, DateDayCountsOutsideTheRangeAreRefused) {
+  // A date cell's day count comes from raw bytes; one outside Date's range
+  // would overflow the civil conversion of ToString.
+  for (int64_t days : {types::Date::kMaxDays + 1, types::Date::kMinDays - 1,
+                       std::numeric_limits<int64_t>::max() - 5,
+                       std::numeric_limits<int64_t>::min()}) {
+    SCOPED_TRACE(days);
+    Encoder cell;
+    cell.PutU8(5);  // the date cell tag
+    cell.PutI64(days);
+    Decoder dec(cell.data());
+    EXPECT_TRUE(DecodeValue(&dec).status().IsOutOfRange());
+
+    // The same count in a relation's date column.
+    auto relation = db::MakeRelation({db::Column{"day", types::DataType::kDate}},
+                                     {{Value::DateVal(types::Date(0))}});
+    ASSERT_TRUE(relation.ok());
+    Encoder enc;
+    ASSERT_TRUE(EncodeRelation(**relation, &enc).ok());
+    std::string bytes = enc.data();
+    const size_t at = bytes.size() - sizeof(int64_t);  // the one cell, last
+    std::memcpy(&bytes[at], &days, sizeof(days));      // as PutI64 writes it
+    Decoder rel_dec(bytes);
+    EXPECT_TRUE(DecodeRelation(&rel_dec).status().IsOutOfRange());
+  }
+  for (int64_t days : {types::Date::kMinDays, types::Date::kMaxDays}) {
+    Encoder cell;
+    ASSERT_TRUE(EncodeValue(Value::DateVal(types::Date(days)), &cell).ok());
+    Decoder dec(cell.data());
+    EXPECT_EQ(DecodeValue(&dec)->date_value().DaysValue(), days);
+  }
+}
+
 TEST(StorageFormatTest, DisplayValuesAreRejected) {
   Encoder enc;
   EXPECT_TRUE(EncodeValue(Value::Display({}), &enc).IsInvalidArgument());
@@ -119,6 +152,71 @@ TEST(StorageFormatTest, RelationRoundTripsValueIdentically) {
   ASSERT_TRUE(fp1.ok());
   ASSERT_TRUE(fp2.ok());
   EXPECT_EQ(*fp1, *fp2);
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The snapshot bytes of string columns are a format: a string column stored
+// only as a dictionary must encode each row's own text, and a null row's
+// empty payload (not its dictionary code's value), exactly as the
+// per-row-string encoder these bytes were recorded from did.
+TEST(StorageFormatTest, StringColumnsEncodeToCommittedBytes) {
+  const std::string nul("a\0b", 3);
+  auto relation = db::MakeRelation(
+      {db::Column{"id", types::DataType::kInt},
+       db::Column{"label", types::DataType::kString},
+       db::Column{"state", types::DataType::kString},
+       db::Column{"none", types::DataType::kString},
+       db::Column{"day", types::DataType::kDate}},
+      {{Value::Int(1), Value::String("pear"), Value::Null(), Value::Null(),
+        Value::DateVal(types::Date(0))},
+       {Value::Int(2), Value::Null(), Value::String("LA"), Value::Null(), Value::Null()},
+       {Value::Int(3), Value::String(""), Value::String("TX"), Value::Null(),
+        Value::DateVal(types::Date(-3))},
+       {Value::Int(4), Value::String(nul), Value::Null(), Value::Null(),
+        Value::DateVal(types::Date(19000))},
+       {Value::Int(5), Value::String("\x01tag"), Value::String("LA"), Value::Null(),
+        Value::DateVal(types::Date(7))},
+       {Value::Int(6), Value::String("h\xc3\xa9llo"), Value::String("AR"), Value::Null(),
+        Value::Null()},
+       {Value::Int(7), Value::String("pear"), Value::String("AR"), Value::Null(),
+        Value::DateVal(types::Date(1))}});
+  ASSERT_TRUE(relation.ok());
+  const std::string base_hex =
+      "0500000002000000696401050000006c6162656c030500000073746174650304"
+      "0000006e6f6e6503030000006461790407000000000000000001000000000000"
+      "0002000000000000000300000000000000040000000000000005000000000000"
+      "0006000000000000000700000000000000010200000000000000040000007065"
+      "617200000000000000000300000061006204000000017461670600000068c3a9"
+      "6c6c6f040000007065617201090000000000000000000000020000004c410200"
+      "0000545800000000020000004c41020000004152020000004152017f00000000"
+      "0000000000000000000000000000000000000000000000000000000000000001"
+      "220000000000000000000000000000000000000000000000fdffffffffffffff"
+      "384a000000000000070000000000000000000000000000000100000000000000";
+  // A selection view (rows 6, 3, 1, 1, 0) encodes from gathered columns.
+  const std::string view_hex =
+      "0500000002000000696401050000006c6162656c030500000073746174650304"
+      "0000006e6f6e6503030000006461790405000000000000000007000000000000"
+      "0004000000000000000200000000000000020000000000000001000000000000"
+      "00010c0000000000000004000000706561720300000061006200000000000000"
+      "0004000000706561720112000000000000000200000041520000000002000000"
+      "4c41020000004c4100000000011f000000000000000000000000000000000000"
+      "000000000000000000010c000000000000000100000000000000384a00000000"
+      "0000000000000000000000000000000000000000000000000000";
+  Encoder base;
+  ASSERT_TRUE(EncodeRelation(**relation, &base).ok());
+  EXPECT_EQ(base.data(), FromHex(base_hex));
+  Encoder view;
+  ASSERT_TRUE(EncodeRelation(*db::Relation::MakeSelectionView(*relation, {6, 3, 1, 1, 0}),
+                             &view)
+                  .ok());
+  EXPECT_EQ(view.data(), FromHex(view_hex));
 }
 
 TEST(StorageFormatTest, FingerprintSeesValueAndOrderChanges) {
